@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -88,7 +89,9 @@ class LinearSTBC:
 
     ``ordering`` maps current symbol position to the position in the
     constructor's default order; it starts as the identity and composes
-    under :func:`reorder`.
+    under :func:`reorder`.  The generator matrix is computed on first use
+    and stored on the instance; :func:`reorder` and ``dataclasses.replace``
+    build new instances, so they never see a stale one.
     """
 
     n_t: int
@@ -112,10 +115,19 @@ class LinearSTBC:
             out = out + xi * a
         return out
 
+    @cached_property
+    def _generator(self) -> np.ndarray:
+        g = np.column_stack([tilde_vec(cvec(a)) for a in self.weights])
+        g.setflags(write=False)
+        return g
+
 
 def generator_matrix(code: LinearSTBC) -> np.ndarray:
-    """Real generator matrix G: column i is ``tilde_vec(cvec(A_i))``."""
-    return np.column_stack([tilde_vec(cvec(a)) for a in code.weights])
+    """Real generator matrix G: column i is ``tilde_vec(cvec(A_i))``.
+
+    Computed once per code; the returned array is shared and read-only.
+    """
+    return code._generator
 
 
 def _make_code(weights, labels, declared_profile=None, *, check_rank=True) -> LinearSTBC:

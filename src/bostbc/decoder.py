@@ -40,6 +40,7 @@ exhaustive decoding agree symbol for symbol.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -146,6 +147,68 @@ class _MetricCache:
             self.size -= sum(len(v) for v in table.values())
 
 
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """Per-level metadata of one (K, profile) shape, shared by every walker
+    on that shape; the tuples and read-only masks cannot be mutated."""
+
+    block_of: tuple
+    block_start: tuple
+    sub_end: tuple
+    measured: tuple
+    cacheable: tuple
+    cond_source: tuple
+    strict_lower: np.ndarray
+    structural_zero: np.ndarray
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(k_total: int, block_size: int, gamma: int, k_sub: int) -> _Layout:
+    """Layout of a profile with ``k_sub`` sub-blocks of ``gamma`` symbols per
+    block of ``block_size``; ``block_size == 0`` is the plain decoder, one
+    measured level per symbol and no blocks."""
+    cols = range(k_total)
+    strict_lower = _read_only(np.tri(k_total, k=-1, dtype=bool))
+    if block_size == 0:
+        return _Layout(
+            block_of=(0,) * k_total,
+            block_start=(0,) * k_total,
+            sub_end=(k_total - 1,) * k_total,
+            measured=(True,) * k_total,
+            cacheable=(False,) * k_total,
+            cond_source=(k_total,) * k_total,
+            strict_lower=strict_lower,
+            structural_zero=_read_only(np.zeros((k_total, k_total), dtype=bool)),
+        )
+    blk, gam = block_size, gamma
+    sub_end = tuple((c // blk) * blk + ((c % blk) // gam + 1) * gam - 1
+                    for c in cols)
+    # entries inside a block but outside its sub-block diagonal must be
+    # structural zeros
+    row = np.arange(k_total)[:, None]
+    col = np.arange(k_total)[None, :]
+    structural_zero = ((col > np.array(sub_end)[:, None])
+                       & (col < (row // blk + 1) * blk))
+    return _Layout(
+        block_of=tuple(c // blk for c in cols),
+        block_start=tuple((c // blk) * blk for c in cols),
+        sub_end=sub_end,
+        measured=tuple(c >= blk for c in cols),
+        # cache all but the first-enumerated (last) sub-block per
+        # conditioned block
+        cacheable=tuple(c >= blk and (c % blk) // gam < k_sub - 1
+                        for c in cols),
+        cond_source=tuple((c // blk + 1) * blk for c in cols),
+        strict_lower=strict_lower,
+        structural_zero=_read_only(structural_zero),
+    )
+
+
 class _Walker:
     def __init__(self, r, y, cons, profile, memoize, prune,
                  trace=None, validate_cache=False, tol_rel=1e-9):
@@ -154,13 +217,35 @@ class _Walker:
         k_total = y.size
         if r.shape != (k_total, k_total):
             raise ValueError("r must be square and match y'")
-        if np.tril(r, -1).any():
+        if profile is None:
+            layout = _layout(k_total, 0, 0, 0)
+            self.top_size = self.gamma = self.k_sub = 0
+        elif profile.total != k_total:
+            raise InvalidProfile(
+                f"profile covers {profile.total} symbols, r has {k_total}")
+        else:
+            layout = _layout(k_total, profile.block_size, profile.gamma,
+                             profile.k)
+            self.top_size = profile.block_size
+            self.gamma = profile.gamma
+            self.k_sub = profile.k
+        abs_r = np.abs(r)
+        r_max = abs_r.max()  # the max is NaN or inf iff some entry is
+        if not (math.isfinite(r_max) and np.isfinite(y).all()):
+            raise ValueError("r and y' must be finite")
+        if r[layout.strict_lower].any():
             raise NotUpperTriangular("r has entries below the diagonal")
-        if (np.diag(r) == 0).any():
+        if not r.diagonal().all():
             raise ValueError("r must have a nonzero diagonal (full rank)")
+        if profile is not None:
+            bad = layout.structural_zero & (abs_r > tol_rel * r_max)
+            if bad.any():
+                c, j = divmod(int(bad.argmax()), k_total)  # row-major first
+                raise InvalidProfile(
+                    f"r[{c},{j}] = {r[c, j]:.3e} should be structurally zero")
         self.k_total = k_total
-        self.rows = [list(map(float, row)) for row in r]
-        self.y = list(map(float, y))
+        self.rows = r.tolist()
+        self.y = y.tolist()
         self.levels = list(cons.levels)
         self.m = cons.m
         self.prune = prune
@@ -172,48 +257,13 @@ class _Walker:
         # blocks' zeros, so their interference cost is the dense row span
         self.dense_costing = self.structured and not self.memoize
 
-        if profile is not None:
-            if profile.total != k_total:
-                raise InvalidProfile(
-                    f"profile covers {profile.total} symbols, r has {k_total}")
-            blk = profile.block_size
-            gam = profile.gamma
-            tol = tol_rel * np.abs(r).max()
-            self.top_size = blk
-            self.gamma = gam
-            self.k_sub = profile.k
-            self.block_of = [c // blk for c in range(k_total)]
-            self.block_start = [(c // blk) * blk for c in range(k_total)]
-            self.sub_end = [
-                (c // blk) * blk + ((c % blk) // gam + 1) * gam - 1
-                for c in range(k_total)
-            ]
-            self.measured = [c >= blk for c in range(k_total)]
-            # cache all but the first-enumerated (last) sub-block per
-            # conditioned block
-            self.cacheable = [
-                self.measured[c] and (c % blk) // gam < profile.k - 1
-                for c in range(k_total)
-            ]
-            self.cond_source = [(c // blk + 1) * blk for c in range(k_total)]
-            # entries inside a block but outside its sub-block diagonal must
-            # be structural zeros
-            for c in range(k_total):
-                row = self.rows[c]
-                for j in range(c + 1, (self.block_of[c] + 1) * blk):
-                    if j > self.sub_end[c] and abs(row[j]) > tol:
-                        raise InvalidProfile(
-                            f"r[{c},{j}] = {row[j]:.3e} should be structurally zero")
-        else:
-            self.top_size = 0
-            self.gamma = 0
-            self.k_sub = 0
-            self.block_of = [0] * k_total
-            self.block_start = [0] * k_total
-            self.measured = [True] * k_total
-            self.cacheable = [False] * k_total
-            self.sub_end = [k_total - 1] * k_total
-            self.cond_source = [k_total] * k_total
+        self.layout = layout
+        self.block_of = layout.block_of
+        self.block_start = layout.block_start
+        self.sub_end = layout.sub_end
+        self.measured = layout.measured
+        self.cacheable = layout.cacheable
+        self.cond_source = layout.cond_source
 
         self.idx = [0] * k_total
         self.val = [0.0] * k_total

@@ -30,9 +30,9 @@ __all__ = [
     "trace_inner_product",
 ]
 
-#: Relative threshold below which a Gram-Schmidt residual column is treated
-#: as dependent.  Relative to the largest input column norm so that scaling
-#: the input does not change the verdict.
+#: Relative threshold below which a residual column norm ``|r_ii|`` is
+#: treated as dependent.  Relative to the largest input column norm so that
+#: scaling the input does not change the verdict.
 RANK_TOL = 1e-10
 
 
@@ -91,26 +91,36 @@ def cvec(m) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product of two real matrices."""
-    return np.kron(np.asarray(a), np.asarray(b))
+    """Kronecker product of two real matrices.
+
+    Each entry is the single product ``a[i, j] * b[k, l]``, as in
+    ``np.kron``, so the two agree bit for bit.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    out = a[:, None, :, None] * b[None, :, None, :]
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def gram_schmidt_qr(h, rank_tol: float = RANK_TOL) -> QrResult:
-    """QR of a real matrix with ``rows >= cols`` via modified Gram-Schmidt.
+    """Gram-Schmidt QR of a real matrix with ``rows >= cols``.
 
     The result is the Gram-Schmidt factorization: ``r[i, i]`` is the norm of
     the i-th residual column and ``r[i, j]`` (j > i) the projection
-    coefficient ``<q_i, h_j>``.  Modified (column-updating) order is used for
-    numerical stability; the produced factors are mathematically identical to
-    the classical recursion.
+    coefficient ``<q_i, h_j>``.  It is computed by LAPACK's Householder QR
+    (``np.linalg.qr``) with each sign-flipped row of ``r`` (and column of
+    ``q``) negated so the diagonal is positive.  For full column rank that
+    factorization is unique, so it equals the Gram-Schmidt one up to
+    rounding.
 
     Raises
     ------
     RankDeficient
         If the matrix has fewer rows than columns, or some residual column
-        norm falls below ``rank_tol`` times the largest input column norm.
+        norm falls below ``rank_tol`` times the largest input column norm;
+        the first such column is reported.
     """
-    h = np.array(h, dtype=float)
+    h = np.asarray(h, dtype=float)
     if h.ndim != 2:
         raise ValueError("expected a 2-D matrix")
     rows, cols = h.shape
@@ -119,21 +129,17 @@ def gram_schmidt_qr(h, rank_tol: float = RANK_TOL) -> QrResult:
     if not np.isfinite(h).all():
         raise ValueError("matrix entries must be finite")
 
-    col_norms = np.linalg.norm(h, axis=0)
-    threshold = rank_tol * (col_norms.max() if cols else 0.0)
-
-    q = h.copy()
-    r = np.zeros((cols, cols))
-    for i in range(cols):
-        norm = np.linalg.norm(q[:, i])
-        if norm <= threshold:
-            raise RankDeficient(f"column {i} is dependent (|r_{i}| = {norm:.3e})")
-        r[i, i] = norm
-        q[:, i] /= norm
-        if i + 1 < cols:
-            coeffs = q[:, i] @ q[:, i + 1:]
-            r[i, i + 1:] = coeffs
-            q[:, i + 1:] -= np.outer(q[:, i], coeffs)
+    q, r = np.linalg.qr(h)
+    diag = r.diagonal()
+    col_norm_max = np.sqrt((h * h).sum(axis=0).max()) if cols else 0.0
+    threshold = rank_tol * col_norm_max
+    for i, d in enumerate(diag.tolist()):
+        if abs(d) <= threshold:
+            raise RankDeficient(f"column {i} is dependent (|r_{i}| = {abs(d):.3e})")
+    sign = np.copysign(1.0, diag)
+    q *= sign
+    r *= sign[:, None]
+    r += 0.0  # turns the -0.0 a flipped zero becomes back into +0.0
     return QrResult(q=q, r=r)
 
 

@@ -54,7 +54,7 @@ RNG_ALGORITHM = "numpy-PCG64/standard_normal"
 
 @dataclass(frozen=True)
 class SimulationCampaign:
-    """Config for one sweep; see ``campaign-schema.json`` in the repo root."""
+    """Config for one sweep; see ``schemas/campaign.schema.json``."""
 
     code: str
     m: int

@@ -40,6 +40,7 @@ from bostbc.codes import (
     save_code,
     srinath_rajan_code,
 )
+from bostbc.linalg import cvec, tilde_vec
 
 SQRT5 = math.sqrt(5.0)
 THETA = (1 + SQRT5) / 2
@@ -294,6 +295,41 @@ class TestReorder:
         for perm in (GOLDEN_ORDERING_421, GOLDEN_ORDERING_222,
                      GOLDEN_ORDERING_SCRAMBLED):
             assert sorted(perm) == list(range(8))
+
+
+class TestGeneratorMatrix:
+    def test_read_only_and_fresh_equal(self):
+        for name in ("golden", "bhv", "ci-a2"):
+            code = named_code(name)
+            g = generator_matrix(code)
+            fresh = np.column_stack([tilde_vec(cvec(a)) for a in code.weights])
+            assert np.array_equal(g, fresh)
+            assert generator_matrix(code) is g  # computed once per code
+            with pytest.raises(ValueError):
+                g[0, 0] = 1.0
+
+    def test_reorder_permutes_columns(self):
+        code = golden_code()
+        g = generator_matrix(code)
+        for perm in (GOLDEN_ORDERING_421, GOLDEN_ORDERING_222,
+                     GOLDEN_ORDERING_SCRAMBLED):
+            assert np.array_equal(generator_matrix(reorder(code, perm)),
+                                  g[:, list(perm)])
+
+    def test_named_golden_222_is_reordered(self):
+        g = generator_matrix(golden_code())
+        assert np.array_equal(generator_matrix(named_code("golden-222")),
+                              g[:, list(GOLDEN_ORDERING_222)])
+
+    def test_json_round_trip_keeps_generator(self):
+        code = bhv_code()
+        generator_matrix(code)  # the cached matrix is not serialized
+        data = code_to_json(code)
+        assert set(data) == {"n_t", "t", "k_real", "labels", "weights",
+                             "declared_profile"}
+        loaded = code_from_json(json.dumps(data))
+        assert code_to_json(loaded) == data
+        assert np.array_equal(generator_matrix(loaded), generator_matrix(code))
 
 
 class TestSerialization:

@@ -1,5 +1,7 @@
 """Tests for the sphere decoder, the exhaustive oracle and the bound math."""
 
+import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,7 @@ from bostbc.decoder import (
     NotUpperTriangular,
     PamConstellation,
     TooLarge,
+    _Walker,
     em_count_bounds,
     exhaustive_ml,
     force_full_tree_decode,
@@ -86,6 +89,84 @@ class TestSphereDecodeBasics:
                                  memoize=False)
         assert stats.cache_hits == 0
         assert stats.cache_entries_peak == 0
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [("r", (1, 3)), ("r", (2, 2)),
+                                       ("r", (3, 0)), ("y", 2)])
+    @pytest.mark.parametrize("profile", [None, BlockOrthogonalProfile(2, 2, 1)])
+    def test_non_finite_rejected(self, rng, bad, where, profile):
+        r = patterned_r(rng, BlockOrthogonalProfile(2, 2, 1))
+        y = rng.standard_normal(4)
+        arg, pos = where
+        (r if arg == "r" else y)[pos] = bad
+        with pytest.raises(ValueError, match="r and y' must be finite"):
+            sphere_decode(r, y, PamConstellation(2), profile)
+
+    @pytest.mark.parametrize("offenders, named", [
+        ({(5, 6): 0.5, (1, 2): 0.25, (0, 3): -0.125}, "r[0,3] = -1.250e-01"),
+        ({(5, 6): 0.5, (1, 3): 0.25}, "r[1,3] = 2.500e-01"),
+        ({(4, 7): 2.0}, "r[4,7] = 2.000e+00"),
+    ])
+    def test_invalid_profile_names_first_offender(self, rng, offenders, named):
+        prof = BlockOrthogonalProfile(2, 2, 2)
+        r = patterned_r(rng, prof)
+        for pos, value in offenders.items():
+            r[pos] = value
+        with pytest.raises(InvalidProfile,
+                           match=f"^{re.escape(named)} should be structurally zero$"):
+            sphere_decode(r, np.zeros(8), PamConstellation(2), prof)
+
+    @pytest.mark.parametrize("profile", [None, BlockOrthogonalProfile(2, 2, 1)])
+    def test_triangularity_and_diagonal_checks(self, rng, profile):
+        cons = PamConstellation(2)
+        r = patterned_r(rng, BlockOrthogonalProfile(2, 2, 1))
+        lower = r.copy()
+        lower[3, 0] = 1e-3
+        with pytest.raises(NotUpperTriangular):
+            sphere_decode(lower, np.zeros(4), cons, profile)
+        singular = r.copy()
+        singular[2, 2] = 0.0
+        with pytest.raises(ValueError, match="nonzero diagonal"):
+            sphere_decode(singular, np.zeros(4), cons, profile)
+
+    @pytest.mark.parametrize("shape", [(2, 4, 1), (2, 2, 2), (3, 2, 2), (4, 2, 1)])
+    def test_walkers_share_immutable_layout(self, rng, shape):
+        prof = BlockOrthogonalProfile(*shape)
+        k = prof.total
+        cons = PamConstellation(2)
+        memo = _Walker(patterned_r(rng, prof), rng.standard_normal(k), cons,
+                       prof, True, True)
+        base = _Walker(patterned_r(rng, prof), rng.standard_normal(k), cons,
+                       prof, False, True)
+        layout = memo.layout
+        assert base.layout is layout
+        # reference: the per-level formulas and the structural-zero loop
+        blk, gam = prof.block_size, prof.gamma
+        sub_end = [(c // blk) * blk + ((c % blk) // gam + 1) * gam - 1
+                   for c in range(k)]
+        assert layout.block_of == tuple(c // blk for c in range(k))
+        assert layout.block_start == tuple((c // blk) * blk for c in range(k))
+        assert layout.sub_end == tuple(sub_end)
+        assert layout.measured == tuple(c >= blk for c in range(k))
+        assert layout.cacheable == tuple(
+            c >= blk and (c % blk) // gam < prof.k - 1 for c in range(k))
+        assert layout.cond_source == tuple((c // blk + 1) * blk for c in range(k))
+        zeros = np.zeros((k, k), dtype=bool)
+        for c in range(k):
+            for j in range(c + 1, (c // blk + 1) * blk):
+                zeros[c, j] = j > sub_end[c]
+        assert np.array_equal(layout.structural_zero, zeros)
+        assert np.array_equal(layout.strict_lower, np.tri(k, k=-1, dtype=bool))
+        with pytest.raises(ValueError):
+            layout.structural_zero[0, -1] = True
+        with pytest.raises(ValueError):
+            layout.strict_lower[1, 0] = False
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layout.block_of = ()
+        with pytest.raises(TypeError):
+            layout.sub_end[0] = 0
 
 
 class TestSubBlockIndependence:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bostbc.codes import named_code
 from bostbc.linalg import (
     RankDeficient,
     check_expand,
@@ -13,6 +14,29 @@ from bostbc.linalg import (
     trace_inner_product,
     untilde_vec,
 )
+from bostbc.structure import equivalent_channel, random_channel
+
+NAMED_CODES = ("alamouti", "golden", "golden-222", "bhv", "srinath-rajan",
+               "cda-2x2", "ci-a1", "ci-a2", "cii-golden", "ciii-golden",
+               "civ-a1", "civ-a2")
+
+
+def mgs_reference(h, rank_tol=1e-10):
+    """Modified Gram-Schmidt loop, the oracle for ``gram_schmidt_qr``."""
+    q = np.array(h, dtype=float)
+    cols = q.shape[1]
+    threshold = rank_tol * np.linalg.norm(q, axis=0).max()
+    r = np.zeros((cols, cols))
+    for i in range(cols):
+        norm = np.linalg.norm(q[:, i])
+        if norm <= threshold:
+            raise RankDeficient(f"column {i} is dependent (|r_{i}| = {norm:.3e})")
+        r[i, i] = norm
+        q[:, i] /= norm
+        coeffs = q[:, i] @ q[:, i + 1:]
+        r[i, i + 1:] = coeffs
+        q[:, i + 1:] -= np.outer(q[:, i], coeffs)
+    return q, r
 
 
 def _rand_complex(rng, shape):
@@ -78,6 +102,17 @@ class TestKron:
         expected[2:4, 0:2] = np.eye(2)
         assert np.array_equal(out, expected)
 
+    @pytest.mark.parametrize("shape_a, shape_b", [
+        ((1, 1), (3, 2)), ((2, 2), (4, 4)), ((3, 1), (2, 5)),
+        ((2, 3), (1, 4)), ((4, 4), (8, 8)),
+    ])
+    def test_bit_equal_to_numpy(self, rng, shape_a, shape_b):
+        a = rng.standard_normal(shape_a)
+        b = rng.standard_normal(shape_b)
+        out = kron(a, b)
+        assert out.shape == np.kron(a, b).shape
+        assert np.array_equal(out, np.kron(a, b))
+
     def test_against_index_formula(self, rng):
         a = rng.standard_normal((2, 2))
         b = rng.standard_normal((2, 2))
@@ -126,6 +161,31 @@ class TestGramSchmidtQr:
     def test_wide_matrix_raises(self, rng):
         with pytest.raises(RankDeficient, match="rows >= cols"):
             gram_schmidt_qr(rng.standard_normal((3, 5)))
+
+
+class TestQrMatchesGramSchmidt:
+    @pytest.mark.parametrize("name", NAMED_CODES)
+    def test_equivalent_channel_draws(self, rng, name):
+        code = named_code(name)
+        for _ in range(5):
+            h_eq = equivalent_channel(code, random_channel(code.n_t, code.n_t, rng))
+            q_ref, r_ref = mgs_reference(h_eq)
+            res = gram_schmidt_qr(h_eq)
+            assert np.abs(res.r - r_ref).max() <= 1e-12 * np.abs(r_ref).max()
+            assert np.abs(res.q - q_ref).max() <= 1e-10
+            assert (np.diag(res.r) > 0).all()
+            lower = res.r[np.tril_indices(code.k_real, -1)]
+            assert (lower == 0).all() and not np.signbit(lower).any()
+
+    def test_rank_deficient_on_same_column(self, rng):
+        for dependent in (1, 3, 5):
+            h = rng.standard_normal((9, 6))
+            h[:, dependent] = h[:, :dependent] @ rng.standard_normal(dependent)
+            with pytest.raises(RankDeficient) as ref:
+                mgs_reference(h)
+            with pytest.raises(RankDeficient, match=f"column {dependent} is dependent"):
+                gram_schmidt_qr(h)
+            assert f"column {dependent} " in str(ref.value)
 
 
 class TestTraceInnerProduct:
