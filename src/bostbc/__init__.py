@@ -79,7 +79,6 @@ from .structure import (
     verify_cuwd_sum_structure,
     verify_hr_grouping,
     verify_paraunitary_premises,
-    verify_two_block_premises,
     verify_multi_block_premises,
 )
 

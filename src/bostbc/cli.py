@@ -75,12 +75,7 @@ def cmd_construct(args) -> int:
             m = codes.named_m_matrix(m_name or "sr", design.n_t)
             code = codes.construction_iv(design, m)
     elif args.name == "cii":
-        forms = {"golden": codes.golden_linear_forms}[args.design]()
-        code = codes.construction_ii(forms)
-    elif args.name == "cuwd":
-        design = codes.cuwd_rate1_4group(args.a)
-        code = codes.construction_i(design, codes.named_m_matrix(
-            args.m or ("bhv" if args.a == 1 else "a2"), design.n_t))
+        code = codes.construction_ii(codes.golden_linear_forms())
     else:
         code = codes.named_code(args.name)
     codes.save_code(code, args.out)
@@ -135,13 +130,8 @@ def cmd_verify(args) -> int:
     elif code.declared_profile:
         profile = BlockOrthogonalProfile(*code.declared_profile)
     if profile is not None:
-        if profile.gamma_blocks == 2:
-            rep = structure.verify_two_block_premises(
-                code, profile.k, profile.gamma,
-                n_channels=args.channels, seed=args.seed)
-        else:
-            rep = structure.verify_multi_block_premises(
-                code, profile, n_channels=args.channels, seed=args.seed)
+        rep = structure.verify_multi_block_premises(
+            code, profile, n_channels=args.channels, seed=args.seed)
         results["premises"] = {
             "profile": profile.as_tuple(),
             "conditions": [
@@ -243,11 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a code and write it as JSON")
     p.add_argument("name", choices=["alamouti", "golden", "golden-222", "bhv",
-                                    "srinath-rajan", "cda-2x2", "cuwd", "ciod",
+                                    "srinath-rajan", "cda-2x2",
                                     "ci", "cii", "ciii", "civ"])
     p.add_argument("--a", type=int, default=1, help="design size exponent")
     p.add_argument("--m", help="companion matrix name (identity, bhv, golden, sr, a2)")
-    p.add_argument("--design", default="golden", help="linear-form design for cii")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_construct)
 

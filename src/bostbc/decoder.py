@@ -11,10 +11,14 @@ its sub-blocks share no columns, so each is minimized independently (the
 last undecided symbol of a sub-block is sliced to the nearest level) and
 the minima are summed.
 
-When a block-orthogonal profile is supplied, the metric increments inside
-a conditioned sub-block do not depend on the values of sibling sub-blocks,
-so they are cached and replayed instead of recomputed; the cache is
-discarded whenever a conditioning symbol in a higher block changes.
+The metric increments inside a conditioned sub-block do not depend on the
+values of sibling sub-blocks, so the memoized decoder caches and replays
+them instead of recomputing; the cache is discarded whenever a conditioning
+symbol in a higher block changes.  A code without block-orthogonal
+structure is the trivial profile ``(K, 1, 1)``: every symbol is its own
+block, the walk is plain Schnorr-Euchner enumeration, and the last symbol
+is sliced.  Its counters follow the conventions below with every symbol but
+that last one in a conditioned block.
 
 Counting conventions
 --------------------
@@ -48,7 +52,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .structure import BlockOrthogonalProfile
+from .structure import DEFAULT_TOL_REL, BlockOrthogonalProfile
 
 __all__ = [
     "PamConstellation",
@@ -149,15 +153,15 @@ class _MetricCache:
 
 @dataclass(frozen=True, eq=False)
 class _Layout:
-    """Per-level metadata of one (K, profile) shape, shared by every walker
-    on that shape; the tuples and read-only masks cannot be mutated."""
+    """Per-level metadata of one profile and constellation size, shared by
+    every walker on them; the tuples and read-only masks cannot be mutated."""
 
     block_of: tuple
     block_start: tuple
     sub_end: tuple
-    measured: tuple
     cacheable: tuple
     cond_source: tuple
+    tails: tuple
     strict_lower: np.ndarray
     structural_zero: np.ndarray
 
@@ -168,24 +172,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(k_total: int, block_size: int, gamma: int, k_sub: int) -> _Layout:
-    """Layout of a profile with ``k_sub`` sub-blocks of ``gamma`` symbols per
-    block of ``block_size``; ``block_size == 0`` is the plain decoder, one
-    measured level per symbol and no blocks."""
+def _layout(profile: BlockOrthogonalProfile, m: int) -> _Layout:
+    """Layout of ``profile`` decoded over ``m`` levels per symbol."""
+    k_total, blk, gam = profile.total, profile.block_size, profile.gamma
     cols = range(k_total)
-    strict_lower = _read_only(np.tri(k_total, k=-1, dtype=bool))
-    if block_size == 0:
-        return _Layout(
-            block_of=(0,) * k_total,
-            block_start=(0,) * k_total,
-            sub_end=(k_total - 1,) * k_total,
-            measured=(True,) * k_total,
-            cacheable=(False,) * k_total,
-            cond_source=(k_total,) * k_total,
-            strict_lower=strict_lower,
-            structural_zero=_read_only(np.zeros((k_total, k_total), dtype=bool)),
-        )
-    blk, gam = block_size, gamma
     sub_end = tuple((c // blk) * blk + ((c % blk) // gam + 1) * gam - 1
                     for c in cols)
     # entries inside a block but outside its sub-block diagonal must be
@@ -198,72 +188,72 @@ def _layout(k_total: int, block_size: int, gamma: int, k_sub: int) -> _Layout:
         block_of=tuple(c // blk for c in cols),
         block_start=tuple((c // blk) * blk for c in cols),
         sub_end=sub_end,
-        measured=tuple(c >= blk for c in cols),
         # cache all but the first-enumerated (last) sub-block per
         # conditioned block
-        cacheable=tuple(c >= blk and (c % blk) // gam < k_sub - 1
+        cacheable=tuple(c >= blk and (c % blk) // gam < profile.k - 1
                         for c in cols),
         cond_source=tuple((c // blk + 1) * blk for c in cols),
-        strict_lower=strict_lower,
+        # joint values of a leading sub-block's trailing gamma - 1 symbols
+        tails=tuple(itertools.product(range(m), repeat=gam - 1)),
+        strict_lower=_read_only(np.tri(k_total, k=-1, dtype=bool)),
         structural_zero=_read_only(structural_zero),
     )
 
 
 class _Walker:
     def __init__(self, r, y, cons, profile, memoize, prune,
-                 trace=None, validate_cache=False, tol_rel=1e-9):
+                 trace=None, validate_cache=False):
         r = np.asarray(r, dtype=float)
         y = np.asarray(y, dtype=float).ravel()
         k_total = y.size
         if r.shape != (k_total, k_total):
             raise ValueError("r must be square and match y'")
-        if profile is None:
-            layout = _layout(k_total, 0, 0, 0)
-            self.top_size = self.gamma = self.k_sub = 0
-        elif profile.total != k_total:
+        if profile.total != k_total:
             raise InvalidProfile(
                 f"profile covers {profile.total} symbols, r has {k_total}")
-        else:
-            layout = _layout(k_total, profile.block_size, profile.gamma,
-                             profile.k)
-            self.top_size = profile.block_size
-            self.gamma = profile.gamma
-            self.k_sub = profile.k
+        layout = _layout(profile, cons.m)
         abs_r = np.abs(r)
         r_max = abs_r.max()  # the max is NaN or inf iff some entry is
-        if not (math.isfinite(r_max) and np.isfinite(y).all()):
+        y_max = np.abs(y).max()
+        if not (math.isfinite(r_max) and math.isfinite(y_max)):
             raise ValueError("r and y' must be finite")
         if r[layout.strict_lower].any():
             raise NotUpperTriangular("r has entries below the diagonal")
-        if not r.diagonal().all():
+        diag_min = abs_r.diagonal().min()
+        if not diag_min:
             raise ValueError("r must have a nonzero diagonal (full rank)")
-        if profile is not None:
-            bad = layout.structural_zero & (abs_r > tol_rel * r_max)
-            if bad.any():
-                c, j = divmod(int(bad.argmax()), k_total)  # row-major first
-                raise InvalidProfile(
-                    f"r[{c},{j}] = {r[c, j]:.3e} should be structurally zero")
+        # every offset the walk forms is at most `reach` in magnitude, so
+        # every metric is at most K reach^2; levels[0] is the outermost level
+        reach = float(y_max) + k_total * float(r_max) * abs(cons.levels[0])
+        if not math.isfinite(k_total * reach * reach):
+            raise ValueError("r and y' are too large: the metric overflows")
+        if not math.isfinite(1.0 / float(diag_min)):
+            raise ValueError("r has a diagonal entry too small to invert")
+        bad = layout.structural_zero & (abs_r > DEFAULT_TOL_REL * r_max)
+        if bad.any():
+            c, j = divmod(int(bad.argmax()), k_total)  # row-major first
+            raise InvalidProfile(
+                f"r[{c},{j}] = {r[c, j]:.3e} should be structurally zero")
         self.k_total = k_total
+        self.top_size = profile.block_size
+        self.gamma = profile.gamma
+        self.k_sub = profile.k
         self.rows = r.tolist()
         self.y = y.tolist()
         self.levels = list(cons.levels)
         self.m = cons.m
         self.prune = prune
-        self.memoize = memoize and profile is not None
+        self.memoize = memoize
         self.trace = trace
         self.validate_cache = validate_cache
-        self.structured = profile is not None
-        # baseline runs model a decoder that cannot exploit the conditioned
-        # blocks' zeros, so their interference cost is the dense row span
-        self.dense_costing = self.structured and not self.memoize
 
         self.layout = layout
         self.block_of = layout.block_of
         self.block_start = layout.block_start
         self.sub_end = layout.sub_end
-        self.measured = layout.measured
         self.cacheable = layout.cacheable
         self.cond_source = layout.cond_source
+        self.tails = layout.tails
 
         self.idx = [0] * k_total
         self.val = [0.0] * k_total
@@ -280,47 +270,33 @@ class _Walker:
         self.hits = 0
         self.best = math.inf
         self.best_idx = None
-        if self.structured and self.gamma > 1:
-            self.sub_combos = list(itertools.product(range(self.m),
-                                                     repeat=self.gamma - 1))
-        else:
-            self.sub_combos = None
 
     # -- conditioned-block enumeration ----------------------------------
 
     def _compute_increments(self, c):
         """Increment vector for level c: conditioned offset minus the
         within-sub-block interference, squared per candidate."""
-        if self.structured:
-            # conditioning offset captured when the block below was finished
-            t = self.offsets[self.cond_source[c]][c]
-            row = self.rows[c]
-            val = self.val
-            n_intf = 0
-            for cc in range(c + 1, self.sub_end[c] + 1):
-                t -= row[cc] * val[cc]
-                n_intf += 1
-            if self.dense_costing:
-                # a baseline decoder has no block-diagonal zeros to skip:
-                # price interference over the whole in-block row (the
-                # skipped entries are structural zeros, so the metric value
-                # is unchanged)
-                n_intf = self.cond_source[c] - 1 - c
+        # conditioning offset captured when the block below was finished
+        t = self.offsets[self.cond_source[c]][c]
+        row = self.rows[c]
+        val = self.val
+        sub_end = self.sub_end[c]
+        for cc in range(c + 1, sub_end + 1):
+            t -= row[cc] * val[cc]
+        if self.memoize:
+            n_intf = sub_end - c
         else:
-            t = self.y[c]
-            row = self.rows[c]
-            val = self.val
-            n_intf = self.k_total - 1 - c
-            for cc in range(c + 1, self.k_total):
-                t -= row[cc] * val[cc]
+            # a baseline decoder has no block-diagonal zeros to skip: price
+            # interference over the whole in-block row (the skipped entries
+            # are structural zeros, so the metric value is unchanged)
+            n_intf = self.cond_source[c] - 1 - c
         rdd = row[c]
         inc = [0.0] * self.m
         for a, lev in enumerate(self.levels):
             d = t - rdd * lev
             inc[a] = d * d
         self.flops += 2 * n_intf + 3 * self.m
-        if self.measured[c]:
-            self.em += self.m
+        self.em += self.m  # every level below the leading block is measured
         return inc
 
     def _edge_metrics(self, c):
@@ -354,7 +330,7 @@ class _Walker:
         self.flops += 2 * upto
 
     def run(self):
-        if self.structured and self.top_size == self.k_total:
+        if self.top_size == self.k_total:
             self._solve_top_block(0.0, self.y)  # no conditioned blocks
         else:
             self._descend(self.k_total - 1, 0.0)
@@ -372,7 +348,7 @@ class _Walker:
         inc, was_hit = self._edge_metrics(c)
         order = sorted(range(self.m), key=lambda a: (inc[a], a))
         block = self.block_of[c]
-        at_top_boundary = self.structured and c == self.top_size
+        at_top_boundary = c == self.top_size
         for a in order:
             total = partial + inc[a]
             self.flops += 1
@@ -383,8 +359,7 @@ class _Walker:
             self.nodes += 1
             if self.memoize and block >= 2:
                 self.cache.clear_below(block)
-            if self.structured:
-                self._propagate(c)
+            self._propagate(c)
             if self.trace is not None:
                 self.trace.append({
                     "level": c,
@@ -394,11 +369,6 @@ class _Walker:
                 })
             if at_top_boundary:
                 self._solve_top_block(total, self.offsets[c])
-            elif c == 0:
-                if total < self.best or (total == self.best
-                                         and tuple(self.idx) < self.best_idx):
-                    self.best = total
-                    self.best_idx = tuple(self.idx)
             else:
                 self._descend(c - 1, total)
 
@@ -406,15 +376,15 @@ class _Walker:
 
     def _slice_level(self, t, c):
         """Nearest PAM level to t / r[c,c]; midpoint ties take the lower
-        index, matching exhaustive first-minimum order."""
+        index, matching exhaustive first-minimum order.  A position beyond
+        the outer levels, infinite included, clamps to them."""
         pos = (t * self.inv_diag[c] - self.levels[0]) * self.inv_spacing
         self.flops += 3
-        a = math.ceil(pos - 0.5)
-        if a < 0:
-            a = 0
-        elif a >= self.m:
-            a = self.m - 1
-        return a
+        if pos <= 0.5:
+            return 0
+        if pos > self.m - 1.5:
+            return self.m - 1
+        return math.ceil(pos - 0.5)
 
     def _solve_sub_block(self, lo, offsets, budget):
         """Exact minimum of one leading-block sub-block given conditioning.
@@ -436,7 +406,7 @@ class _Walker:
             return d * d, (a,)
         best = math.inf
         best_combo = None
-        for tail in self.sub_combos:
+        for tail in self.tails:
             metric = 0.0
             abort = False
             for d in range(gam - 1, 0, -1):  # rows below the top, bottom first
@@ -498,20 +468,25 @@ def sphere_decode(r, y_prime, cons: PamConstellation,
                   trace=None, validate_cache: bool = False):
     """ML-decode ``argmin_x ||y' - R x||^2`` over the PAM grid.
 
-    With ``profile=None`` this is the plain depth-first decoder over all
-    levels.  With a profile the R pattern is validated against it, the
-    leading block is solved by independent sub-block minimization, and,
-    unless ``memoize`` is explicitly False, conditioned sub-block metric
-    vectors are cached.  Passing a profile with ``memoize=False`` runs the
-    baseline decoder while still restricting the metric counters to the
-    conditioned blocks, which is the pairing used for reduction-ratio
-    measurements.
+    The R pattern is validated against the profile, the leading block is
+    solved by independent sub-block minimization, and, unless ``memoize``
+    is explicitly False, conditioned sub-block metric vectors are cached.
+    Passing a profile with ``memoize=False`` runs the baseline decoder while
+    still restricting the metric counters to the conditioned blocks, which
+    is the pairing used for reduction-ratio measurements.  ``profile=None``
+    is plain sphere decoding: the trivial profile ``(K, 1, 1)``, in which
+    every symbol is its own block and nothing is cached.
+
+    Raises ``ValueError`` for non-finite ``r`` or ``y'``, for inputs so large
+    that the metric would overflow, and for a zero diagonal.
 
     Returns ``(symbols, stats)`` where ``symbols`` are the decoded PAM
     levels and ``stats.decoded`` the matching level indices.
     """
     if memoize is None:
         memoize = profile is not None
+    if profile is None:
+        profile = BlockOrthogonalProfile(np.size(y_prime), 1, 1)
     walker = _Walker(r, y_prime, cons, profile, memoize, prune,
                      trace=trace, validate_cache=validate_cache)
     stats = walker.run()

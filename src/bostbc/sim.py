@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,6 @@ class SimulationCampaign:
     master_seed: int
     ordering: tuple | None = None
     n_r: int | None = None
-    modes: tuple = ("baseline", "memoized")
 
     def __post_init__(self):
         if self.trials_per_point < 1:
@@ -85,7 +85,6 @@ class SimulationCampaign:
             master_seed=int(data["master_seed"]),
             ordering=tuple(data["ordering"]) if data.get("ordering") else None,
             n_r=data.get("n_r"),
-            modes=tuple(data.get("modes", ("baseline", "memoized"))),
         )
 
     def to_json(self) -> dict:
@@ -97,7 +96,6 @@ class SimulationCampaign:
             "master_seed": self.master_seed,
             "ordering": list(self.ordering) if self.ordering else None,
             "n_r": self.n_r,
-            "modes": list(self.modes),
             "rng": RNG_ALGORITHM,
         }
 
@@ -134,11 +132,19 @@ def snr_to_noise_variance(snr_db: float, code, cons: PamConstellation) -> float:
     The average received signal energy per receive antenna per channel use
     is ``E[x_i^2] * ||G||_F^2 / t`` for unit-variance channel entries;
     dividing by the linear SNR gives N0.  A unit-energy code at 0 dB gives
-    N0 = 1.
+    N0 = 1.  An SNR whose N0 is not a finite non-negative number (NaN, or
+    so low or high that the linear SNR under- or overflows) raises
+    ``ValueError``.
     """
     g = _codes.generator_matrix(code)
     e_rx = cons.energy_per_symbol * float(np.sum(g * g)) / code.t
-    return e_rx / (10.0 ** (snr_db / 10.0))
+    try:
+        n0 = e_rx / (10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        n0 = math.nan
+    if not 0.0 <= n0 < math.inf:
+        raise ValueError(f"snr_db = {snr_db} gives no finite noise variance")
+    return n0
 
 
 def resolve_profile(code, *, n_r=None, seed=None) -> BlockOrthogonalProfile:
@@ -185,15 +191,14 @@ def run_trial(code, cons: PamConstellation, snr_db: float, seed,
                        transmitted=tuple(int(i) for i in sym_idx))
 
 
-def run_sweep(campaign: SimulationCampaign, code=None) -> SweepResult:
+def run_sweep(campaign: SimulationCampaign) -> SweepResult:
     """Run the campaign and aggregate per-SNR means.
 
     Trials fold in ascending (snr index, trial index) order; per-trial seeds
     are ``SeedSequence([master_seed, snr_index, trial_index])``, so the
     result is identical however the work is scheduled.
     """
-    if code is None:
-        code = _codes.named_code(campaign.code)
+    code = _codes.named_code(campaign.code)
     if campaign.ordering is not None:
         code = _codes.reorder(code, campaign.ordering)
     cons = PamConstellation(campaign.m)

@@ -32,7 +32,6 @@ __all__ = [
     "detect_structure",
     "verify_hr_grouping",
     "verify_paraunitary_premises",
-    "verify_two_block_premises",
     "verify_multi_block_premises",
     "verify_cuwd_sum_structure",
     "ordering_search",
@@ -390,54 +389,19 @@ class PremiseReport:
         raise KeyError(name)
 
 
-def verify_two_block_premises(code, k: int, gamma: int, *,
-                           n_r: int | None = None,
-                           n_channels: int = DEFAULT_PATTERN_CHANNELS,
-                           seed: int = DEFAULT_SEED,
-                           tol: float = 1e-9) -> PremiseReport:
-    """Check the two-block sufficient conditions for a (2, k, gamma) claim.
-
-    Conditions: (i)/(ii) each half is k-group decodable with gamma symbols
-    per contiguous group, (iii) R keeps full rank on sampled channels,
-    (iv) E^T E is block diagonal with k gamma x gamma blocks on every sample.
-    """
-    K = code.k_real
-    if K != 2 * k * gamma:
-        raise ValueError("K must equal 2*k*gamma for a two-block claim")
-    half = K // 2
-    cond = []
-    cond.append(ConditionResult(
-        "a-half-group-decodable",
-        verify_hr_grouping(_subcode(code, range(half)), _contiguous_groups(0, k, gamma)),
-    ))
-    cond.append(ConditionResult(
-        "b-half-group-decodable",
-        verify_hr_grouping(_subcode(code, range(half, K)), _contiguous_groups(0, k, gamma)),
-    ))
-    n_r = n_r or _default_n_r(code)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    rank_ok = True
-    worst = 0.0
-    for _ in range(n_channels):
-        try:
-            fact = r_factorize(code, random_channel(n_r, code.n_t, rng))
-        except RankDeficient:
-            rank_ok = False
-            continue
-        e = fact.qr.r[:half, half:]
-        worst = max(worst, _ete_block_residual(e.T @ e, k, gamma))
-    cond.append(ConditionResult("r-full-rank", rank_ok))
-    cond.append(ConditionResult("ete-block-diagonal", rank_ok and worst < tol, worst))
-    return PremiseReport(conditions=tuple(cond))
-
-
 def verify_multi_block_premises(code, profile: BlockOrthogonalProfile, *,
                            n_r: int | None = None,
                            n_channels: int = DEFAULT_PATTERN_CHANNELS,
                            seed: int = DEFAULT_SEED,
                            tol: float = 1e-9) -> PremiseReport:
-    """Recursive multi-block variant: group decodability of every block and
-    E^T E block diagonality at every split position."""
+    """Check the sufficient conditions for a ``(Gamma, k, gamma)`` claim.
+
+    Conditions: every block of ``k gamma`` symbols is k-group decodable with
+    gamma symbols per contiguous group, R keeps full rank on sampled
+    channels, and at every block boundary ``s`` the coupling
+    ``E = R[:s, s:s+k gamma]`` has ``E^T E`` block diagonal with k
+    gamma x gamma blocks on every sample.  Gamma = 2 is the two-block case.
+    """
     K = code.k_real
     if profile.total != K:
         raise ValueError("profile size must match the code")
@@ -589,20 +553,17 @@ def _quadrature_pairs(code):
     return pairs
 
 
-def ordering_search(code, strategy: str = "canonical", *,
-                    n_r: int | None = None,
+def ordering_search(code, *, n_r: int | None = None,
                     n_channels: int = DEFAULT_PATTERN_CHANNELS,
                     seed: int = DEFAULT_SEED):
     """Search structured symbol orders for the richest detected profile.
 
-    ``canonical`` tries the identity plus, when the weights split into
-    quadrature pairs (A, jA), all chunked interleavings of those pairs:
-    pairwise [p1 q1 p2 q2 ...] through fully separated [p... q...] orders.
+    Tries the identity plus, when the weights split into quadrature pairs
+    (A, jA), all chunked interleavings of those pairs: pairwise
+    [p1 q1 p2 q2 ...] through fully separated [p... q...] orders.
     Returns ``(permutation, profile)`` maximizing Gamma * k, ties to the
     earliest candidate.
     """
-    if strategy != "canonical":
-        raise ValueError("only the 'canonical' strategy is implemented")
     k_total = code.k_real
     candidates = [tuple(range(k_total))]
     pairs = _quadrature_pairs(code)

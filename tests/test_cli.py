@@ -33,6 +33,15 @@ class TestConstruct:
         assert rc == 0
         assert load_code(out_file).declared_profile == (2, 4, 1)
 
+    @pytest.mark.parametrize("argv", [("cuwd",), ("ciod",),
+                                      ("cii", "--design", "golden")])
+    def test_removed_choices_exit_2(self, tmp_path, capsys, argv):
+        # construct ci covers cuwd; ciod and --design never built anything
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", *argv, "--out", str(tmp_path / "x.json")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.json").exists()
+
     def test_rank_deficient_exits_2(self, tmp_path, capsys):
         rc, _, err = run_cli(capsys, "construct", "ciii", "--m", "identity",
                              "--out", str(tmp_path / "x.json"))
@@ -129,6 +138,13 @@ class TestDecode:
         assert rc == 0
         assert "transmitted" in out
         assert "cache_hits" in out
+
+    @pytest.mark.parametrize("snr", ["-1e308", "1e308", "-inf", "nan"])
+    def test_snr_without_finite_noise_exits_2(self, capsys, snr):
+        rc, _, err = run_cli(capsys, "decode", "bhv", "--m", "2",
+                             f"--snr={snr}")
+        assert rc == 2
+        assert "snr_db" in err
 
 
 class TestSimulate:

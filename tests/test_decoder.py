@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bostbc.codes import bhv_code, golden_code, named_code
 from bostbc.decoder import (
@@ -104,6 +106,38 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="r and y' must be finite"):
             sphere_decode(r, y, PamConstellation(2), profile)
 
+    @pytest.mark.parametrize("profile", [None, BlockOrthogonalProfile(2, 1, 1)])
+    @pytest.mark.parametrize("r_scale, y", [
+        (1e300, [1e308, -1e308]),
+        (1e308, [1.0, -1.0]),
+        (1.0, [1e200, 1e160]),
+    ])
+    def test_metric_overflow_rejected(self, profile, r_scale, y):
+        with pytest.raises(ValueError, match="too large"):
+            sphere_decode(r_scale * np.eye(2), y, PamConstellation(2), profile)
+
+    @pytest.mark.parametrize("profile", [None, BlockOrthogonalProfile(2, 1, 1)])
+    def test_large_finite_input_decodes(self, profile):
+        # just inside the overflow guard the tie rule still applies
+        cons = PamConstellation(2, scale=1.0)
+        _, stats = sphere_decode(1e150 * np.eye(2), [1e150, -1e150], cons,
+                                 profile)
+        assert stats.decoded == (1, 0)
+
+    @pytest.mark.parametrize("profile", [None, BlockOrthogonalProfile(2, 1, 1)])
+    def test_ill_conditioned_diagonal_slices_to_outer_level(self, profile):
+        # t / r[0,0] overflows to inf; the slicer clamps it to the top level
+        cons = PamConstellation(2, scale=1.0)
+        _, stats = sphere_decode(np.diag([1e-300, 1.0]), [1e10, -1.0], cons,
+                                 profile)
+        assert stats.decoded == (1, 0)
+
+    @pytest.mark.parametrize("profile", [None, BlockOrthogonalProfile(2, 1, 1)])
+    def test_uninvertible_diagonal_rejected(self, profile):
+        with pytest.raises(ValueError, match="too small to invert"):
+            sphere_decode(np.diag([5e-324, 1.0]), [0.0, 0.0],
+                          PamConstellation(2), profile)
+
     @pytest.mark.parametrize("offenders, named", [
         ({(5, 6): 0.5, (1, 2): 0.25, (0, 3): -0.125}, "r[0,3] = -1.250e-01"),
         ({(5, 6): 0.5, (1, 3): 0.25}, "r[1,3] = 2.500e-01"),
@@ -149,7 +183,6 @@ class TestInputValidation:
         assert layout.block_of == tuple(c // blk for c in range(k))
         assert layout.block_start == tuple((c // blk) * blk for c in range(k))
         assert layout.sub_end == tuple(sub_end)
-        assert layout.measured == tuple(c >= blk for c in range(k))
         assert layout.cacheable == tuple(
             c >= blk and (c % blk) // gam < prof.k - 1 for c in range(k))
         assert layout.cond_source == tuple((c // blk + 1) * blk for c in range(k))
@@ -211,6 +244,34 @@ class TestAgainstExhaustive:
             memo, _ = sphere_decode(r, y, cons, prof, memoize=True)
             assert np.array_equal(base, oracle)
             assert np.array_equal(memo, oracle)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_every_mode_matches_oracle_on_exact_ties(self, data):
+        # integer R and y at unit scale put many candidates at exactly the
+        # same metric, so this pins the lexicographic tie rule of the one
+        # walk in plain, baseline and memoized mode
+        m = data.draw(st.sampled_from([2, 4]), label="m")
+        shape = data.draw(st.tuples(st.integers(1, 3), st.integers(1, 3),
+                                    st.integers(1, 2))
+                          .filter(lambda p: m ** (p[0] * p[1] * p[2]) <= 4096),
+                          label="profile")
+        prof = BlockOrthogonalProfile(*shape)
+        k = prof.total
+        entries = data.draw(st.lists(st.integers(-2, 2), min_size=k * k,
+                                     max_size=k * k), label="r")
+        y = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=k,
+                                        max_size=k), label="y"), dtype=float)
+        r = np.zeros((k, k))
+        r[np.triu_indices(k)] = np.asarray(entries, dtype=float).reshape(k, k)[
+            np.triu_indices(k)]
+        r *= patterned_r(np.random.default_rng(0), prof) != 0
+        r[np.diag_indices(k)] = np.maximum(np.abs(np.diag(r)), 1.0)
+        cons = PamConstellation(m, scale=1.0)
+        want = exhaustive_ml(r, y, cons)
+        for profile, memoize in ((None, None), (prof, False), (prof, True)):
+            got, _ = sphere_decode(r, y, cons, profile, memoize=memoize)
+            assert np.array_equal(got, want), (profile, memoize)
 
     def test_plain_mode_matches(self, rng):
         cons = PamConstellation(2)

@@ -49,6 +49,32 @@ class TestSnrConvention:
         n0_scaled = snr_to_noise_variance(5.0 + shift_db, scaled, cons)
         assert abs(n0_base - n0_scaled) < 1e-12
 
+    @pytest.mark.parametrize("snr_db", [
+        -1e308, -3300.0, -math.inf, math.nan, 3090.0, 1e308,
+        np.float64(-1e308), np.float64(math.nan),
+    ])
+    def test_no_finite_noise_variance_raises(self, snr_db):
+        cons = PamConstellation(2)
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match="snr_db"):
+            snr_to_noise_variance(snr_db, codes.named_code("bhv"), cons)
+
+    @pytest.mark.parametrize("snr_db", [
+        -3000.0, -300.0, -20.0, 0.0, 7.5, 300.0, 3000.0, math.inf,
+        np.float64(1e308), np.float64(math.inf),
+    ])
+    def test_finite_noise_variance_unchanged(self, snr_db):
+        # the plain formula wherever it yields a finite N0 >= 0
+        code = codes.named_code("bhv")
+        cons = PamConstellation(2)
+        g = codes.generator_matrix(code)
+        e_rx = cons.energy_per_symbol * float(np.sum(g * g)) / code.t
+        with np.errstate(all="ignore"):
+            want = e_rx / (10.0 ** (snr_db / 10.0))
+            got = snr_to_noise_variance(snr_db, code, cons)
+        assert math.isfinite(got) and got >= 0.0
+        assert got == want and math.copysign(1.0, got) == 1.0
+
 
 class TestRunTrial:
     def test_zero_noise_recovers_codeword(self):
@@ -94,6 +120,15 @@ class TestCampaign:
                                   trials_per_point=5, master_seed=9)
         again = SimulationCampaign.from_json(camp.to_json())
         assert again == camp
+
+    def test_modes_key_dropped_and_tolerated(self):
+        camp = SimulationCampaign(code="bhv", m=2, snr_grid_db=(0.0,),
+                                  trials_per_point=1, master_seed=3)
+        data = camp.to_json()
+        assert "modes" not in data
+        # campaign files written before the key was dropped still load
+        old = dict(data, modes=["baseline", "memoized"])
+        assert SimulationCampaign.from_json(old) == camp
 
 
 class TestRunSweep:

@@ -35,7 +35,6 @@ from bostbc.structure import (
     verify_cuwd_sum_structure,
     verify_hr_grouping,
     verify_paraunitary_premises,
-    verify_two_block_premises,
     verify_multi_block_premises,
 )
 
@@ -187,13 +186,17 @@ class TestHrGrouping:
 class TestSufficientConditionPremises:
     def test_golden_222_two_block_conditions(self):
         code = named_code("ciii-golden")
-        report = verify_two_block_premises(code, k=2, gamma=2)
+        report = verify_multi_block_premises(code, BlockOrthogonalProfile(2, 2, 2))
         assert report.all_pass
-        assert report.condition("ete-block-diagonal").residual < 1e-9
+        assert report.condition("ete-block-diagonal-at-4").residual < 1e-9
+        assert report.condition("block-1-group-decodable").passed
+        assert report.condition("block-2-group-decodable").passed
 
     def test_bhv_two_block_conditions(self):
-        report = verify_two_block_premises(bhv_code(), k=4, gamma=1)
+        report = verify_multi_block_premises(bhv_code(),
+                                             BlockOrthogonalProfile(2, 4, 1))
         assert report.all_pass
+        assert report.condition("ete-block-diagonal-at-4").residual < 1e-9
 
     def test_rank_deficient_code_fails_condition_iii(self):
         # duplicated halves; built through the JSON path, which skips the
@@ -203,7 +206,7 @@ class TestSufficientConditionPremises:
         data["k_real"] = 8
         data["labels"] = [f"x{i}" for i in range(8)]
         broken = code_from_json(data)
-        report = verify_two_block_premises(broken, k=2, gamma=2)
+        report = verify_multi_block_premises(broken, BlockOrthogonalProfile(2, 2, 2))
         assert not report.condition("r-full-rank").passed
         assert not report.all_pass
 
@@ -324,7 +327,3 @@ class TestOrderingSearch:
         assert profile.as_tuple() in ((4, 2, 1), (2, 2, 2))
         recovered = structural_pattern(reorder(scrambled, perm))
         assert profile_validates(recovered, profile)
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError, match="strategy"):
-            ordering_search(golden_code(), strategy="exhaustive")
