@@ -28,11 +28,13 @@ _USER_ERRORS = (
 )
 
 
-def _load_code_arg(spec: str):
-    """A code argument is either a shipped code name or a JSON file path."""
-    if spec.endswith(".json"):
-        return codes.load_code(spec)
-    return codes.named_code(spec)
+def _load_code_arg(spec: str, ordering: str | None = None):
+    """A code argument is either a shipped code name or a JSON file path;
+    ``ordering`` (indices or labels, comma-separated) reorders its symbols."""
+    code = codes.load_code(spec) if spec.endswith(".json") else codes.named_code(spec)
+    if ordering:
+        code = codes.reorder(code, _parse_ordering(code, ordering))
+    return code
 
 
 def _parse_profile(text: str) -> BlockOrthogonalProfile:
@@ -85,9 +87,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    code = _load_code_arg(args.code)
-    if args.ordering:
-        code = codes.reorder(code, _parse_ordering(code, args.ordering))
+    code = _load_code_arg(args.code, args.ordering)
     print(f"config: channels={args.channels} seed={args.seed} tol_rel={args.tol}")
     pattern = structure.structural_pattern(
         code, n_channels=args.channels, tol_rel=args.tol, seed=args.seed)
@@ -108,9 +108,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    code = _load_code_arg(args.code)
-    if args.ordering:
-        code = codes.reorder(code, _parse_ordering(code, args.ordering))
+    code = _load_code_arg(args.code, args.ordering)
     print(f"config: channels={args.channels} seed={args.seed}")
     results = {}
     if args.construction_i:
@@ -134,11 +132,7 @@ def cmd_verify(args) -> int:
             code, profile, n_channels=args.channels, seed=args.seed)
         results["premises"] = {
             "profile": profile.as_tuple(),
-            "conditions": [
-                {"name": c.name, "pass": bool(c.passed),
-                 "residual": None if c.residual is None else float(c.residual)}
-                for c in rep.conditions
-            ],
+            "conditions": [c.to_json() for c in rep.conditions],
             "pass": rep.all_pass,
         }
     if not results:
@@ -235,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=["alamouti", "golden", "golden-222", "bhv",
                                     "srinath-rajan", "cda-2x2",
                                     "ci", "cii", "ciii", "civ"])
-    p.add_argument("--a", type=int, default=1, help="design size exponent")
+    p.add_argument("--a", type=int, choices=(1, 2), default=1,
+                   help="design size exponent (2^a transmit antennas)")
     p.add_argument("--m", help="companion matrix name (identity, bhv, golden, sr, a2)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_construct)

@@ -39,6 +39,7 @@ __all__ = [
     "construction_ii",
     "construction_iii",
     "construction_iv",
+    "hr_orthogonal",
     "cda_2x2",
     "reorder",
     "ordering_from_labels",
@@ -453,8 +454,31 @@ def ciod(a: int) -> CiodDesign:
 # sum constructions
 # ---------------------------------------------------------------------------
 
-def _hr_product_norm(a, b) -> float:
-    return float(np.abs(a @ b.conj().T + b @ a.conj().T).max())
+def hr_orthogonal(weights, groups) -> bool:
+    """True iff every cross-group weight pair is Hurwitz-Radon orthogonal.
+
+    A pair ``(A, B)`` from different groups passes when
+    ``A B^H + B A^H = 0`` to ``1e-12``; the test stops at the first failure.
+    """
+    groups = [tuple(g) for g in groups]
+    for gi in range(len(groups)):
+        for gj in range(gi + 1, len(groups)):
+            for i in groups[gi]:
+                for j in groups[gj]:
+                    a, b = np.asarray(weights[i]), np.asarray(weights[j])
+                    if np.abs(a @ b.conj().T + b @ a.conj().T).max() > 1e-12:
+                        return False
+    return True
+
+
+def _sum_code(x1, m, labels, declared_profile) -> LinearSTBC:
+    """The sum construction: ``x1``'s weights, then ``m`` times each of them."""
+    m = np.asarray(m, dtype=complex)
+    n_t = x1.n_t
+    if m.shape != (n_t, n_t):
+        raise ValueError(f"m must be {n_t}x{n_t}")
+    weights = tuple(x1.weights) + tuple(m @ a for a in x1.weights)
+    return _make_code(weights, labels, declared_profile)
 
 
 def construction_i(x1: CuwdDesign, m) -> LinearSTBC:
@@ -464,21 +488,11 @@ def construction_i(x1: CuwdDesign, m) -> LinearSTBC:
     carries the declared profile (2, 4, lam).  Raises :class:`RankDeficient`
     when the combined generator loses rank (e.g. ``m = I``).
     """
-    m = np.asarray(m, dtype=complex)
-    n_t = x1.n_t
-    if m.shape != (n_t, n_t):
-        raise ValueError(f"m must be {n_t}x{n_t}")
     # cheap premise re-check: cross-group HR orthogonality of the base design
-    for gi in range(4):
-        for gj in range(gi + 1, 4):
-            for i in x1.groups[gi]:
-                for j in x1.groups[gj]:
-                    if _hr_product_norm(x1.weights[i], x1.weights[j]) > 1e-12:
-                        raise PremiseViolated("base design is not four-group decodable")
-    weights = tuple(x1.weights) + tuple(m @ a for a in x1.weights)
-    k = len(weights)
-    labels = tuple(f"x{i+1}" for i in range(k))
-    return _make_code(weights, labels, declared_profile=(2, 4, x1.lam))
+    if not hr_orthogonal(x1.weights, x1.groups):
+        raise PremiseViolated("base design is not four-group decodable")
+    labels = tuple(f"x{i+1}" for i in range(2 * len(x1.weights)))
+    return _sum_code(x1, m, labels, (2, 4, x1.lam))
 
 
 def construction_ii(linear_forms) -> LinearSTBC:
@@ -521,19 +535,13 @@ def construction_iii(x1: LinearSTBC, m) -> LinearSTBC:
     if x1.k_real % 2:
         raise PremiseViolated("two-group premise needs an even symbol count")
     half = x1.k_real // 2
-    a_half = x1.weights[:half]
-    b_half = x1.weights[half:]
-    for a, b in zip(a_half, b_half):
+    for a, b in zip(x1.weights[:half], x1.weights[half:]):
         if np.abs(b - 1j * a).max() > 1e-12:
             raise PremiseViolated("second half must equal j times the first half")
-    for a in a_half:
-        for b in b_half:
-            if _hr_product_norm(a, b) > 1e-12:
-                raise PremiseViolated("halves are not two-group decodable")
-    m = np.asarray(m, dtype=complex)
-    weights = tuple(x1.weights) + tuple(m @ a for a in x1.weights)
+    if not hr_orthogonal(x1.weights, (range(half), range(half, 2 * half))):
+        raise PremiseViolated("halves are not two-group decodable")
     labels = tuple(x1.labels) + tuple(f"{lab}'" for lab in x1.labels)
-    return _make_code(weights, labels, declared_profile=(2, 2, half))
+    return _sum_code(x1, m, labels, (2, 2, half))
 
 
 def construction_iv(x1: CiodDesign, m) -> LinearSTBC:
@@ -541,14 +549,8 @@ def construction_iv(x1: CiodDesign, m) -> LinearSTBC:
 
     Declared profile is (2, K/2, 2) with K the CIOD's real symbol count.
     """
-    m = np.asarray(m, dtype=complex)
-    n_t = x1.n_t
-    if m.shape != (n_t, n_t):
-        raise ValueError(f"m must be {n_t}x{n_t}")
-    k = len(x1.weights)
-    weights = tuple(x1.weights) + tuple(m @ a for a in x1.weights)
     labels = tuple(x1.labels) + tuple(f"{lab}'" for lab in x1.labels)
-    return _make_code(weights, labels, declared_profile=(2, k // 2, 2))
+    return _sum_code(x1, m, labels, (2, len(x1.weights) // 2, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -176,18 +176,11 @@ def _layout(profile: BlockOrthogonalProfile, m: int) -> _Layout:
     """Layout of ``profile`` decoded over ``m`` levels per symbol."""
     k_total, blk, gam = profile.total, profile.block_size, profile.gamma
     cols = range(k_total)
-    sub_end = tuple((c // blk) * blk + ((c % blk) // gam + 1) * gam - 1
-                    for c in cols)
-    # entries inside a block but outside its sub-block diagonal must be
-    # structural zeros
-    row = np.arange(k_total)[:, None]
-    col = np.arange(k_total)[None, :]
-    structural_zero = ((col > np.array(sub_end)[:, None])
-                       & (col < (row // blk + 1) * blk))
     return _Layout(
         block_of=tuple(c // blk for c in cols),
         block_start=tuple((c // blk) * blk for c in cols),
-        sub_end=sub_end,
+        sub_end=tuple((c // blk) * blk + ((c % blk) // gam + 1) * gam - 1
+                      for c in cols),
         # cache all but the first-enumerated (last) sub-block per
         # conditioned block
         cacheable=tuple(c >= blk and (c % blk) // gam < profile.k - 1
@@ -196,7 +189,7 @@ def _layout(profile: BlockOrthogonalProfile, m: int) -> _Layout:
         # joint values of a leading sub-block's trailing gamma - 1 symbols
         tails=tuple(itertools.product(range(m), repeat=gam - 1)),
         strict_lower=_read_only(np.tri(k_total, k=-1, dtype=bool)),
-        structural_zero=_read_only(structural_zero),
+        structural_zero=_read_only(profile.structural_zeros()),
     )
 
 

@@ -19,7 +19,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -46,9 +46,6 @@ __all__ = [
     "CSV_HEADER",
     "resolve_profile",
 ]
-
-CSV_HEADER = ("snr_db,trials,mean_em_baseline,mean_em_memoized,emrr,"
-              "mean_flops_baseline,mean_flops_memoized,flop_reduction_pct,seed")
 
 RNG_ALGORITHM = "numpy-PCG64/standard_normal"
 
@@ -118,6 +115,9 @@ class SweepRow:
     mean_flops_memoized: float
     flop_reduction_pct: float
     seed: int
+
+
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 @dataclass(frozen=True)
@@ -205,19 +205,19 @@ def run_sweep(campaign: SimulationCampaign) -> SweepResult:
     profile = resolve_profile(code, n_r=campaign.n_r)
     rows = []
     for si, snr_db in enumerate(campaign.snr_grid_db):
-        sums = {"eb": 0, "em": 0, "fb": 0, "fm": 0}
+        em_b = em_m = flops_b = flops_m = 0
         for ti in range(campaign.trials_per_point):
             seed = np.random.SeedSequence([campaign.master_seed, si, ti])
             trial = run_trial(code, cons, snr_db, seed, profile, n_r=campaign.n_r)
-            sums["eb"] += trial.stats_baseline.em_evaluations
-            sums["em"] += trial.stats_memoized.em_evaluations
-            sums["fb"] += trial.stats_baseline.flops
-            sums["fm"] += trial.stats_memoized.flops
+            em_b += trial.stats_baseline.em_evaluations
+            em_m += trial.stats_memoized.em_evaluations
+            flops_b += trial.stats_baseline.flops
+            flops_m += trial.stats_memoized.flops
         n = campaign.trials_per_point
-        mean_eb = sums["eb"] / n
-        mean_em = sums["em"] / n
-        mean_fb = sums["fb"] / n
-        mean_fm = sums["fm"] / n
+        mean_eb = em_b / n
+        mean_em = em_m / n
+        mean_fb = flops_b / n
+        mean_fm = flops_m / n
         rows.append(SweepRow(
             snr_db=snr_db,
             trials=n,
@@ -236,12 +236,7 @@ def sweep_to_csv(result: SweepResult) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
-    for row in result.rows:
-        writer.writerow([
-            row.snr_db, row.trials, row.mean_em_baseline, row.mean_em_memoized,
-            row.emrr, row.mean_flops_baseline, row.mean_flops_memoized,
-            row.flop_reduction_pct, row.seed,
-        ])
+    writer.writerows(astuple(row) for row in result.rows)
     return buf.getvalue()
 
 

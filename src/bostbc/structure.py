@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codes as _codes
-from .linalg import (QrResult, RankDeficient, check_expand, cvec,
-                     gram_schmidt_qr, kron, tilde_vec)
+from .linalg import QrResult, RankDeficient, check_expand, gram_schmidt_qr, kron
 
 __all__ = [
     "TooFewReceiveAntennas",
@@ -80,6 +79,18 @@ class BlockOrthogonalProfile:
     def as_tuple(self) -> tuple:
         return (self.gamma_blocks, self.k, self.gamma)
 
+    def structural_zeros(self) -> np.ndarray:
+        """Fresh ``total x total`` mask of the entries of R that must be zero.
+
+        An entry ``(i, j)`` is masked when it lies inside a diagonal block,
+        above the diagonal (``j > i``) and outside that block's sub-blocks.
+        """
+        idx = np.arange(self.total)
+        block, sub = idx // self.block_size, idx // self.gamma
+        return ((block[:, None] == block[None, :])
+                & (sub[:, None] != sub[None, :])
+                & (idx[:, None] < idx[None, :]))
+
 
 @dataclass(frozen=True)
 class EquivalentChannelFactorization:
@@ -96,6 +107,10 @@ class ConditionResult:
     name: str
     passed: bool
     residual: float | None = None
+
+    def to_json(self) -> dict:
+        return {"name": self.name, "pass": bool(self.passed),
+                "residual": None if self.residual is None else float(self.residual)}
 
 
 @dataclass(frozen=True)
@@ -114,11 +129,7 @@ class StructureReport:
             "classification": self.classification,
             "profile": list(self.profile.as_tuple()) if self.profile else None,
             "group_count": self.group_count,
-            "conditions": [
-                {"name": c.name, "pass": bool(c.passed),
-                 "residual": None if c.residual is None else float(c.residual)}
-                for c in self.conditions
-            ],
+            "conditions": [c.to_json() for c in self.conditions],
             "tol": self.tol,
             "seeds": list(self.seeds),
         }
@@ -134,6 +145,15 @@ def _default_n_r(code) -> int:
     # smallest receive count giving 2*n_r*t >= K, but at least n_t
     need = -(-code.k_real // (2 * code.t))
     return max(code.n_t, need)
+
+
+def _channels(code, n_r: int | None, n_channels: int, seed: int) -> list:
+    """The ``n_channels`` seeded channel draws every structural check uses."""
+    if n_channels < 1:
+        raise ValueError("n_channels must be >= 1")
+    n_r = n_r or _default_n_r(code)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return [random_channel(n_r, code.n_t, rng) for _ in range(n_channels)]
 
 
 def equivalent_channel(code, h) -> np.ndarray:
@@ -171,12 +191,9 @@ def structural_pattern(code, *, n_r: int | None = None,
     An entry counts as structurally zero only if it falls below tolerance on
     every one of ``n_channels`` seeded channel draws.
     """
-    n_r = n_r or _default_n_r(code)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     support = np.zeros((code.k_real, code.k_real), dtype=bool)
-    for _ in range(n_channels):
-        fact = r_factorize(code, random_channel(n_r, code.n_t, rng), tol_rel)
-        support |= ~fact.zero_pattern
+    for h in _channels(code, n_r, n_channels, seed):
+        support |= ~r_factorize(code, h, tol_rel).zero_pattern
     return support
 
 
@@ -200,16 +217,11 @@ def profile_validates(pattern, profile: BlockOrthogonalProfile) -> bool:
     diagonal must contain at least one nonzero (when Gamma > 1).
     """
     pattern = np.asarray(pattern, dtype=bool)
-    k_total = pattern.shape[0]
-    if profile.total != k_total:
+    if profile.total != pattern.shape[0]:
         return False
-    m, g = profile.block_size, profile.gamma
-    for b in range(profile.gamma_blocks):
-        s = b * m
-        for i in range(m):
-            for j in range(i + 1, m):
-                if (i // g) != (j // g) and pattern[s + i, s + j]:
-                    return False
+    if (pattern & profile.structural_zeros()).any():
+        return False
+    m = profile.block_size
     for bi in range(profile.gamma_blocks):
         for bj in range(bi + 1, profile.gamma_blocks):
             if not pattern[bi * m:(bi + 1) * m, bj * m:(bj + 1) * m].any():
@@ -316,25 +328,11 @@ def verify_hr_grouping(code, grouping) -> bool:
     flat = sorted(i for g in groups for i in g)
     if flat != list(range(code.k_real)):
         raise ValueError("grouping must partition the symbol indices")
-    for gi in range(len(groups)):
-        for gj in range(gi + 1, len(groups)):
-            for i in groups[gi]:
-                for j in groups[gj]:
-                    a, b = code.weights[i], code.weights[j]
-                    if np.abs(a @ b.conj().T + b @ a.conj().T).max() > _EXACT_TOL:
-                        return False
-    return True
+    return _codes.hr_orthogonal(code.weights, groups)
 
 
-def _contiguous_groups(offset: int, k: int, gamma: int) -> list:
-    return [tuple(range(offset + i * gamma, offset + (i + 1) * gamma)) for i in range(k)]
-
-
-def _ete_block_residual(ete, k: int, gamma: int) -> float:
-    """Off-block mass of a k-block gamma x gamma decomposition, relative."""
-    mask = np.ones_like(ete, dtype=bool)
-    for i in range(k):
-        mask[i * gamma:(i + 1) * gamma, i * gamma:(i + 1) * gamma] = False
+def _ete_block_residual(ete, mask) -> float:
+    """Largest ``|ete|`` entry under ``mask`` relative to the largest entry."""
     scale = np.abs(ete).max()
     if scale == 0:
         return float("inf")
@@ -360,12 +358,7 @@ def verify_paraunitary_premises(b_weights, e) -> ParaunitaryReport:
     vanish for single-symbol (gamma = 1) splits.
     """
     b_weights = list(b_weights)
-    hr_ok = True
-    for i in range(len(b_weights)):
-        for j in range(i + 1, len(b_weights)):
-            a, b = np.asarray(b_weights[i]), np.asarray(b_weights[j])
-            if np.abs(a @ b.conj().T + b @ a.conj().T).max() > _EXACT_TOL:
-                hr_ok = False
+    hr_ok = _codes.hr_orthogonal(b_weights, [(i,) for i in range(len(b_weights))])
     e = np.asarray(e, dtype=float)
     ete = e.T @ e
     scale = max(np.abs(ete).max(), 1e-300)
@@ -406,40 +399,28 @@ def verify_multi_block_premises(code, profile: BlockOrthogonalProfile, *,
     if profile.total != K:
         raise ValueError("profile size must match the code")
     m, k, gamma = profile.block_size, profile.k, profile.gamma
+    groups = [range(i * gamma, (i + 1) * gamma) for i in range(k)]
     cond = []
     for b in range(profile.gamma_blocks):
-        ok = verify_hr_grouping(
-            _subcode(code, range(b * m, (b + 1) * m)),
-            _contiguous_groups(0, k, gamma),
-        )
+        ok = _codes.hr_orthogonal(code.weights[b * m:(b + 1) * m], groups)
         cond.append(ConditionResult(f"block-{b + 1}-group-decodable", ok))
-    n_r = n_r or _default_n_r(code)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    off_block = BlockOrthogonalProfile(1, k, gamma).structural_zeros()
+    off_block |= off_block.T
     rank_ok = True
     worst = {s: 0.0 for s in range(m, K, m)}
-    for _ in range(n_channels):
+    for h in _channels(code, n_r, n_channels, seed):
         try:
-            fact = r_factorize(code, random_channel(n_r, code.n_t, rng))
+            fact = r_factorize(code, h)
         except RankDeficient:
             rank_ok = False
             continue
         for s in worst:
             e = fact.qr.r[:s, s:s + m]
-            worst[s] = max(worst[s], _ete_block_residual(e.T @ e, k, gamma))
+            worst[s] = max(worst[s], _ete_block_residual(e.T @ e, off_block))
     cond.append(ConditionResult("r-full-rank", rank_ok))
     for s, w in worst.items():
         cond.append(ConditionResult(f"ete-block-diagonal-at-{s}", rank_ok and w < tol, w))
     return PremiseReport(conditions=tuple(cond))
-
-
-def _subcode(code, indices):
-    idx = list(indices)
-
-    class _View:
-        k_real = len(idx)
-        weights = tuple(code.weights[i] for i in idx)
-
-    return _View()
 
 
 # ---------------------------------------------------------------------------
@@ -484,23 +465,20 @@ def verify_cuwd_sum_structure(code, lam: int | None = None, *,
         raise ValueError("construction-I codes have K = 8*lambda symbols")
     L = 4 * lam
     perm = np.fliplr(np.eye(lam))
-    n_r = n_r or _default_n_r(code)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    # R1 and R2 are upper triangular, so their off-block mass lies above
+    # the diagonal
+    mask = BlockOrthogonalProfile(1, 4, lam).structural_zeros()
 
     res_a = res_adiag = res_c = 0.0
     res_first = 0.0
     res_inner = {+1: 0.0, -1: 0.0}
-    for _ in range(n_channels):
-        fact = r_factorize(code, random_channel(n_r, code.n_t, rng))
-        r = fact.qr.r
+    for h in _channels(code, n_r, n_channels, seed):
+        r = r_factorize(code, h).qr.r
         scale = np.abs(r).max()
         r1, e, r2 = r[:L, :L], r[:L, L:], r[L:, L:]
 
         blocks = [r1[i * lam:(i + 1) * lam, i * lam:(i + 1) * lam] for i in range(4)]
         res_a = max(res_a, max(np.abs(b - blocks[0]).max() for b in blocks) / scale)
-        mask = np.ones((L, L), dtype=bool)
-        for i in range(4):
-            mask[i * lam:(i + 1) * lam, i * lam:(i + 1) * lam] = False
         res_adiag = max(res_adiag, np.abs(r1[mask]).max() / scale)
         res_c = max(res_c, np.abs(r2[mask]).max() / scale)
 

@@ -42,6 +42,13 @@ class TestConstruct:
         assert exc.value.code == 2
         assert not (tmp_path / "x.json").exists()
 
+    def test_design_size_outside_1_2_exits_2(self, tmp_path, capsys):
+        # no shipped companion matrix fits the 8-antenna design of a = 3
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "ci", "--a", "3", "--out", str(tmp_path / "x.json")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.json").exists()
+
     def test_rank_deficient_exits_2(self, tmp_path, capsys):
         rc, _, err = run_cli(capsys, "construct", "ciii", "--m", "identity",
                              "--out", str(tmp_path / "x.json"))
@@ -110,6 +117,15 @@ class TestVerify:
     def test_nothing_to_verify(self, capsys):
         rc, _, err = run_cli(capsys, "verify", "alamouti")
         assert rc == 2
+
+
+@pytest.mark.parametrize("channels", ["0", "-3"])
+@pytest.mark.parametrize("argv", [("analyze", "bhv"), ("verify", "bhv"),
+                                  ("verify", "bhv", "--construction-i")])
+def test_channels_below_one_exit_2(capsys, argv, channels):
+    rc, _, err = run_cli(capsys, *argv, f"--channels={channels}")
+    assert rc == 2
+    assert "error: n_channels must be >= 1" in err
 
 
 class TestBounds:

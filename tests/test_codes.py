@@ -216,6 +216,31 @@ class TestConstructionI:
             assert np.abs(built.weights[4 + i] - m @ built.weights[i]).max() < 1e-15
 
 
+@pytest.mark.parametrize("build, n_t", [
+    (lambda m: construction_i(cuwd_rate1_4group(1), m), 2),
+    (lambda m: construction_iii(golden_diagonal_half(), m), 2),
+    (lambda m: construction_iv(ciod(2), m), 4),
+], ids=["i", "iii", "iv"])
+def test_sum_constructions_check_m_shape(build, n_t):
+    with pytest.raises(ValueError, match=f"^m must be {n_t}x{n_t}$"):
+        build(np.eye(n_t + 1))
+
+
+class TestHrOrthogonal:
+    # the Alamouti weights are pairwise HR orthogonal; the identity appended
+    # as weight 4 violates only with weight 0, which is also the identity
+    WEIGHTS = tuple(alamouti_code().weights) + (np.eye(2, dtype=complex),)
+
+    def test_violating_cross_group_pair(self):
+        assert not codes.hr_orthogonal(self.WEIGHTS, [(i,) for i in range(5)])
+
+    def test_violating_pair_in_one_group(self):
+        assert codes.hr_orthogonal(self.WEIGHTS, [(0, 4), (1,), (2,), (3,)])
+
+    def test_single_group(self):
+        assert codes.hr_orthogonal(self.WEIGHTS, [range(5)])
+
+
 class TestConstructionII:
     def test_golden_forms(self):
         built = construction_ii(golden_linear_forms())

@@ -20,6 +20,7 @@ from bostbc.codes import (
     named_code,
     reorder,
 )
+from bostbc.decoder import _layout
 from bostbc.linalg import check_expand, cvec, gram_schmidt_qr, tilde_vec
 from bostbc.structure import (
     BlockOrthogonalProfile,
@@ -107,6 +108,38 @@ class TestPatterns:
                 if reference is None:
                     reference = support
                 assert np.array_equal(support, reference)
+
+
+def _profiles_up_to(n):
+    for total in range(1, n + 1):
+        for gamma_blocks in range(1, total + 1):
+            for k in range(1, total + 1):
+                if total % (gamma_blocks * k) == 0:
+                    yield BlockOrthogonalProfile(gamma_blocks, k,
+                                                 total // (gamma_blocks * k))
+
+
+class TestStructuralZeros:
+    PROFILES = list(_profiles_up_to(12))
+
+    def test_matches_entry_oracle(self):
+        assert len(self.PROFILES) == 74
+        for profile in self.PROFILES:
+            n, m, g = profile.total, profile.block_size, profile.gamma
+            oracle = np.array([[i // m == j // m and j > i and i // g != j // g
+                                for j in range(n)] for i in range(n)])
+            mask = profile.structural_zeros()
+            assert mask.dtype == bool
+            assert np.array_equal(mask, oracle), profile
+            mask[:] = True  # fresh per call: writing it changes no later mask
+            assert np.array_equal(profile.structural_zeros(), oracle), profile
+
+    def test_decoder_layout_uses_profile_mask(self):
+        for profile in self.PROFILES:
+            layout = _layout(profile, 2)
+            assert np.array_equal(layout.structural_zero,
+                                  profile.structural_zeros()), profile
+            assert not layout.structural_zero.flags.writeable
 
 
 class TestDetectProfile:
@@ -250,6 +283,20 @@ class TestSufficientConditionPremises:
         report = verify_paraunitary_premises(code.weights[2:], e)
         assert report.hr_orthogonal
         assert report.offdiag_residual < 1e-9
+
+
+@pytest.mark.parametrize("n_channels", [0, -3])
+@pytest.mark.parametrize("check", [
+    lambda n: structural_pattern(bhv_code(), n_channels=n),
+    lambda n: verify_multi_block_premises(
+        bhv_code(), BlockOrthogonalProfile(2, 4, 1), n_channels=n),
+    lambda n: verify_cuwd_sum_structure(bhv_code(), n_channels=n),
+], ids=["structural_pattern", "verify_multi_block_premises",
+        "verify_cuwd_sum_structure"])
+def test_channel_draws_need_at_least_one_channel(check, n_channels):
+    # zero draws would report every entry zero and every premise as holding
+    with pytest.raises(ValueError, match="n_channels must be >= 1"):
+        check(n_channels)
 
 
 class TestCuwdSumStructure:
