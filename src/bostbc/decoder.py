@@ -12,13 +12,15 @@ last undecided symbol of a sub-block is sliced to the nearest level) and
 the minima are summed.
 
 The metric increments inside a conditioned sub-block do not depend on the
-values of sibling sub-blocks, so the memoized decoder caches and replays
-them instead of recomputing; the cache is discarded whenever a conditioning
-symbol in a higher block changes.  A code without block-orthogonal
-structure is the trivial profile ``(K, 1, 1)``: every symbol is its own
-block, the walk is plain Schnorr-Euchner enumeration, and the last symbol
-is sliced.  Its counters follow the conventions below with every symbol but
-that last one in a conditioned block.
+values of sibling sub-blocks, only on the symbols of the blocks above, so the
+memoized decoder caches and replays them instead of recomputing.  Those
+symbols stay fixed while the walk is inside the block, so a block's table
+lives for one visit: it starts empty when the walk enters the block's last
+column and is dropped when the walk leaves it.  A code without
+block-orthogonal structure is the trivial profile ``(K, 1, 1)``: every
+symbol is its own block, the walk is plain Schnorr-Euchner enumeration, and
+the last symbol is sliced.  Its counters follow the conventions below with
+every symbol but that last one in a conditioned block.
 
 Counting conventions
 --------------------
@@ -122,33 +124,6 @@ class DecoderStats:
     cache_entries_peak: int
     best_metric: float
     decoded: tuple
-
-
-class _MetricCache:
-    """Per-block tables of cached increment vectors, keyed by the partial
-    assignment inside one sub-block."""
-
-    def __init__(self):
-        self.tables = {}
-        self.size = 0
-        self.peak = 0
-
-    def get(self, block, key):
-        table = self.tables.get(block)
-        if table is None:
-            return None
-        return table.get(key)
-
-    def put(self, block, key, values):
-        self.tables.setdefault(block, {})[key] = values
-        self.size += len(values)
-        if self.size > self.peak:
-            self.peak = self.size
-
-    def clear_below(self, block):
-        for b in [b for b in self.tables if b < block]:
-            table = self.tables.pop(b)
-            self.size -= sum(len(v) for v in table.values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,7 +231,8 @@ class _Walker:
         self.offsets[k_total] = list(self.y)
         self.inv_diag = [1.0 / self.rows[c][c] for c in range(k_total)]
         self.inv_spacing = 1.0 / (self.levels[1] - self.levels[0])
-        self.cache = _MetricCache()
+        self.cache_size = 0
+        self.cache_peak = 0
         self.em = 0
         self.nodes = 0
         self.flops = 0
@@ -292,11 +268,13 @@ class _Walker:
         self.em += self.m  # every level below the leading block is measured
         return inc
 
-    def _edge_metrics(self, c):
+    def _edge_metrics(self, c, table):
+        """Increments of level c, replayed from ``table`` (the memo of the
+        current visit to c's block) when cached there."""
         if not (self.memoize and self.cacheable[c]):
             return self._compute_increments(c), False
         key = (c, tuple(self.idx[c + 1:self.sub_end[c] + 1]))
-        cached = self.cache.get(self.block_of[c], key)
+        cached = table.get(key)
         if cached is not None:
             self.hits += 1
             if self.validate_cache:
@@ -307,7 +285,10 @@ class _Walker:
                     raise AssertionError("cache returned a stale metric vector")
             return cached, True
         inc = self._compute_increments(c)
-        self.cache.put(self.block_of[c], key, inc)
+        table[key] = inc
+        self.cache_size += self.m
+        if self.cache_size > self.cache_peak:
+            self.cache_peak = self.cache_size
         return inc, False
 
     def _propagate(self, c):
@@ -326,21 +307,26 @@ class _Walker:
         if self.top_size == self.k_total:
             self._solve_top_block(0.0, self.y)  # no conditioned blocks
         else:
-            self._descend(self.k_total - 1, 0.0)
+            self._descend(self.k_total - 1, 0.0, None)
         return DecoderStats(
             em_evaluations=self.em,
             nodes_visited=self.nodes,
             flops=self.flops,
             cache_hits=self.hits,
-            cache_entries_peak=self.cache.peak,
+            cache_entries_peak=self.cache_peak,
             best_metric=self.best,
             decoded=self.best_idx,
         )
 
-    def _descend(self, c, partial):
-        inc, was_hit = self._edge_metrics(c)
+    def _descend(self, c, partial, table):
+        # the walk enters a block at its last column, after a new symbol
+        # was accepted above it: the block's conditioning is new, and so is
+        # the table keyed by (level, rest of the sub-block's assignment)
+        enters_block = c + 1 == self.cond_source[c]
+        if enters_block:
+            table = {}
+        inc, was_hit = self._edge_metrics(c, table)
         order = sorted(range(self.m), key=lambda a: (inc[a], a))
-        block = self.block_of[c]
         at_top_boundary = c == self.top_size
         for a in order:
             total = partial + inc[a]
@@ -350,8 +336,6 @@ class _Walker:
             self.idx[c] = a
             self.val[c] = self.levels[a]
             self.nodes += 1
-            if self.memoize and block >= 2:
-                self.cache.clear_below(block)
             self._propagate(c)
             if self.trace is not None:
                 self.trace.append({
@@ -363,7 +347,9 @@ class _Walker:
             if at_top_boundary:
                 self._solve_top_block(total, self.offsets[c])
             else:
-                self._descend(c - 1, total)
+                self._descend(c - 1, total, table)
+        if enters_block:
+            self.cache_size -= self.m * len(table)
 
     # -- leading (fast-decodable) block ----------------------------------
 
@@ -503,21 +489,13 @@ def force_full_tree_decode(r, y_prime, cons: PamConstellation,
     return stats
 
 
-_GRIDS = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _level_grid(cons: PamConstellation, k: int) -> np.ndarray:
     if cons.m ** k > MAX_GRID:
         raise TooLarge(f"grid of {cons.m}^{k} points exceeds the guard")
-    key = (cons.m, k, cons.scale)
-    grid = _GRIDS.get(key)
-    if grid is None:
-        idx = np.stack(np.meshgrid(*[np.arange(cons.m)] * k, indexing="ij"),
-                       axis=-1).reshape(-1, k)
-        grid = np.asarray(cons.levels, dtype=float)[idx]
-        grid.setflags(write=False)
-        _GRIDS[key] = grid
-    return grid
+    idx = np.stack(np.meshgrid(*[np.arange(cons.m)] * k, indexing="ij"),
+                   axis=-1).reshape(-1, k)
+    return _read_only(np.asarray(cons.levels, dtype=float)[idx])
 
 
 def exhaustive_ml(h_eq, y, cons: PamConstellation) -> np.ndarray:

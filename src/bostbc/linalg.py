@@ -102,7 +102,7 @@ def kron(a, b) -> np.ndarray:
     return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def gram_schmidt_qr(h, rank_tol: float = RANK_TOL) -> QrResult:
+def gram_schmidt_qr(h) -> QrResult:
     """Gram-Schmidt QR of a real matrix with ``rows >= cols``.
 
     The result is the Gram-Schmidt factorization: ``r[i, i]`` is the norm of
@@ -117,7 +117,7 @@ def gram_schmidt_qr(h, rank_tol: float = RANK_TOL) -> QrResult:
     ------
     RankDeficient
         If the matrix has fewer rows than columns, or some residual column
-        norm falls below ``rank_tol`` times the largest input column norm;
+        norm falls below ``RANK_TOL`` times the largest input column norm;
         the first such column is reported.
     """
     h = np.asarray(h, dtype=float)
@@ -132,7 +132,7 @@ def gram_schmidt_qr(h, rank_tol: float = RANK_TOL) -> QrResult:
     q, r = np.linalg.qr(h)
     diag = r.diagonal()
     col_norm_max = np.sqrt((h * h).sum(axis=0).max()) if cols else 0.0
-    threshold = rank_tol * col_norm_max
+    threshold = RANK_TOL * col_norm_max
     for i, d in enumerate(diag.tolist()):
         if abs(d) <= threshold:
             raise RankDeficient(f"column {i} is dependent (|r_{i}| = {abs(d):.3e})")

@@ -147,14 +147,11 @@ def snr_to_noise_variance(snr_db: float, code, cons: PamConstellation) -> float:
     return n0
 
 
-def resolve_profile(code, *, n_r=None, seed=None) -> BlockOrthogonalProfile:
+def resolve_profile(code, *, n_r=None) -> BlockOrthogonalProfile:
     """Profile used for memoized decoding: the declared one, else detected."""
     if code.declared_profile is not None:
         return BlockOrthogonalProfile(*code.declared_profile)
-    kwargs = {"n_r": n_r} if n_r else {}
-    if seed is not None:
-        kwargs["seed"] = seed
-    report = detect_structure(code, **kwargs)
+    report = detect_structure(code, n_r=n_r)
     if report.profile is None:
         raise ValueError("code has no block-orthogonal structure to exploit")
     return report.profile

@@ -99,7 +99,6 @@ class EquivalentChannelFactorization:
     h_eq: np.ndarray
     qr: QrResult
     zero_pattern: np.ndarray
-    tol_used: float
 
 
 @dataclass(frozen=True)
@@ -141,17 +140,12 @@ def random_channel(n_r: int, n_t: int, rng) -> np.ndarray:
             + 1j * rng.standard_normal((n_r, n_t))) / np.sqrt(2.0)
 
 
-def _default_n_r(code) -> int:
-    # smallest receive count giving 2*n_r*t >= K, but at least n_t
-    need = -(-code.k_real // (2 * code.t))
-    return max(code.n_t, need)
-
-
-def _channels(code, n_r: int | None, n_channels: int, seed: int) -> list:
-    """The ``n_channels`` seeded channel draws every structural check uses."""
+def _channels(code, n_channels: int, seed: int, n_r: int | None = None) -> list:
+    """The ``n_channels`` seeded channel draws every structural check uses,
+    with ``n_t`` receive antennas unless ``n_r`` is given."""
     if n_channels < 1:
         raise ValueError("n_channels must be >= 1")
-    n_r = n_r or _default_n_r(code)
+    n_r = n_r or code.n_t
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return [random_channel(n_r, code.n_t, rng) for _ in range(n_channels)]
 
@@ -174,12 +168,15 @@ def equivalent_channel(code, h) -> np.ndarray:
 
 
 def r_factorize(code, h, tol_rel: float = DEFAULT_TOL_REL) -> EquivalentChannelFactorization:
-    """QR-factorize the equivalent channel and threshold its zero pattern."""
+    """QR-factorize the equivalent channel and threshold its zero pattern:
+    an entry is zero when ``|r_ij| <= tol_rel * max|r|``, ``0 <= tol_rel < 1``."""
+    if not 0.0 <= tol_rel < 1.0:
+        raise ValueError(f"tol_rel = {tol_rel} must satisfy 0 <= tol_rel < 1")
     h_eq = equivalent_channel(code, h)
     qr = gram_schmidt_qr(h_eq)
-    tol = tol_rel * np.abs(qr.r).max()
-    pattern = np.abs(qr.r) <= tol
-    return EquivalentChannelFactorization(h_eq=h_eq, qr=qr, zero_pattern=pattern, tol_used=tol)
+    abs_r = np.abs(qr.r)
+    pattern = abs_r <= tol_rel * abs_r.max()
+    return EquivalentChannelFactorization(h_eq=h_eq, qr=qr, zero_pattern=pattern)
 
 
 def structural_pattern(code, *, n_r: int | None = None,
@@ -192,7 +189,7 @@ def structural_pattern(code, *, n_r: int | None = None,
     every one of ``n_channels`` seeded channel draws.
     """
     support = np.zeros((code.k_real, code.k_real), dtype=bool)
-    for h in _channels(code, n_r, n_channels, seed):
+    for h in _channels(code, n_channels, seed, n_r):
         support |= ~r_factorize(code, h, tol_rel).zero_pattern
     return support
 
@@ -267,7 +264,7 @@ def _has_fast_split(pattern) -> bool:
     return False
 
 
-def classify(fact_or_pattern, *, tol: float = DEFAULT_TOL_REL,
+def classify(pattern, *, tol: float = DEFAULT_TOL_REL,
              seeds: tuple = ()) -> StructureReport:
     """Label a zero pattern with the most specific structure it supports.
 
@@ -277,10 +274,7 @@ def classify(fact_or_pattern, *, tol: float = DEFAULT_TOL_REL,
     fast-decodable when a leading block-diagonal section exists, else
     unstructured.
     """
-    if isinstance(fact_or_pattern, EquivalentChannelFactorization):
-        pattern = ~fact_or_pattern.zero_pattern
-    else:
-        pattern = np.asarray(fact_or_pattern, dtype=bool)
+    pattern = np.asarray(pattern, dtype=bool)
     k = pattern.shape[0]
     conditions = []
 
@@ -383,10 +377,9 @@ class PremiseReport:
 
 
 def verify_multi_block_premises(code, profile: BlockOrthogonalProfile, *,
-                           n_r: int | None = None,
-                           n_channels: int = DEFAULT_PATTERN_CHANNELS,
-                           seed: int = DEFAULT_SEED,
-                           tol: float = 1e-9) -> PremiseReport:
+                                n_channels: int = DEFAULT_PATTERN_CHANNELS,
+                                seed: int = DEFAULT_SEED,
+                                tol: float = 1e-9) -> PremiseReport:
     """Check the sufficient conditions for a ``(Gamma, k, gamma)`` claim.
 
     Conditions: every block of ``k gamma`` symbols is k-group decodable with
@@ -408,7 +401,7 @@ def verify_multi_block_premises(code, profile: BlockOrthogonalProfile, *,
     off_block |= off_block.T
     rank_ok = True
     worst = {s: 0.0 for s in range(m, K, m)}
-    for h in _channels(code, n_r, n_channels, seed):
+    for h in _channels(code, n_channels, seed):
         try:
             fact = r_factorize(code, h)
         except RankDeficient:
@@ -448,10 +441,8 @@ class SumStructureReport:
                 and self.e_structure < tol and self.r2_block_diagonal < tol)
 
 
-def verify_cuwd_sum_structure(code, lam: int | None = None, *,
-                                       n_r: int | None = None,
-                                       n_channels: int = 50,
-                                       seed: int = DEFAULT_SEED) -> SumStructureReport:
+def verify_cuwd_sum_structure(code, *, n_channels: int = 50,
+                              seed: int = DEFAULT_SEED) -> SumStructureReport:
     """Numerically check the R1/E/R2 structure of a CUWD sum code.
 
     (a) the four lambda x lambda diagonal blocks of R1 are equal,
@@ -460,9 +451,9 @@ def verify_cuwd_sum_structure(code, lam: int | None = None, *,
     (c) R2 is block diagonal with four lambda x lambda blocks.
     """
     K = code.k_real
-    lam = lam or K // 8
-    if K != 8 * lam:
+    if K % 8:
         raise ValueError("construction-I codes have K = 8*lambda symbols")
+    lam = K // 8
     L = 4 * lam
     perm = np.fliplr(np.eye(lam))
     # R1 and R2 are upper triangular, so their off-block mass lies above
@@ -472,7 +463,7 @@ def verify_cuwd_sum_structure(code, lam: int | None = None, *,
     res_a = res_adiag = res_c = 0.0
     res_first = 0.0
     res_inner = {+1: 0.0, -1: 0.0}
-    for h in _channels(code, n_r, n_channels, seed):
+    for h in _channels(code, n_channels, seed):
         r = r_factorize(code, h).qr.r
         scale = np.abs(r).max()
         r1, e, r2 = r[:L, :L], r[:L, L:], r[L:, L:]
@@ -531,8 +522,7 @@ def _quadrature_pairs(code):
     return pairs
 
 
-def ordering_search(code, *, n_r: int | None = None,
-                    n_channels: int = DEFAULT_PATTERN_CHANNELS,
+def ordering_search(code, *, n_channels: int = DEFAULT_PATTERN_CHANNELS,
                     seed: int = DEFAULT_SEED):
     """Search structured symbol orders for the richest detected profile.
 
@@ -558,7 +548,7 @@ def ordering_search(code, *, n_r: int | None = None,
     for cand in candidates:
         perm_code = _codes.reorder(code, cand)
         profile = detect_profile(structural_pattern(
-            perm_code, n_r=n_r, n_channels=n_channels, seed=seed))
+            perm_code, n_channels=n_channels, seed=seed))
         score = profile.gamma_blocks * profile.k if profile else 0
         if score > best[2]:
             best = (cand, profile, score)

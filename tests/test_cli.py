@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bostbc.cli import main
-from bostbc.codes import load_code
+from bostbc.codes import code_to_json, load_code, named_code
 
 from conftest import GOLDEN_PATTERN_421, parse_pattern
 
@@ -48,6 +48,24 @@ class TestConstruct:
             main(["construct", "ci", "--a", "3", "--out", str(tmp_path / "x.json")])
         assert exc.value.code == 2
         assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("name", ["ciii", "cii", "golden"])
+    def test_design_size_outside_ci_civ_exits_2(self, tmp_path, capsys, name):
+        # only the CUWD and CIOD designs come in two sizes
+        out_file = tmp_path / "x.json"
+        rc, _, err = run_cli(capsys, "construct", name, "--a", "2",
+                             "--out", str(out_file))
+        assert rc == 2
+        assert "--a sizes only the ci and civ designs" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("argv, named", [(("ciii",), "ciii-golden"),
+                                             (("civ", "--a", "2"), "civ-a2")])
+    def test_default_companion_matrices(self, tmp_path, capsys, argv, named):
+        out_file = tmp_path / "x.json"
+        rc, _, _ = run_cli(capsys, "construct", *argv, "--out", str(out_file))
+        assert rc == 0
+        assert code_to_json(load_code(out_file)) == code_to_json(named_code(named))
 
     def test_rank_deficient_exits_2(self, tmp_path, capsys):
         rc, _, err = run_cli(capsys, "construct", "ciii", "--m", "identity",
@@ -99,6 +117,17 @@ class TestAnalyze:
     def test_missing_file_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, "analyze", "nonexistent.json")
         assert rc == 2
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "1", "2"])
+    def test_tol_outside_unit_interval_exits_2(self, capsys, tol):
+        rc, _, err = run_cli(capsys, "analyze", "bhv", f"--tol={tol}")
+        assert rc == 2
+        assert "tol_rel" in err
+
+    def test_zero_tol_runs(self, capsys):
+        rc, out, _ = run_cli(capsys, "analyze", "bhv", "--tol=0")
+        assert rc == 0
+        assert "classification:" in out
 
 
 class TestVerify:

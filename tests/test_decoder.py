@@ -1,6 +1,7 @@
 """Tests for the sphere decoder, the exhaustive oracle and the bound math."""
 
 import dataclasses
+import itertools
 import re
 from fractions import Fraction
 
@@ -229,6 +230,59 @@ class TestSubBlockIndependence:
         assert hit_levels == {2}
         assert all(set(t) == {"level", "partial_metric", "symbol_index",
                               "cache_hit"} for t in trace)
+
+
+def _fingerprint_corpus():
+    """Seeded patterned instances over every multi-block profile with
+    Gamma 2-4, k 1-3, gamma 1-2 and at most 12 symbols, at M = 2 and 4."""
+    rng = np.random.default_rng(20261)
+    for shape in itertools.product((2, 3, 4), (1, 2, 3), (1, 2)):
+        prof = BlockOrthogonalProfile(*shape)
+        if prof.total > 12:
+            continue
+        for m in (2, 4):
+            cons = PamConstellation(m)
+            for _ in range(10):
+                r = patterned_r(rng, prof)
+                x = np.asarray(cons.levels)[rng.integers(0, m, prof.total)]
+                y = r @ x + rng.standard_normal(prof.total)
+                yield r, y, cons, prof
+
+
+class TestCounterFingerprint:
+    # (em, flops, nodes, hits, summed cache peak) over the whole corpus, per
+    # decoder; any change to the walk order, pruning, pricing or caching
+    # moves at least one of them
+    EXPECTED = {
+        False: (32444, 467447, 30565, 0, 0),
+        True: (16624, 390187, 30565, 4123, 2014),
+    }
+
+    def test_corpus_totals_are_pinned(self):
+        totals = {memoize: [0] * 5 for memoize in self.EXPECTED}
+        for r, y, cons, prof in _fingerprint_corpus():
+            for memoize, acc in totals.items():
+                _, s = sphere_decode(r, y, cons, prof, memoize=memoize)
+                for i, v in enumerate((s.em_evaluations, s.flops,
+                                       s.nodes_visited, s.cache_hits,
+                                       s.cache_entries_peak)):
+                    acc[i] += v
+        assert {mz: tuple(acc) for mz, acc in totals.items()} == self.EXPECTED
+
+    @pytest.mark.parametrize("shape", [(3, 2, 1), (3, 2, 2)])
+    def test_no_stale_table_across_block_reentry(self, rng, shape):
+        # Gamma = 3 re-enters block 1 once per symbol combination of block
+        # 2; validate_cache raises if a hit replays an old conditioning
+        prof = BlockOrthogonalProfile(*shape)
+        cons = PamConstellation(2)
+        r = patterned_r(rng, prof)
+        y = rng.standard_normal(prof.total)
+        _, stats = sphere_decode(r, y, cons, prof, prune=False,
+                                 validate_cache=True)
+        bounds = em_count_bounds(prof, 2)
+        assert stats.cache_hits > 0
+        assert stats.em_evaluations == bounds.o_bostbc
+        assert stats.cache_entries_peak == bounds.mem_entries
 
 
 class TestAgainstExhaustive:

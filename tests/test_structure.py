@@ -97,6 +97,12 @@ class TestPatterns:
         pattern = structural_pattern(reorder(golden_code(), perm))
         assert np.array_equal(pattern, expected)
 
+    @pytest.mark.parametrize("tol_rel", [-1.0, np.nan, np.inf, 1.0])
+    def test_tol_outside_unit_interval_rejected(self, tol_rel):
+        # at 1 even the largest entry would count as zero
+        with pytest.raises(ValueError, match="tol_rel"):
+            structural_pattern(bhv_code(), tol_rel=tol_rel)
+
     def test_pattern_channel_independent(self, rng):
         # the boolean support is the same on every draw for shipped codes
         for name in ("golden", "bhv", "srinath-rajan", "cda-2x2"):
