@@ -52,8 +52,6 @@ from .linalg import (
     gram_schmidt_qr,
     kron,
     tilde_vec,
-    trace_inner_product,
-    untilde_vec,
 )
 from .sim import (
     SimulationCampaign,
@@ -77,8 +75,6 @@ from .structure import (
     r_factorize,
     structural_pattern,
     verify_cuwd_sum_structure,
-    verify_hr_grouping,
-    verify_paraunitary_premises,
     verify_multi_block_premises,
 )
 

@@ -65,6 +65,8 @@ def _emit(args, payload: dict, text: str) -> None:
 def cmd_construct(args) -> int:
     if args.a is not None and args.name not in ("ci", "civ"):
         raise ValueError("--a sizes only the ci and civ designs")
+    if args.m is not None and args.name not in ("ci", "ciii", "civ"):
+        raise ValueError("--m names the companion matrix of ci, ciii and civ only")
     a = args.a or 1
     if args.name in ("ci", "ciii", "civ"):
         m_name = args.m or ("a2" if a == 2 else None)
@@ -235,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, choices=(1, 2),
                    help="ci/civ design size exponent (2^a transmit antennas, "
                         "default 1)")
-    p.add_argument("--m", help="companion matrix name (identity, bhv, golden, sr, a2)")
+    p.add_argument("--m", help="ci/ciii/civ companion matrix name (identity, bhv, "
+                               "golden, sr, a2)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_construct)
 

@@ -514,14 +514,14 @@ def construction_ii(linear_forms) -> LinearSTBC:
     return _make_code(weights, labels, declared_profile=(len(forms), 2, 1))
 
 
-def cda_2x2(gamma: complex = 1j) -> LinearSTBC:
-    """2x2 cyclic-algebra style design ``[[x0, gamma*x1], [x1, x0]]``.
+def cda_2x2() -> LinearSTBC:
+    """2x2 cyclic-algebra style design ``[[x0, j*x1], [x1, x0]]``.
 
     A conjugate-free two-symbol design over Q(i); shipped as the small
     construction-II instance with profile (2, 2, 1).
     """
     forms = (np.eye(2, dtype=complex),
-             np.array([[0, gamma], [1, 0]], dtype=complex))
+             np.array([[0, 1j], [1, 0]], dtype=complex))
     return construction_ii(forms)
 
 

@@ -23,11 +23,9 @@ __all__ = [
     "QrResult",
     "check_expand",
     "tilde_vec",
-    "untilde_vec",
     "cvec",
     "kron",
     "gram_schmidt_qr",
-    "trace_inner_product",
 ]
 
 #: Relative threshold below which a residual column norm ``|r_ii|`` is
@@ -75,14 +73,6 @@ def tilde_vec(x) -> np.ndarray:
     out[0::2] = x.real
     out[1::2] = x.imag
     return out
-
-
-def untilde_vec(v) -> np.ndarray:
-    """Inverse of :func:`tilde_vec`."""
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size % 2:
-        raise ValueError("interleaved vector must have even length")
-    return v[0::2] + 1j * v[1::2]
 
 
 def cvec(m) -> np.ndarray:
@@ -141,16 +131,3 @@ def gram_schmidt_qr(h) -> QrResult:
     r *= sign[:, None]
     r += 0.0  # turns the -0.0 a flipped zero becomes back into +0.0
     return QrResult(q=q, r=r)
-
-
-def trace_inner_product(h, a_k, a_j) -> float:
-    """Inner product of two equivalent-channel columns via the trace form.
-
-    Returns ``0.5 * tr(check(h) check(a_k) check(a_j)^T check(h)^T)``, which
-    equals the Euclidean inner product of the real equivalent-channel columns
-    generated by weight matrices ``a_k`` and ``a_j`` under channel ``h``.
-    """
-    hc = check_expand(h)
-    ak = check_expand(a_k)
-    aj = check_expand(a_j)
-    return 0.5 * float(np.trace(hc @ ak @ aj.T @ hc.T))

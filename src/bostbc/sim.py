@@ -66,8 +66,12 @@ class SimulationCampaign:
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
         grid = tuple(float(s) for s in self.snr_grid_db)
+        if not grid:
+            raise ValueError("snr_grid_db must hold at least one SNR")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr grid must be strictly increasing")
+        if self.n_r is not None and (type(self.n_r) is not int or self.n_r < 1):
+            raise ValueError(f"n_r = {self.n_r!r} must be null or an integer >= 1")
         object.__setattr__(self, "snr_grid_db", grid)
 
     @classmethod

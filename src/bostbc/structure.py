@@ -29,8 +29,6 @@ __all__ = [
     "profile_validates",
     "classify",
     "detect_structure",
-    "verify_hr_grouping",
-    "verify_paraunitary_premises",
     "verify_multi_block_premises",
     "verify_cuwd_sum_structure",
     "ordering_search",
@@ -46,6 +44,8 @@ DEFAULT_SEED = 20230
 
 # tolerance for numerically-exact weight-matrix identities
 _EXACT_TOL = 1e-12
+# largest relative residual a sampled premise or sum-structure fact may show
+_PREMISE_TOL = 1e-9
 
 
 class TooFewReceiveAntennas(ValueError):
@@ -302,28 +302,14 @@ def classify(pattern, *, tol: float = DEFAULT_TOL_REL,
     return StructureReport("unstructured", None, None, tuple(conditions), tol, seeds)
 
 
-def detect_structure(code, *, n_r: int | None = None,
-                     n_channels: int = DEFAULT_PATTERN_CHANNELS,
-                     tol_rel: float = DEFAULT_TOL_REL,
-                     seed: int = DEFAULT_SEED) -> StructureReport:
+def detect_structure(code, *, n_r: int | None = None) -> StructureReport:
     """Classify a code from its channel-independent structural pattern."""
-    pattern = structural_pattern(code, n_r=n_r, n_channels=n_channels,
-                                 tol_rel=tol_rel, seed=seed)
-    return classify(pattern, tol=tol_rel, seeds=(seed,))
+    return classify(structural_pattern(code, n_r=n_r), seeds=(DEFAULT_SEED,))
 
 
 # ---------------------------------------------------------------------------
 # premise verifiers
 # ---------------------------------------------------------------------------
-
-def verify_hr_grouping(code, grouping) -> bool:
-    """True iff all cross-group weight pairs are Hurwitz-Radon orthogonal."""
-    groups = [tuple(g) for g in grouping]
-    flat = sorted(i for g in groups for i in g)
-    if flat != list(range(code.k_real)):
-        raise ValueError("grouping must partition the symbol indices")
-    return _codes.hr_orthogonal(code.weights, groups)
-
 
 def _ete_block_residual(ete, mask) -> float:
     """Largest ``|ete|`` entry under ``mask`` relative to the largest entry."""
@@ -331,34 +317,6 @@ def _ete_block_residual(ete, mask) -> float:
     if scale == 0:
         return float("inf")
     return float(np.abs(ete[mask]).max() / scale) if mask.any() else 0.0
-
-
-@dataclass(frozen=True)
-class ParaunitaryReport:
-    hr_orthogonal: bool
-    identity_residual: float
-    offdiag_residual: float
-
-    @property
-    def para_unitary(self) -> bool:
-        return self.hr_orthogonal and self.identity_residual < 1e-9
-
-
-def verify_paraunitary_premises(b_weights, e) -> ParaunitaryReport:
-    """Check HR orthogonality of the conditioned half and E^T E ~ identity.
-
-    ``identity_residual`` is ``max|E^T E - I|`` relative to ``max|E^T E|``;
-    ``offdiag_residual`` ignores the diagonal, which is the part that must
-    vanish for single-symbol (gamma = 1) splits.
-    """
-    b_weights = list(b_weights)
-    hr_ok = _codes.hr_orthogonal(b_weights, [(i,) for i in range(len(b_weights))])
-    e = np.asarray(e, dtype=float)
-    ete = e.T @ e
-    scale = max(np.abs(ete).max(), 1e-300)
-    ident = float(np.abs(ete - np.eye(ete.shape[0])).max() / scale)
-    off = float(np.abs(ete - np.diag(np.diag(ete))).max() / scale)
-    return ParaunitaryReport(hr_orthogonal=hr_ok, identity_residual=ident, offdiag_residual=off)
 
 
 @dataclass(frozen=True)
@@ -378,8 +336,7 @@ class PremiseReport:
 
 def verify_multi_block_premises(code, profile: BlockOrthogonalProfile, *,
                                 n_channels: int = DEFAULT_PATTERN_CHANNELS,
-                                seed: int = DEFAULT_SEED,
-                                tol: float = 1e-9) -> PremiseReport:
+                                seed: int = DEFAULT_SEED) -> PremiseReport:
     """Check the sufficient conditions for a ``(Gamma, k, gamma)`` claim.
 
     Conditions: every block of ``k gamma`` symbols is k-group decodable with
@@ -412,7 +369,8 @@ def verify_multi_block_premises(code, profile: BlockOrthogonalProfile, *,
             worst[s] = max(worst[s], _ete_block_residual(e.T @ e, off_block))
     cond.append(ConditionResult("r-full-rank", rank_ok))
     for s, w in worst.items():
-        cond.append(ConditionResult(f"ete-block-diagonal-at-{s}", rank_ok and w < tol, w))
+        cond.append(ConditionResult(f"ete-block-diagonal-at-{s}",
+                                    rank_ok and w < _PREMISE_TOL, w))
     return PremiseReport(conditions=tuple(cond))
 
 
@@ -433,12 +391,12 @@ class SumStructureReport:
     r1_block_diagonal: float
     e_structure: float
     e_structure_orientation: int
-    e_structure_reference: float
     r2_block_diagonal: float
 
-    def passes(self, tol: float = 1e-9) -> bool:
-        return (self.r1_blocks_equal < tol and self.r1_block_diagonal < tol
-                and self.e_structure < tol and self.r2_block_diagonal < tol)
+    def passes(self) -> bool:
+        return all(r < _PREMISE_TOL for r in (
+            self.r1_blocks_equal, self.r1_block_diagonal,
+            self.e_structure, self.r2_block_diagonal))
 
 
 def verify_cuwd_sum_structure(code, *, n_channels: int = 50,
@@ -492,7 +450,6 @@ def verify_cuwd_sum_structure(code, *, n_channels: int = 50,
         r1_block_diagonal=res_adiag,
         e_structure=max(res_first, res_inner[orientation]),
         e_structure_orientation=orientation,
-        e_structure_reference=max(res_first, res_inner[+1]),
         r2_block_diagonal=res_c,
     )
 

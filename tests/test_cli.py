@@ -59,6 +59,17 @@ class TestConstruct:
         assert "--a sizes only the ci and civ designs" in err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("name", ["golden", "cii", "bhv"])
+    def test_companion_matrix_outside_ci_ciii_civ_exits_2(self, tmp_path, capsys,
+                                                           name):
+        # only the sum constructions with an m-copy take a companion matrix
+        out_file = tmp_path / "x.json"
+        rc, _, err = run_cli(capsys, "construct", name, "--m", "bhv",
+                             "--out", str(out_file))
+        assert rc == 2
+        assert "--m names the companion matrix of ci, ciii and civ only" in err
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("argv, named", [(("ciii",), "ciii-golden"),
                                              (("civ", "--a", "2"), "civ-a2")])
     def test_default_companion_matrices(self, tmp_path, capsys, argv, named):
@@ -216,3 +227,16 @@ class TestSimulate:
         cfg.write_text(json.dumps(campaign))
         rc, _, err = run_cli(capsys, "simulate", str(cfg))
         assert rc == 2
+
+    def test_zero_receive_antennas_exits_2(self, tmp_path, capsys):
+        # a falsy n_r must not fall back to n_t receive antennas
+        campaign = {
+            "code": "bhv", "m": 2, "snr_grid_db": [10.0],
+            "trials_per_point": 1, "master_seed": 4, "n_r": 0,
+        }
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(campaign))
+        rc, out, err = run_cli(capsys, "simulate", str(cfg))
+        assert rc == 2
+        assert "error: n_r = 0" in err
+        assert out == ""

@@ -240,6 +240,14 @@ class TestHrOrthogonal:
     def test_single_group(self):
         assert codes.hr_orthogonal(self.WEIGHTS, [range(5)])
 
+    def test_cuwd_table_columns(self):
+        design = cuwd_rate1_4group(2)
+        assert codes.hr_orthogonal(design.weights, design.groups)
+
+    def test_golden_two_part_split_fails(self):
+        weights = golden_code().weights
+        assert not codes.hr_orthogonal(weights, [range(4), range(4, 8)])
+
 
 class TestConstructionII:
     def test_golden_forms(self):
@@ -255,7 +263,7 @@ class TestConstructionII:
         assert built.declared_profile == (1, 2, 1)
 
     def test_cda_instance(self):
-        built = cda_2x2(gamma=1j)
+        built = cda_2x2()
         assert built.declared_profile == (2, 2, 1)
         assert np.linalg.matrix_rank(generator_matrix(built), tol=1e-10) == 4
 

@@ -11,8 +11,6 @@ from bostbc.linalg import (
     gram_schmidt_qr,
     kron,
     tilde_vec,
-    trace_inner_product,
-    untilde_vec,
 )
 from bostbc.structure import equivalent_channel, random_channel
 
@@ -75,19 +73,20 @@ class TestTildeVec:
     def test_two_entries(self):
         assert np.array_equal(tilde_vec([1j, 1]), [0.0, 1.0, 1.0, 0.0])
 
-    def test_round_trip(self, rng):
-        x = _rand_complex(rng, 4)
-        assert np.abs(untilde_vec(tilde_vec(x)) - x).max() == 0.0
-
-    def test_untilde_rejects_odd_length(self):
-        with pytest.raises(ValueError, match="even"):
-            untilde_vec([1.0, 2.0, 3.0])
-
     def test_matrix_vector_compatibility(self, rng):
         # tilde(M x) == check(M) tilde(x)
         m = _rand_complex(rng, (3, 2))
         x = _rand_complex(rng, 2)
         assert np.abs(tilde_vec(m @ x) - check_expand(m) @ tilde_vec(x)).max() < 1e-12
+
+    def test_hurwitz_radon_pair_is_orthogonal(self, rng):
+        # Alamouti pair: explicit equivalent-channel columns are orthogonal
+        a1 = np.eye(2, dtype=complex)
+        a2 = np.array([[0, -1], [1, 0]], dtype=complex)
+        h = _rand_complex(rng, (2, 2))
+        col1 = tilde_vec(cvec(h @ a1))
+        col2 = tilde_vec(cvec(h @ a2))
+        assert abs(col1 @ col2) < 1e-12
 
 
 class TestKron:
@@ -186,35 +185,3 @@ class TestQrMatchesGramSchmidt:
             with pytest.raises(RankDeficient, match=f"column {dependent} is dependent"):
                 gram_schmidt_qr(h)
             assert f"column {dependent} " in str(ref.value)
-
-
-class TestTraceInnerProduct:
-    def test_identity_weights_give_squared_norm(self, rng):
-        h = _rand_complex(rng, (2, 2))
-        eye = np.eye(2)
-        expected = np.linalg.norm(h) ** 2
-        assert abs(trace_inner_product(h, eye, eye) - expected) < 1e-12
-
-    def test_hurwitz_radon_pair_is_orthogonal(self, rng):
-        # Alamouti pair; oracle = explicit equivalent-channel columns
-        a1 = np.eye(2, dtype=complex)
-        a2 = np.array([[0, -1], [1, 0]], dtype=complex)
-        h = _rand_complex(rng, (2, 2))
-        col1 = tilde_vec(cvec(h @ a1))
-        col2 = tilde_vec(cvec(h @ a2))
-        assert abs(col1 @ col2) < 1e-12
-        assert abs(trace_inner_product(h, a1, a2)) < 1e-12
-
-    def test_equals_column_inner_product(self, rng):
-        for _ in range(10):
-            h = _rand_complex(rng, (2, 2))
-            a = _rand_complex(rng, (2, 2))
-            b = _rand_complex(rng, (2, 2))
-            expected = tilde_vec(cvec(h @ a)) @ tilde_vec(cvec(h @ b))
-            assert abs(trace_inner_product(h, a, b) - expected) < 1e-10
-
-    def test_self_product_nonnegative(self, rng):
-        for _ in range(10):
-            h = _rand_complex(rng, (2, 2))
-            a = _rand_complex(rng, (2, 2))
-            assert trace_inner_product(h, a, a) >= 0.0

@@ -115,6 +115,17 @@ class TestCampaign:
             SimulationCampaign(code="bhv", m=2, snr_grid_db=(0.0,),
                                trials_per_point=0, master_seed=1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("snr_grid_db", []), ("n_r", 0), ("n_r", -1), ("n_r", 1.5),
+        ("n_r", "two"), ("n_r", True),
+    ])
+    def test_schema_violations_rejected(self, field, value):
+        # each value schemas/campaign.schema.json rejects
+        data = {"code": "bhv", "m": 2, "snr_grid_db": [0.0],
+                "trials_per_point": 1, "master_seed": 1, field: value}
+        with pytest.raises(ValueError, match=field):
+            SimulationCampaign.from_json(data)
+
     def test_json_round_trip(self):
         camp = SimulationCampaign(code="bhv", m=4, snr_grid_db=(0.0, 4.0),
                                   trials_per_point=5, master_seed=9)
