@@ -3,7 +3,14 @@
 The decoder enumerates the conditioned blocks of the upper-triangular
 factor from the last column inward, visiting each level's candidates in
 increasing order of metric increment (Schnorr-Euchner) and pruning once
-the partial metric passes the best leaf found.  Interference from each
+the partial metric passes the best leaf found.  For equally spaced levels
+that order depends only on where the level's conditioned offset slices
+between the levels, and changes only at the midpoints between two levels,
+so it is read from a per-M table of zig-zag orders indexed by twice the
+sliced position.  Where float rounding or underflow could decide the order
+(near a midpoint, far outside the constellation, or when ``|r_cc|`` times
+the level spacing is tiny) the increments are sorted instead, so exact ties
+still take the lower index.  Interference from each
 accepted symbol is propagated incrementally to the rows above its block,
 so every row's conditioned offset is ready when the row is reached.  Once
 all conditioned symbols are fixed, the leading block is fast-decodable:
@@ -13,7 +20,8 @@ the minima are summed.
 
 The metric increments inside a conditioned sub-block do not depend on the
 values of sibling sub-blocks, only on the symbols of the blocks above, so the
-memoized decoder caches and replays them instead of recomputing.  Those
+memoized decoder caches them together with their candidate order and
+replays both instead of recomputing.  Those
 symbols stay fixed while the walk is inside the block, so a block's table
 lives for one visit: it starts empty when the walk enters the block's last
 column and is dropped when the walk leaves it.  A code without
@@ -30,8 +38,9 @@ Counting conventions
     candidates at once, so each uncached level entry adds M.
 ``flops``
     One unit per real multiply and per real add/subtract inside metric
-    computation and interference cancellation.  Comparisons, sorting,
-    cache lookups, bookkeeping copies and control flow are free.
+    computation and interference cancellation.  Comparisons, ordering
+    (table or sort), cache lookups, bookkeeping copies and control flow are
+    free.
 ``cache_entries_peak``
     Largest number of metric values held at any time; bounded by
     ``(Gamma - 1)(k - 1) M (M^gamma - 1) / (M - 1)``.
@@ -126,10 +135,47 @@ class DecoderStats:
     decoded: tuple
 
 
+#: The Schnorr-Euchner order is read from a table while the sliced position
+#: lies within this many level spacings of the constellation; beyond it, and
+#: within ``_ORDER_MARGIN`` of a multiple of one half (in units of
+#: ``2 * pos``), the increments are sorted.  Inside those limits the rounding
+#: error of every squared increment, relative to ``(r_cc * spacing)^2``, is
+#: below 1e-10, far under the gap the margin leaves between two increments,
+#: so the table order equals the ``(inc, a)`` sort.
+_ORDER_REACH = 256
+_ORDER_MARGIN = 1e-6
+#: An ``r`` with some ``|r_cc| * spacing`` below this is sorted at every
+#: level: its squared increments may underflow, and exact zeros tie by index.
+_ORDER_MIN_STEP = 1e-100
+
+
+@functools.lru_cache(maxsize=8)
+def _zigzag_orders(m: int) -> tuple:
+    """Candidate order for each unit interval ``[j, j + 1)`` of
+    ``g = 2 * (pos + _ORDER_REACH)``, where ``pos`` is the sliced position
+    in level spacings from level 0.  The order changes only where ``pos``
+    crosses a midpoint between two levels, a multiple of one half, so the
+    order at the interval's centre holds on all of it; outside the level span
+    it is the monotone order."""
+    orders = []
+    for j in range(4 * _ORDER_REACH + 2 * m - 2):
+        pos = (j + 0.5) / 2 - _ORDER_REACH
+        orders.append(tuple(sorted(range(m), key=lambda a: abs(pos - a))))
+    return tuple(orders)
+
+
 @dataclass(frozen=True, eq=False)
 class _Layout:
     """Per-level metadata of one profile and constellation size, shared by
-    every walker on them; the tuples and read-only masks cannot be mutated."""
+    every walker on them; the tuples and read-only masks cannot be mutated.
+
+    ``steps[memoize][c]`` holds, for a conditioned level ``c``, the facts
+    ``_Walker._descend`` reads on every entry: condition source, sub-block
+    end, block start, whether ``c`` enters its block, cacheable flag,
+    whether entering ``c`` opens a memo table, FLOPs of one increment
+    vector, FLOPs of one accepted candidate, and whether ``c`` borders the
+    leading block.  The baseline pricing (``memoize`` False) caches nothing
+    and charges interference over the whole in-block row."""
 
     block_of: tuple
     block_start: tuple
@@ -139,6 +185,9 @@ class _Layout:
     tails: tuple
     strict_lower: np.ndarray
     structural_zero: np.ndarray
+    zero_cut: np.ndarray
+    steps: tuple
+    orders: tuple
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -151,20 +200,48 @@ def _layout(profile: BlockOrthogonalProfile, m: int) -> _Layout:
     """Layout of ``profile`` decoded over ``m`` levels per symbol."""
     k_total, blk, gam = profile.total, profile.block_size, profile.gamma
     cols = range(k_total)
+    block_start = tuple((c // blk) * blk for c in cols)
+    sub_end = tuple((c // blk) * blk + ((c % blk) // gam + 1) * gam - 1
+                    for c in cols)
+    # cache all but the first-enumerated (last) sub-block per conditioned block
+    cacheable = tuple(c >= blk and (c % blk) // gam < profile.k - 1
+                      for c in cols)
+    cond_source = tuple((c // blk + 1) * blk for c in cols)
+    strict_lower = np.tri(k_total, k=-1, dtype=bool)
+    structural_zero = profile.structural_zeros()
+    # |r| above zero_cut * max|r| is an error: any entry below the diagonal,
+    # a structural zero above the tolerance, and (cut 1) nothing else
+    zero_cut = np.where(structural_zero, DEFAULT_TOL_REL, 1.0)
+    zero_cut[strict_lower] = 0.0
+
+    def steps(memoize):
+        # a memoized walk prices interference inside the sub-block only; a
+        # baseline one has no block-diagonal zeros to skip and prices the
+        # whole in-block row (the skipped entries are structural zeros, so
+        # the metric value is the same)
+        return tuple(
+            (cond_source[c], sub_end[c], block_start[c],
+             c + 1 == cond_source[c],
+             memoize and cacheable[c],
+             memoize and profile.k > 1 and c + 1 == cond_source[c],
+             2 * ((sub_end[c] if memoize else cond_source[c] - 1) - c) + 3 * m,
+             1 + 2 * block_start[c],
+             c == blk)
+            for c in cols)
+
     return _Layout(
         block_of=tuple(c // blk for c in cols),
-        block_start=tuple((c // blk) * blk for c in cols),
-        sub_end=tuple((c // blk) * blk + ((c % blk) // gam + 1) * gam - 1
-                      for c in cols),
-        # cache all but the first-enumerated (last) sub-block per
-        # conditioned block
-        cacheable=tuple(c >= blk and (c % blk) // gam < profile.k - 1
-                        for c in cols),
-        cond_source=tuple((c // blk + 1) * blk for c in cols),
+        block_start=block_start,
+        sub_end=sub_end,
+        cacheable=cacheable,
+        cond_source=cond_source,
         # joint values of a leading sub-block's trailing gamma - 1 symbols
         tails=tuple(itertools.product(range(m), repeat=gam - 1)),
-        strict_lower=_read_only(np.tri(k_total, k=-1, dtype=bool)),
-        structural_zero=_read_only(profile.structural_zeros()),
+        strict_lower=_read_only(strict_lower),
+        structural_zero=_read_only(structural_zero),
+        zero_cut=_read_only(zero_cut),
+        steps=(steps(False), steps(True)),
+        orders=_zigzag_orders(m),
     )
 
 
@@ -185,9 +262,13 @@ class _Walker:
         y_max = np.abs(y).max()
         if not (math.isfinite(r_max) and math.isfinite(y_max)):
             raise ValueError("r and y' must be finite")
-        if r[layout.strict_lower].any():
+        # one comparison finds both kinds of misplaced entry; which error
+        # applies is decided only when one is found
+        misplaced = np.count_nonzero(abs_r > layout.zero_cut * r_max)
+        if misplaced and r[layout.strict_lower].any():
             raise NotUpperTriangular("r has entries below the diagonal")
-        diag_min = abs_r.diagonal().min()
+        diag = r.diagonal().tolist()
+        diag_min = min(map(abs, diag))
         if not diag_min:
             raise ValueError("r must have a nonzero diagonal (full rank)")
         # every offset the walk forms is at most `reach` in magnitude, so
@@ -195,33 +276,44 @@ class _Walker:
         reach = float(y_max) + k_total * float(r_max) * abs(cons.levels[0])
         if not math.isfinite(k_total * reach * reach):
             raise ValueError("r and y' are too large: the metric overflows")
-        if not math.isfinite(1.0 / float(diag_min)):
+        if not math.isfinite(1.0 / diag_min):
             raise ValueError("r has a diagonal entry too small to invert")
-        bad = layout.structural_zero & (abs_r > DEFAULT_TOL_REL * r_max)
-        if bad.any():
+        if misplaced:
+            bad = layout.structural_zero & (abs_r > DEFAULT_TOL_REL * r_max)
             c, j = divmod(int(bad.argmax()), k_total)  # row-major first
             raise InvalidProfile(
                 f"r[{c},{j}] = {r[c, j]:.3e} should be structurally zero")
+        rows = r.tolist()
+        top = profile.block_size
+        levels = cons.levels
+        spacing = levels[1] - levels[0]
         self.k_total = k_total
-        self.top_size = profile.block_size
+        self.top_size = top
         self.gamma = profile.gamma
-        self.k_sub = profile.k
-        self.rows = r.tolist()
+        self.rows = rows
+        self.cols = list(zip(*rows))
         self.y = y.tolist()
-        self.levels = list(cons.levels)
+        self.levels = levels
         self.m = cons.m
         self.prune = prune
-        self.memoize = memoize
         self.trace = trace
         self.validate_cache = validate_cache
 
         self.layout = layout
-        self.block_of = layout.block_of
-        self.block_start = layout.block_start
-        self.sub_end = layout.sub_end
-        self.cacheable = layout.cacheable
-        self.cond_source = layout.cond_source
+        self.steps = layout.steps[memoize]
         self.tails = layout.tails
+        self.orders = layout.orders
+        self.inv_diag = [1.0 / d for d in diag]
+        self.inv_spacing = 1.0 / spacing
+        # g = t * inv_diag[c] * pos_scale + pos_shift maps a conditioned
+        # offset t to 2 (pos + _ORDER_REACH) (levels[0] sits (m - 1) / 2
+        # spacings below zero); a NaN shift, never inside the order table,
+        # sorts every level of an r whose squared increments may underflow
+        self.pos_scale = 2.0 / spacing
+        self.pos_shift = math.nan
+        if diag_min * spacing >= _ORDER_MIN_STEP:
+            self.pos_shift = cons.m - 1.0 + 2 * _ORDER_REACH
+        self.order_span = float(len(self.orders))
 
         self.idx = [0] * k_total
         self.val = [0.0] * k_total
@@ -229,8 +321,6 @@ class _Walker:
         # block of level c, captured when level c was accepted
         self.offsets = [None] * (k_total + 1)
         self.offsets[k_total] = list(self.y)
-        self.inv_diag = [1.0 / self.rows[c][c] for c in range(k_total)]
-        self.inv_spacing = 1.0 / (self.levels[1] - self.levels[0])
         self.cache_size = 0
         self.cache_peak = 0
         self.em = 0
@@ -239,69 +329,6 @@ class _Walker:
         self.hits = 0
         self.best = math.inf
         self.best_idx = None
-
-    # -- conditioned-block enumeration ----------------------------------
-
-    def _compute_increments(self, c):
-        """Increment vector for level c: conditioned offset minus the
-        within-sub-block interference, squared per candidate."""
-        # conditioning offset captured when the block below was finished
-        t = self.offsets[self.cond_source[c]][c]
-        row = self.rows[c]
-        val = self.val
-        sub_end = self.sub_end[c]
-        for cc in range(c + 1, sub_end + 1):
-            t -= row[cc] * val[cc]
-        if self.memoize:
-            n_intf = sub_end - c
-        else:
-            # a baseline decoder has no block-diagonal zeros to skip: price
-            # interference over the whole in-block row (the skipped entries
-            # are structural zeros, so the metric value is unchanged)
-            n_intf = self.cond_source[c] - 1 - c
-        rdd = row[c]
-        inc = [0.0] * self.m
-        for a, lev in enumerate(self.levels):
-            d = t - rdd * lev
-            inc[a] = d * d
-        self.flops += 2 * n_intf + 3 * self.m
-        self.em += self.m  # every level below the leading block is measured
-        return inc
-
-    def _edge_metrics(self, c, table):
-        """Increments of level c, replayed from ``table`` (the memo of the
-        current visit to c's block) when cached there."""
-        if not (self.memoize and self.cacheable[c]):
-            return self._compute_increments(c), False
-        key = (c, tuple(self.idx[c + 1:self.sub_end[c] + 1]))
-        cached = table.get(key)
-        if cached is not None:
-            self.hits += 1
-            if self.validate_cache:
-                em0, fl0 = self.em, self.flops
-                fresh = self._compute_increments(c)
-                self.em, self.flops = em0, fl0
-                if fresh != cached:
-                    raise AssertionError("cache returned a stale metric vector")
-            return cached, True
-        inc = self._compute_increments(c)
-        table[key] = inc
-        self.cache_size += self.m
-        if self.cache_size > self.cache_peak:
-            self.cache_peak = self.cache_size
-        return inc, False
-
-    def _propagate(self, c):
-        """Cancel level c's symbol from the rows above its block."""
-        upto = self.block_start[c]
-        parent = self.offsets[c + 1]
-        xc = self.val[c]
-        col = c
-        out = [0.0] * upto
-        for r in range(upto):
-            out[r] = parent[r] - self.rows[r][col] * xc
-        self.offsets[c] = out
-        self.flops += 2 * upto
 
     def run(self):
         if self.top_size == self.k_total:
@@ -318,47 +345,99 @@ class _Walker:
             decoded=self.best_idx,
         )
 
+    # -- conditioned-block enumeration ----------------------------------
+
     def _descend(self, c, partial, table):
+        (src, end, upto, enters, cacheable, opens_table, inc_flops,
+         node_flops, at_top) = self.steps[c]
         # the walk enters a block at its last column, after a new symbol
         # was accepted above it: the block's conditioning is new, and so is
-        # the table keyed by (level, rest of the sub-block's assignment)
-        enters_block = c + 1 == self.cond_source[c]
-        if enters_block:
+        # the table keyed by (level, rest of the sub-block's assignment), or
+        # by the level alone where the sub-block ends at it
+        if opens_table:
             table = {}
-        inc, was_hit = self._edge_metrics(c, table)
-        order = sorted(range(self.m), key=lambda a: (inc[a], a))
-        at_top_boundary = c == self.top_size
+        idx = self.idx
+        val = self.val
+        entry = None
+        if cacheable:
+            key = (c, *idx[c + 1:end + 1]) if end > c else c
+            entry = table.get(key)
+        flops = 0
+        if entry is None or self.validate_cache:
+            # conditioning offset captured when the block below was
+            # finished, minus the interference inside the sub-block
+            t = self.offsets[src][c]
+            row = self.rows[c]
+            if end > c:
+                for cc in range(c + 1, end + 1):
+                    t -= row[cc] * val[cc]
+            rdd = row[c]  # candidate a adds d * d, d = t - rdd * levels[a]
+            inc = [(t - rdd * lev) * (t - rdd * lev) for lev in self.levels]
+            g = t * self.inv_diag[c] * self.pos_scale + self.pos_shift
+            order = None
+            if 0.0 < g < self.order_span:
+                j = int(g)
+                if _ORDER_MARGIN < g - j < 1.0 - _ORDER_MARGIN:
+                    order = self.orders[j]
+            if order is None:  # stable: equal increments keep index order
+                order = tuple(sorted(range(self.m), key=inc.__getitem__))
+            if entry is None:
+                self.em += self.m  # every level below the leading block
+                flops = inc_flops
+                if cacheable:
+                    table[key] = (inc, order)
+                    self.cache_size += self.m
+                    if self.cache_size > self.cache_peak:
+                        self.cache_peak = self.cache_size
+            elif (inc, order) != entry:
+                raise AssertionError("cache returned a stale metric vector")
+        if entry is not None:
+            self.hits += 1
+            inc, order = entry
+        prune = self.prune
+        trace = self.trace
+        levels = self.levels
+        offsets = self.offsets
+        # the rows above c's block; the level above c covers more of them
+        # when c enters the block
+        parent = offsets[c + 1][:upto] if enters else offsets[c + 1]
+        col = self.cols[c]
+        accepted = 0
         for a in order:
             total = partial + inc[a]
-            self.flops += 1
-            if self.prune and total > self.best:
-                break  # increments are sorted; later candidates only grow
-            self.idx[c] = a
-            self.val[c] = self.levels[a]
-            self.nodes += 1
-            self._propagate(c)
-            if self.trace is not None:
-                self.trace.append({
+            if prune and total > self.best:
+                flops += 1
+                break  # increments are in order; later candidates only grow
+            accepted += 1
+            idx[c] = a
+            x = levels[a]
+            val[c] = x
+            # cancel the symbol from the rows above its block
+            offsets[c] = out = [p - q * x for p, q in zip(parent, col)]
+            if trace is not None:
+                trace.append({
                     "level": c,
                     "partial_metric": total,
                     "symbol_index": a,
-                    "cache_hit": was_hit,
+                    "cache_hit": entry is not None,
                 })
-            if at_top_boundary:
-                self._solve_top_block(total, self.offsets[c])
+            if at_top:
+                self._solve_top_block(total, out)
             else:
                 self._descend(c - 1, total, table)
-        if enters_block:
+        self.flops += flops + accepted * node_flops
+        self.nodes += accepted
+        if opens_table:
             self.cache_size -= self.m * len(table)
 
     # -- leading (fast-decodable) block ----------------------------------
 
     def _slice_level(self, t, c):
-        """Nearest PAM level to t / r[c,c]; midpoint ties take the lower
-        index, matching exhaustive first-minimum order.  A position beyond
-        the outer levels, infinite included, clamps to them."""
+        """Nearest PAM level to t / r[c,c] (3 FLOPs, counted by the caller);
+        midpoint ties take the lower index, matching exhaustive first-minimum
+        order.  A position beyond the outer levels, infinite included, clamps
+        to them."""
         pos = (t * self.inv_diag[c] - self.levels[0]) * self.inv_spacing
-        self.flops += 3
         if pos <= 0.5:
             return 0
         if pos > self.m - 1.5:
@@ -366,7 +445,8 @@ class _Walker:
         return math.ceil(pos - 0.5)
 
     def _solve_sub_block(self, lo, offsets, budget):
-        """Exact minimum of one leading-block sub-block given conditioning.
+        """Exact minimum of one leading-block sub-block of gamma >= 2 symbols
+        given conditioning.
 
         Enumerates the trailing gamma - 1 symbols jointly and slices the
         first one (its row involves no other undecided columns).  Returns
@@ -376,69 +456,75 @@ class _Walker:
         gam = self.gamma
         rows = self.rows
         lev = self.levels
-        if gam == 1:
-            t = offsets[lo]
-            a = self._slice_level(t, lo)
-            d = t - rows[lo][lo] * lev[a]
-            self.flops += 3
-            self.nodes += 1
-            return d * d, (a,)
+        prune = self.prune
         best = math.inf
         best_combo = None
+        flops = 0
         for tail in self.tails:
             metric = 0.0
-            abort = False
             for d in range(gam - 1, 0, -1):  # rows below the top, bottom first
                 r = lo + d
                 row = rows[r]
                 t = offsets[r]
                 for dd in range(d + 1, gam):
                     t -= row[lo + dd] * lev[tail[dd - 1]]
-                    self.flops += 2
                 resid = t - row[r] * lev[tail[d - 1]]
                 metric += resid * resid
-                self.flops += 4
-                if self.prune and metric > budget and metric > best:
-                    abort = True
+                flops += 2 * (gam - 1 - d) + 4
+                if prune and metric > budget and metric > best:
                     break
-            self.nodes += 1
-            if abort:
-                continue
-            row = rows[lo]
-            t = offsets[lo]
-            for dd in range(1, gam):
-                t -= row[lo + dd] * lev[tail[dd - 1]]
-                self.flops += 2
-            a = self._slice_level(t, lo)
-            resid = t - row[lo] * lev[a]
-            metric += resid * resid
-            self.flops += 4
-            combo = (a,) + tail
-            if metric < best or (metric == best and combo < best_combo):
-                best = metric
-                best_combo = combo
+            else:
+                row = rows[lo]
+                t = offsets[lo]
+                for dd in range(1, gam):
+                    t -= row[lo + dd] * lev[tail[dd - 1]]
+                a = self._slice_level(t, lo)
+                resid = t - row[lo] * lev[a]
+                metric += resid * resid
+                flops += 2 * (gam - 1) + 7
+                combo = (a,) + tail
+                if metric < best or (metric == best and combo < best_combo):
+                    best = metric
+                    best_combo = combo
+        self.flops += flops
+        self.nodes += len(self.tails)
         return best, best_combo
 
     def _solve_top_block(self, partial, offsets):
         """Sum of independent sub-block minima over the leading block."""
         gam = self.gamma
+        prune = self.prune
+        idx = self.idx
         total = partial
-        chosen = []
-        for s in range(self.k_sub):
-            budget = self.best - total if self.prune else math.inf
-            metric, combo = self._solve_sub_block(s * gam, offsets, budget)
-            total += metric
-            self.flops += 1
-            chosen.append(combo)
-            if self.prune and total > self.best:
-                return
-        for s, combo in enumerate(chosen):
-            for d in range(gam):
-                self.idx[s * gam + d] = combo[d]
+        if gam == 1:
+            # singleton sub-blocks: slice each symbol, 7 FLOPs and one node
+            rows = self.rows
+            levels = self.levels
+            for lo in range(self.top_size):
+                t = offsets[lo]
+                a = self._slice_level(t, lo)
+                d = t - rows[lo][lo] * levels[a]
+                total += d * d
+                idx[lo] = a
+                if prune and total > self.best:
+                    self.flops += 7 * (lo + 1)
+                    self.nodes += lo + 1
+                    return
+            self.flops += 7 * self.top_size
+            self.nodes += self.top_size
+        else:
+            for lo in range(0, self.top_size, gam):
+                budget = self.best - total if prune else math.inf
+                metric, combo = self._solve_sub_block(lo, offsets, budget)
+                total += metric
+                self.flops += 1
+                idx[lo:lo + gam] = combo
+                if prune and total > self.best:
+                    return
         if total < self.best or (total == self.best
-                                 and tuple(self.idx) < self.best_idx):
+                                 and tuple(idx) < self.best_idx):
             self.best = total
-            self.best_idx = tuple(self.idx)
+            self.best_idx = tuple(idx)
 
 
 def sphere_decode(r, y_prime, cons: PamConstellation,

@@ -28,6 +28,7 @@ from .decoder import DecoderStats, PamConstellation, sphere_decode
 from .linalg import cvec, gram_schmidt_qr, tilde_vec
 from .structure import (
     BlockOrthogonalProfile,
+    _receive_antennas,
     detect_structure,
     equivalent_channel,
     random_channel,
@@ -50,6 +51,15 @@ __all__ = [
 RNG_ALGORITHM = "numpy-PCG64/standard_normal"
 
 
+def _json_integer(data, key) -> int:
+    """``data[key]`` as an ``int``: JSON integers, ``3.0`` included, pass;
+    ``bool``, strings and non-integral numbers raise ``ValueError``."""
+    value = data[key]
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{key} = {value!r} must be an integer")
+
+
 @dataclass(frozen=True)
 class SimulationCampaign:
     """Config for one sweep; see ``schemas/campaign.schema.json``."""
@@ -70,8 +80,7 @@ class SimulationCampaign:
             raise ValueError("snr_grid_db must hold at least one SNR")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr grid must be strictly increasing")
-        if self.n_r is not None and (type(self.n_r) is not int or self.n_r < 1):
-            raise ValueError(f"n_r = {self.n_r!r} must be null or an integer >= 1")
+        _receive_antennas(self.n_r)
         object.__setattr__(self, "snr_grid_db", grid)
 
     @classmethod
@@ -80,12 +89,13 @@ class SimulationCampaign:
             data = json.loads(data)
         return cls(
             code=data["code"],
-            m=int(data["m"]),
+            m=_json_integer(data, "m"),
             snr_grid_db=tuple(data["snr_grid_db"]),
-            trials_per_point=int(data["trials_per_point"]),
-            master_seed=int(data["master_seed"]),
+            trials_per_point=_json_integer(data, "trials_per_point"),
+            master_seed=_json_integer(data, "master_seed"),
             ordering=tuple(data["ordering"]) if data.get("ordering") else None,
-            n_r=data.get("n_r"),
+            n_r=(None if data.get("n_r") is None
+                 else _json_integer(data, "n_r")),
         )
 
     def to_json(self) -> dict:
@@ -153,6 +163,7 @@ def snr_to_noise_variance(snr_db: float, code, cons: PamConstellation) -> float:
 
 def resolve_profile(code, *, n_r=None) -> BlockOrthogonalProfile:
     """Profile used for memoized decoding: the declared one, else detected."""
+    _receive_antennas(n_r)
     if code.declared_profile is not None:
         return BlockOrthogonalProfile(*code.declared_profile)
     report = detect_structure(code, n_r=n_r)
@@ -170,7 +181,7 @@ def run_trial(code, cons: PamConstellation, snr_db: float, seed,
     the whole instance bit-for-bit.  ``trace``, when given, collects the
     memoized decoder's per-node records.
     """
-    n_r = n_r or code.n_t
+    n_r = _receive_antennas(n_r, code.n_t)
     rng = np.random.default_rng(seed if isinstance(seed, np.random.SeedSequence)
                                 else np.random.SeedSequence(seed))
     h = random_channel(n_r, code.n_t, rng)

@@ -140,12 +140,22 @@ def random_channel(n_r: int, n_t: int, rng) -> np.ndarray:
             + 1j * rng.standard_normal((n_r, n_t))) / np.sqrt(2.0)
 
 
+def _receive_antennas(n_r, n_t=None):
+    """``n_r``, or ``n_t`` when ``n_r`` is None; any other ``n_r`` that is
+    not an ``int`` >= 1 (``bool`` included) raises ``ValueError``."""
+    if n_r is None:
+        return n_t
+    if type(n_r) is not int or n_r < 1:
+        raise ValueError(f"n_r = {n_r!r} must be null or an integer >= 1")
+    return n_r
+
+
 def _channels(code, n_channels: int, seed: int, n_r: int | None = None) -> list:
     """The ``n_channels`` seeded channel draws every structural check uses,
     with ``n_t`` receive antennas unless ``n_r`` is given."""
     if n_channels < 1:
         raise ValueError("n_channels must be >= 1")
-    n_r = n_r or code.n_t
+    n_r = _receive_antennas(n_r, code.n_t)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return [random_channel(n_r, code.n_t, rng) for _ in range(n_channels)]
 

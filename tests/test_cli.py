@@ -228,6 +228,18 @@ class TestSimulate:
         rc, _, err = run_cli(capsys, "simulate", str(cfg))
         assert rc == 2
 
+    def test_fractional_trial_count_exits_2(self, tmp_path, capsys):
+        campaign = {
+            "code": "bhv", "m": 2, "snr_grid_db": [10.0],
+            "trials_per_point": 1.9, "master_seed": 4,
+        }
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(campaign))
+        rc, out, err = run_cli(capsys, "simulate", str(cfg))
+        assert rc == 2
+        assert "error: trials_per_point = 1.9 must be an integer" in err
+        assert out == ""
+
     def test_zero_receive_antennas_exits_2(self, tmp_path, capsys):
         # a falsy n_r must not fall back to n_t receive antennas
         campaign = {

@@ -232,6 +232,89 @@ class TestSubBlockIndependence:
                               "cache_hit"} for t in trace)
 
 
+class _OrdersThatTurn:
+    """Candidate-order table that answers truly ``n`` times, then reversed."""
+
+    def __init__(self, orders, n):
+        self.orders, self.n, self.calls = orders, n, 0
+
+    def __getitem__(self, j):
+        self.calls += 1
+        order = self.orders[j]
+        return order if self.calls <= self.n else order[::-1]
+
+
+class TestCandidateOrder:
+    # the walker takes the Schnorr-Euchner order from a table, sorting only
+    # where rounding could decide it; the oracle is the sort it replaces
+
+    @staticmethod
+    def walk_and_sort(cons, rdd, pos):
+        # the walker's order at level 1 and the (inc, a) sort there: in plain
+        # decoding of two symbols level 1 is the one conditioned level, and
+        # with pruning off all M candidates are visited in order
+        t = rdd * (cons.levels[0] + pos * (cons.levels[1] - cons.levels[0]))
+        trace = []
+        sphere_decode(np.array([[1.0, 0.5], [0.0, rdd]]), [0.0, t], cons,
+                      prune=False, trace=trace)
+        inc = [(t - rdd * lev) * (t - rdd * lev) for lev in cons.levels]
+        return ([rec["symbol_index"] for rec in trace],
+                sorted(range(cons.m), key=lambda a: (inc[a], a)))
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    @pytest.mark.parametrize("scale", [1.0, None])
+    @pytest.mark.parametrize("rdd", [1.0, -1.0, 0.7])
+    def test_at_and_around_every_half_level(self, m, scale, rdd):
+        # unit-scale levels put pos = h / 2 on exact ties
+        cons = PamConstellation(m, scale)
+        for h in range(-2, 4 * m + 1):
+            for step in (0.0, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5):
+                for pos in (h / 2 - step, h / 2 + step):
+                    got, want = self.walk_and_sort(cons, rdd, pos)
+                    assert got == want, (h, pos)
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_far_positions(self, m):
+        # beyond 1e100 spacings the diagonal must shrink to keep the metric
+        # finite, so the far positions also cover tiny diagonals
+        cons = PamConstellation(m)
+        for k in range(0, 301, 5):
+            rdd = 1.0 if k <= 100 else 10.0 ** (100 - k)
+            for pos in (10.0 ** k, -10.0 ** k, 10.0 ** k + 0.5):
+                got, want = self.walk_and_sort(cons, rdd, pos)
+                assert got == want, pos
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_underflowing_increments(self, m):
+        # every squared increment underflows to 0, which ties by index
+        cons = PamConstellation(m)
+        for pos in (-1.3, 0.2, 1.7, m - 1.2, m + 3.3):
+            got, want = self.walk_and_sort(cons, 1e-170, pos)
+            assert want == list(range(m))
+            assert got == want, pos
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_hit_replays_stored_order(self, rng, validate):
+        # level 3 and the stored entry of level 2 read the table, then it
+        # turns: the hit on level 2 must replay the stored order, and
+        # validate_cache must see that a fresh order differs from it
+        prof = BlockOrthogonalProfile(2, 2, 1)
+        cons = PamConstellation(2)
+        trace = []
+        walker = _Walker(patterned_r(rng, prof), rng.standard_normal(4), cons,
+                         prof, True, False, trace=trace,
+                         validate_cache=validate)
+        walker.orders = _OrdersThatTurn(walker.orders, 2)
+        if validate:
+            with pytest.raises(AssertionError, match="stale"):
+                walker.run()
+            return
+        assert walker.run().cache_hits == 1
+        visits = [rec["symbol_index"] for rec in trace if rec["level"] == 2]
+        assert len(visits) == 4 and visits[:2] == visits[2:]
+        assert walker.orders.calls == 2
+
+
 def _fingerprint_corpus():
     """Seeded patterned instances over every multi-block profile with
     Gamma 2-4, k 1-3, gamma 1-2 and at most 12 symbols, at M = 2 and 4."""

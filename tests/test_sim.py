@@ -19,7 +19,11 @@ from bostbc.sim import (
     sweep_to_csv,
     write_csv,
 )
-from bostbc.structure import BlockOrthogonalProfile
+from bostbc.structure import (
+    BlockOrthogonalProfile,
+    detect_structure,
+    structural_pattern,
+)
 
 
 def unit_energy_code():
@@ -126,6 +130,25 @@ class TestCampaign:
         with pytest.raises(ValueError, match=field):
             SimulationCampaign.from_json(data)
 
+    @pytest.mark.parametrize("field", ["m", "trials_per_point", "master_seed"])
+    @pytest.mark.parametrize("value", [1.9, 4.5, True, "3"])
+    def test_non_integer_counts_rejected(self, field, value):
+        # int() would truncate 1.9 and 4.5 and read true as 1
+        data = {"code": "bhv", "m": 2, "snr_grid_db": [0.0],
+                "trials_per_point": 1, "master_seed": 1, field: value}
+        with pytest.raises(ValueError,
+                           match=f"^{field} = .* must be an integer$"):
+            SimulationCampaign.from_json(data)
+
+    def test_integral_floats_accepted(self):
+        # JSON Schema counts 4.0 as an integer
+        camp = SimulationCampaign.from_json({
+            "code": "bhv", "m": 4.0, "snr_grid_db": [0.0],
+            "trials_per_point": 2.0, "master_seed": -3.0, "n_r": 2.0})
+        counts = (camp.m, camp.trials_per_point, camp.master_seed, camp.n_r)
+        assert counts == (4, 2, -3, 2)
+        assert all(type(v) is int for v in counts)
+
     def test_json_round_trip(self):
         camp = SimulationCampaign(code="bhv", m=4, snr_grid_db=(0.0, 4.0),
                                   trials_per_point=5, master_seed=9)
@@ -217,3 +240,20 @@ class TestCsv:
         out = tmp_path / "sweep.csv"
         write_csv(result, out)
         assert out.read_text() == text
+
+
+class TestReceiveAntennas:
+    @pytest.mark.parametrize("n_r", [0, -1])
+    @pytest.mark.parametrize("entry", [
+        lambda code, n_r: run_trial(code, PamConstellation(2), 4.0, 3,
+                                    BlockOrthogonalProfile(2, 4, 1), n_r=n_r),
+        lambda code, n_r: structural_pattern(code, n_r=n_r),
+        lambda code, n_r: detect_structure(code, n_r=n_r),
+        # bhv declares its profile, so nothing would draw a channel
+        lambda code, n_r: resolve_profile(code, n_r=n_r),
+    ], ids=["run_trial", "structural_pattern", "detect_structure",
+            "resolve_profile"])
+    def test_below_one_rejected(self, entry, n_r):
+        # a falsy n_r must not fall back to n_t receive antennas
+        with pytest.raises(ValueError, match=f"^n_r = {n_r} must be"):
+            entry(codes.named_code("bhv"), n_r)
