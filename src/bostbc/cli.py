@@ -63,28 +63,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def cmd_construct(args) -> int:
-    if args.a is not None and args.name not in ("ci", "civ"):
-        raise ValueError("--a sizes only the ci and civ designs")
-    if args.m is not None and args.name not in ("ci", "ciii", "civ"):
-        raise ValueError("--m names the companion matrix of ci, ciii and civ only")
-    a = args.a or 1
-    if args.name in ("ci", "ciii", "civ"):
-        m_name = args.m or ("a2" if a == 2 else None)
-        if args.name == "ci":
-            design = codes.cuwd_rate1_4group(a)
-            m = codes.named_m_matrix(m_name or "bhv", design.n_t)
-            code = codes.construction_i(design, m)
-        elif args.name == "ciii":
-            m = codes.named_m_matrix(m_name or "golden", 2)
-            code = codes.construction_iii(codes.golden_diagonal_half(), m)
-        else:
-            design = codes.ciod(a)
-            m = codes.named_m_matrix(m_name or "sr", design.n_t)
-            code = codes.construction_iv(design, m)
-    elif args.name == "cii":
-        code = codes.construction_ii(codes.golden_linear_forms())
-    else:
-        code = codes.named_code(args.name)
+    code = codes.named_code(args.name, args.m)
     codes.save_code(code, args.out)
     print(f"wrote {args.out}: n_t={code.n_t} t={code.t} K={code.k_real} "
           f"declared_profile={code.declared_profile}")
@@ -231,14 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a code and write it as JSON")
-    p.add_argument("name", choices=["alamouti", "golden", "golden-222", "bhv",
-                                    "srinath-rajan", "cda-2x2",
-                                    "ci", "cii", "ciii", "civ"])
-    p.add_argument("--a", type=int, choices=(1, 2),
-                   help="ci/civ design size exponent (2^a transmit antennas, "
-                        "default 1)")
-    p.add_argument("--m", help="ci/ciii/civ companion matrix name (identity, bhv, "
-                               "golden, sr, a2)")
+    p.add_argument("name", choices=codes.CODE_NAMES)
+    p.add_argument("--m", help="companion matrix of a ci/ciii/civ sum code "
+                               "(identity, bhv, golden, sr, a2)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_construct)
 

@@ -49,6 +49,7 @@ __all__ = [
     "load_code",
     "named_code",
     "named_m_matrix",
+    "CODE_NAMES",
     "GOLDEN_ORDERING_421",
     "GOLDEN_ORDERING_222",
     "GOLDEN_ORDERING_SCRAMBLED",
@@ -88,18 +89,15 @@ def _frozen(a) -> np.ndarray:
 class LinearSTBC:
     """A linear STBC: ``X(x) = sum_i x_i * weights[i]`` over real symbols.
 
-    ``ordering`` maps current symbol position to the position in the
-    constructor's default order; it starts as the identity and composes
-    under :func:`reorder`.  The generator matrix is computed on first use
-    and stored on the instance; :func:`reorder` and ``dataclasses.replace``
-    build new instances, so they never see a stale one.
+    The generator matrix is computed on first use and stored on the
+    instance; :func:`reorder` and ``dataclasses.replace`` build new
+    instances, so they never see a stale one.
     """
 
     n_t: int
     t: int
     weights: tuple
     labels: tuple
-    ordering: tuple
     declared_profile: tuple | None = None
 
     @property
@@ -147,7 +145,6 @@ def _make_code(weights, labels, declared_profile=None, *, check_rank=True) -> Li
         t=t,
         weights=weights,
         labels=labels,
-        ordering=tuple(range(len(weights))),
         declared_profile=tuple(declared_profile) if declared_profile else None,
     )
     if check_rank:
@@ -564,7 +561,10 @@ def reorder(code: LinearSTBC, perm) -> LinearSTBC:
     kept); any other permutation drops the declared profile, since block
     orthogonality depends on the ordering.
     """
-    perm = tuple(int(p) for p in perm)
+    perm = tuple(perm)
+    if not all(isinstance(p, (int, np.integer)) and not isinstance(p, bool)
+               for p in perm):
+        raise InvalidPermutation(f"permutation entries must be integers: {perm}")
     if sorted(perm) != list(range(code.k_real)):
         raise InvalidPermutation(f"not a permutation of 0..{code.k_real - 1}")
     if perm == tuple(range(code.k_real)):
@@ -574,7 +574,6 @@ def reorder(code: LinearSTBC, perm) -> LinearSTBC:
         t=code.t,
         weights=tuple(code.weights[p] for p in perm),
         labels=tuple(code.labels[p] for p in perm),
-        ordering=tuple(code.ordering[p] for p in perm),
         declared_profile=None,
     )
 
@@ -650,25 +649,47 @@ def named_m_matrix(name: str, n_t: int = 2) -> np.ndarray:
     raise ValueError(f"unknown m matrix {name!r}")
 
 
-def named_code(name: str) -> LinearSTBC:
-    """Construct one of the shipped codes by name."""
+#: The sum codes: construction, base design and the name of the default
+#: companion matrix its m-multiplied copy uses.
+_SUM_CODES = {
+    "ci-a1": (construction_i, lambda: cuwd_rate1_4group(1), "bhv"),
+    "ci-a2": (construction_i, lambda: cuwd_rate1_4group(2), "a2"),
+    "ciii-golden": (construction_iii, golden_diagonal_half, "golden"),
+    "civ-a1": (construction_iv, lambda: ciod(1), "sr"),
+    "civ-a2": (construction_iv, lambda: ciod(2), "a2"),
+}
+
+#: The codes without a companion matrix.
+_FIXED_CODES = {
+    "alamouti": alamouti_code,
+    "golden": golden_code,
+    "golden-222": lambda: replace(
+        reorder(golden_code(), GOLDEN_ORDERING_222), declared_profile=(2, 2, 2)),
+    "bhv": bhv_code,
+    "srinath-rajan": srinath_rajan_code,
+    "cda-2x2": cda_2x2,
+    "cii-golden": lambda: construction_ii(golden_linear_forms()),
+}
+
+#: Every shipped code name :func:`named_code` builds.
+CODE_NAMES = (*_FIXED_CODES, *_SUM_CODES)
+
+
+def named_code(name: str, companion: str | None = None) -> LinearSTBC:
+    """Construct one of the shipped codes by name.
+
+    ``companion`` names the matrix (see :func:`named_m_matrix`) a sum code's
+    m-multiplied copy uses instead of its default; naming one for a code
+    without a companion matrix raises ``ValueError``.
+    """
     name = name.lower()
-    builders = {
-        "alamouti": alamouti_code,
-        "golden": golden_code,
-        "golden-222": lambda: replace(
-            reorder(golden_code(), GOLDEN_ORDERING_222), declared_profile=(2, 2, 2)),
-        "bhv": bhv_code,
-        "srinath-rajan": srinath_rajan_code,
-        "cda-2x2": cda_2x2,
-        "ci-a1": lambda: construction_i(cuwd_rate1_4group(1),
-                                        _T_FLIP @ default_bhv_rotation()),
-        "ci-a2": lambda: construction_i(cuwd_rate1_4group(2), M_A2),
-        "cii-golden": lambda: construction_ii(golden_linear_forms()),
-        "ciii-golden": lambda: construction_iii(golden_diagonal_half(), M_GOLDEN),
-        "civ-a1": lambda: construction_iv(ciod(1), M_SRINATH_RAJAN),
-        "civ-a2": lambda: construction_iv(ciod(2), M_A2),
-    }
-    if name not in builders:
-        raise ValueError(f"unknown code {name!r}; choose from {sorted(builders)}")
-    return builders[name]()
+    if name in _SUM_CODES:
+        construction, base, default = _SUM_CODES[name]
+        x1 = base()
+        m = named_m_matrix(default if companion is None else companion, x1.n_t)
+        return construction(x1, m)
+    if name not in _FIXED_CODES:
+        raise ValueError(f"unknown code {name!r}; choose from {sorted(CODE_NAMES)}")
+    if companion is not None:
+        raise ValueError(f"code {name!r} takes no companion matrix")
+    return _FIXED_CODES[name]()

@@ -167,7 +167,8 @@ def _zigzag_orders(m: int) -> tuple:
 @dataclass(frozen=True, eq=False)
 class _Layout:
     """Per-level metadata of one profile and constellation size, shared by
-    every walker on them; the tuples and read-only masks cannot be mutated.
+    every walker on them; the tuples and the read-only mask cannot be
+    mutated.
 
     ``steps[memoize][c]`` holds, for a conditioned level ``c``, the facts
     ``_Walker._descend`` reads on every entry: condition source, sub-block
@@ -177,17 +178,10 @@ class _Layout:
     leading block.  The baseline pricing (``memoize`` False) caches nothing
     and charges interference over the whole in-block row."""
 
-    block_of: tuple
-    block_start: tuple
-    sub_end: tuple
-    cacheable: tuple
-    cond_source: tuple
-    tails: tuple
-    strict_lower: np.ndarray
-    structural_zero: np.ndarray
-    zero_cut: np.ndarray
     steps: tuple
+    tails: tuple
     orders: tuple
+    zero_cut: np.ndarray
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -207,12 +201,10 @@ def _layout(profile: BlockOrthogonalProfile, m: int) -> _Layout:
     cacheable = tuple(c >= blk and (c % blk) // gam < profile.k - 1
                       for c in cols)
     cond_source = tuple((c // blk + 1) * blk for c in cols)
-    strict_lower = np.tri(k_total, k=-1, dtype=bool)
-    structural_zero = profile.structural_zeros()
     # |r| above zero_cut * max|r| is an error: any entry below the diagonal,
     # a structural zero above the tolerance, and (cut 1) nothing else
-    zero_cut = np.where(structural_zero, DEFAULT_TOL_REL, 1.0)
-    zero_cut[strict_lower] = 0.0
+    zero_cut = np.where(profile.structural_zeros(), DEFAULT_TOL_REL, 1.0)
+    zero_cut[np.tri(k_total, k=-1, dtype=bool)] = 0.0
 
     def steps(memoize):
         # a memoized walk prices interference inside the sub-block only; a
@@ -230,18 +222,11 @@ def _layout(profile: BlockOrthogonalProfile, m: int) -> _Layout:
             for c in cols)
 
     return _Layout(
-        block_of=tuple(c // blk for c in cols),
-        block_start=block_start,
-        sub_end=sub_end,
-        cacheable=cacheable,
-        cond_source=cond_source,
+        steps=(steps(False), steps(True)),
         # joint values of a leading sub-block's trailing gamma - 1 symbols
         tails=tuple(itertools.product(range(m), repeat=gam - 1)),
-        strict_lower=_read_only(strict_lower),
-        structural_zero=_read_only(structural_zero),
-        zero_cut=_read_only(zero_cut),
-        steps=(steps(False), steps(True)),
         orders=_zigzag_orders(m),
+        zero_cut=_read_only(zero_cut),
     )
 
 
@@ -265,7 +250,7 @@ class _Walker:
         # one comparison finds both kinds of misplaced entry; which error
         # applies is decided only when one is found
         misplaced = np.count_nonzero(abs_r > layout.zero_cut * r_max)
-        if misplaced and r[layout.strict_lower].any():
+        if misplaced and np.tril(r, -1).any():
             raise NotUpperTriangular("r has entries below the diagonal")
         diag = r.diagonal().tolist()
         diag_min = min(map(abs, diag))
@@ -279,7 +264,7 @@ class _Walker:
         if not math.isfinite(1.0 / diag_min):
             raise ValueError("r has a diagonal entry too small to invert")
         if misplaced:
-            bad = layout.structural_zero & (abs_r > DEFAULT_TOL_REL * r_max)
+            bad = profile.structural_zeros() & (abs_r > DEFAULT_TOL_REL * r_max)
             c, j = divmod(int(bad.argmax()), k_total)  # row-major first
             raise InvalidProfile(
                 f"r[{c},{j}] = {r[c, j]:.3e} should be structurally zero")
@@ -299,8 +284,7 @@ class _Walker:
         self.trace = trace
         self.validate_cache = validate_cache
 
-        self.layout = layout
-        self.steps = layout.steps[memoize]
+        self.steps = layout.steps[bool(memoize)]  # falsy: baseline pricing
         self.tails = layout.tails
         self.orders = layout.orders
         self.inv_diag = [1.0 / d for d in diag]
@@ -529,18 +513,18 @@ class _Walker:
 
 def sphere_decode(r, y_prime, cons: PamConstellation,
                   profile: BlockOrthogonalProfile | None = None, *,
-                  memoize: bool | None = None, prune: bool = True,
+                  memoize: bool = True, prune: bool = True,
                   trace=None, validate_cache: bool = False):
     """ML-decode ``argmin_x ||y' - R x||^2`` over the PAM grid.
 
     The R pattern is validated against the profile, the leading block is
     solved by independent sub-block minimization, and, unless ``memoize``
-    is explicitly False, conditioned sub-block metric vectors are cached.
-    Passing a profile with ``memoize=False`` runs the baseline decoder while
-    still restricting the metric counters to the conditioned blocks, which
-    is the pairing used for reduction-ratio measurements.  ``profile=None``
-    is plain sphere decoding: the trivial profile ``(K, 1, 1)``, in which
-    every symbol is its own block and nothing is cached.
+    is False, conditioned sub-block metric vectors are cached.  Passing a
+    profile with ``memoize=False`` runs the baseline decoder while still
+    restricting the metric counters to the conditioned blocks, which is the
+    pairing used for reduction-ratio measurements.  ``profile=None`` is
+    plain sphere decoding: the trivial profile ``(K, 1, 1)``, in which every
+    symbol is its own block and nothing is cached whatever ``memoize`` says.
 
     Raises ``ValueError`` for non-finite ``r`` or ``y'``, for inputs so large
     that the metric would overflow, and for a zero diagonal.
@@ -548,8 +532,6 @@ def sphere_decode(r, y_prime, cons: PamConstellation,
     Returns ``(symbols, stats)`` where ``symbols`` are the decoded PAM
     levels and ``stats.decoded`` the matching level indices.
     """
-    if memoize is None:
-        memoize = profile is not None
     if profile is None:
         profile = BlockOrthogonalProfile(np.size(y_prime), 1, 1)
     walker = _Walker(r, y_prime, cons, profile, memoize, prune,
@@ -561,7 +543,7 @@ def sphere_decode(r, y_prime, cons: PamConstellation,
 
 def force_full_tree_decode(r, y_prime, cons: PamConstellation,
                            profile: BlockOrthogonalProfile | None = None, *,
-                           memoize: bool | None = None) -> DecoderStats:
+                           memoize: bool = True) -> DecoderStats:
     """Run the decoder with pruning disabled so every node is visited.
 
     The resulting ``em_evaluations`` equal the closed forms of

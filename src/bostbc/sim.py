@@ -51,13 +51,23 @@ __all__ = [
 RNG_ALGORITHM = "numpy-PCG64/standard_normal"
 
 
-def _json_integer(data, key) -> int:
-    """``data[key]`` as an ``int``: JSON integers, ``3.0`` included, pass;
+def _json_integer(value, name) -> int:
+    """``value`` as an ``int``: JSON integers, ``3.0`` included, pass;
     ``bool``, strings and non-integral numbers raise ``ValueError``."""
-    value = data[key]
     if type(value) is int or (type(value) is float and value.is_integer()):
         return int(value)
-    raise ValueError(f"{key} = {value!r} must be an integer")
+    raise ValueError(f"{name} = {value!r} must be an integer")
+
+
+def _json_ordering(value) -> tuple | None:
+    """A campaign's ``ordering``: ``null`` or a JSON array of integers.
+
+    ``[]`` stays an empty ordering, which :func:`codes.reorder` rejects."""
+    if value is None:
+        return None
+    if type(value) is not list:
+        raise ValueError(f"ordering = {value!r} must be an array of integers")
+    return tuple(_json_integer(p, f"ordering[{i}]") for i, p in enumerate(value))
 
 
 @dataclass(frozen=True)
@@ -89,13 +99,14 @@ class SimulationCampaign:
             data = json.loads(data)
         return cls(
             code=data["code"],
-            m=_json_integer(data, "m"),
+            m=_json_integer(data["m"], "m"),
             snr_grid_db=tuple(data["snr_grid_db"]),
-            trials_per_point=_json_integer(data, "trials_per_point"),
-            master_seed=_json_integer(data, "master_seed"),
-            ordering=tuple(data["ordering"]) if data.get("ordering") else None,
+            trials_per_point=_json_integer(data["trials_per_point"],
+                                           "trials_per_point"),
+            master_seed=_json_integer(data["master_seed"], "master_seed"),
+            ordering=_json_ordering(data.get("ordering")),
             n_r=(None if data.get("n_r") is None
-                 else _json_integer(data, "n_r")),
+                 else _json_integer(data["n_r"], "n_r")),
         )
 
     def to_json(self) -> dict:
@@ -105,7 +116,7 @@ class SimulationCampaign:
             "snr_grid_db": list(self.snr_grid_db),
             "trials_per_point": self.trials_per_point,
             "master_seed": self.master_seed,
-            "ordering": list(self.ordering) if self.ordering else None,
+            "ordering": None if self.ordering is None else list(self.ordering),
             "n_r": self.n_r,
             "rng": RNG_ALGORITHM,
         }
@@ -182,8 +193,7 @@ def run_trial(code, cons: PamConstellation, snr_db: float, seed,
     memoized decoder's per-node records.
     """
     n_r = _receive_antennas(n_r, code.n_t)
-    rng = np.random.default_rng(seed if isinstance(seed, np.random.SeedSequence)
-                                else np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     h = random_channel(n_r, code.n_t, rng)
     sym_idx = rng.integers(0, cons.m, size=code.k_real)
     x = np.asarray(cons.levels, dtype=float)[sym_idx]
@@ -208,7 +218,10 @@ def run_sweep(campaign: SimulationCampaign) -> SweepResult:
 
     Trials fold in ascending (snr index, trial index) order; per-trial seeds
     are ``SeedSequence([master_seed, snr_index, trial_index])``, so the
-    result is identical however the work is scheduled.
+    result is identical however the work is scheduled.  A trial whose
+    baseline and memoized decoders disagree breaks the decoder's invariant
+    and raises ``AssertionError`` naming its
+    ``(master_seed, snr_index, trial_index)``.
     """
     code = _codes.named_code(campaign.code)
     if campaign.ordering is not None:
@@ -221,6 +234,10 @@ def run_sweep(campaign: SimulationCampaign) -> SweepResult:
         for ti in range(campaign.trials_per_point):
             seed = np.random.SeedSequence([campaign.master_seed, si, ti])
             trial = run_trial(code, cons, snr_db, seed, profile, n_r=campaign.n_r)
+            if trial.stats_baseline.decoded != trial.stats_memoized.decoded:
+                raise AssertionError(
+                    "baseline and memoized decoders disagree at trial "
+                    f"{(campaign.master_seed, si, ti)}")
             em_b += trial.stats_baseline.em_evaluations
             em_m += trial.stats_memoized.em_evaluations
             flops_b += trial.stats_baseline.flops

@@ -1,9 +1,12 @@
 """Shared fixtures and reference data for the test suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bostbc.linalg import cvec, gram_schmidt_qr, tilde_vec
+from bostbc.sim import run_trial
 from bostbc.structure import equivalent_channel, random_channel
 
 
@@ -47,6 +50,20 @@ t 0 t 0 t t t t
 0 0 0 0 0 0 t t
 0 0 0 0 0 0 0 t
 """)
+
+
+def corrupt_trial(*triple):
+    """``run_trial`` with the memoized decode of sweep trial ``triple``
+    moved off the baseline's, as a cache returning a wrong value would."""
+    def run(code, cons, snr_db, seed, *args, **kwargs):
+        trial = run_trial(code, cons, snr_db, seed, *args, **kwargs)
+        if tuple(seed.entropy) != triple:
+            return trial
+        memo = trial.stats_memoized
+        wrong = ((memo.decoded[0] + 1) % cons.m,) + memo.decoded[1:]
+        return dataclasses.replace(
+            trial, stats_memoized=dataclasses.replace(memo, decoded=wrong))
+    return run
 
 
 def decode_instance(code, cons, n0, rng, n_r=None):

@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from bostbc.cli import main
-from bostbc.codes import code_to_json, load_code, named_code
+from bostbc import sim
+from bostbc.cli import build_parser, main
+from bostbc.codes import CODE_NAMES, code_to_json, load_code, named_code, save_code
 
-from conftest import GOLDEN_PATTERN_421, parse_pattern
+from conftest import GOLDEN_PATTERN_421, corrupt_trial, parse_pattern
 
 
 def run_cli(capsys, *argv):
@@ -28,38 +29,47 @@ class TestConstruct:
 
     def test_ci_bhv(self, tmp_path, capsys):
         out_file = tmp_path / "ci.json"
-        rc, out, _ = run_cli(capsys, "construct", "ci", "--a", "1",
-                             "--m", "bhv", "--out", str(out_file))
+        rc, out, _ = run_cli(capsys, "construct", "ci-a1", "--m", "bhv",
+                             "--out", str(out_file))
         assert rc == 0
         assert load_code(out_file).declared_profile == (2, 4, 1)
 
+    def test_choices_are_the_named_codes(self):
+        construct = build_parser()._subparsers._group_actions[0].choices["construct"]
+        name = next(a for a in construct._actions if a.dest == "name")
+        assert tuple(name.choices) == CODE_NAMES
+        assert len(CODE_NAMES) == 12
+        assert not any(a.dest == "a" for a in construct._actions)
+
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_writes_the_named_code(self, tmp_path, capsys, name):
+        out_file, want = tmp_path / "cli.json", tmp_path / "named.json"
+        rc, _, _ = run_cli(capsys, "construct", name, "--out", str(out_file))
+        assert rc == 0
+        save_code(named_code(name), want)
+        assert out_file.read_bytes() == want.read_bytes()
+
     @pytest.mark.parametrize("argv", [("cuwd",), ("ciod",),
-                                      ("cii", "--design", "golden")])
+                                      ("cii", "--design", "golden"),
+                                      ("ci",), ("ciii",), ("civ",),
+                                      ("ci-a1", "--a", "2")])
     def test_removed_choices_exit_2(self, tmp_path, capsys, argv):
-        # construct ci covers cuwd; ciod and --design never built anything
+        # ci-a1 covers cuwd; ciod and --design never built anything; a sum
+        # code's name fixes its design size, so there is no --a
         with pytest.raises(SystemExit) as exc:
             main(["construct", *argv, "--out", str(tmp_path / "x.json")])
         assert exc.value.code == 2
         assert not (tmp_path / "x.json").exists()
 
     def test_design_size_outside_1_2_exits_2(self, tmp_path, capsys):
-        # no shipped companion matrix fits the 8-antenna design of a = 3
+        # no shipped companion matrix fits the 8-antenna design of a = 3,
+        # so the registry has no a = 3 sum code
         with pytest.raises(SystemExit) as exc:
-            main(["construct", "ci", "--a", "3", "--out", str(tmp_path / "x.json")])
+            main(["construct", "ci-a3", "--out", str(tmp_path / "x.json")])
         assert exc.value.code == 2
         assert not (tmp_path / "x.json").exists()
 
-    @pytest.mark.parametrize("name", ["ciii", "cii", "golden"])
-    def test_design_size_outside_ci_civ_exits_2(self, tmp_path, capsys, name):
-        # only the CUWD and CIOD designs come in two sizes
-        out_file = tmp_path / "x.json"
-        rc, _, err = run_cli(capsys, "construct", name, "--a", "2",
-                             "--out", str(out_file))
-        assert rc == 2
-        assert "--a sizes only the ci and civ designs" in err
-        assert not out_file.exists()
-
-    @pytest.mark.parametrize("name", ["golden", "cii", "bhv"])
+    @pytest.mark.parametrize("name", ["golden", "cii-golden", "bhv"])
     def test_companion_matrix_outside_ci_ciii_civ_exits_2(self, tmp_path, capsys,
                                                            name):
         # only the sum constructions with an m-copy take a companion matrix
@@ -67,19 +77,32 @@ class TestConstruct:
         rc, _, err = run_cli(capsys, "construct", name, "--m", "bhv",
                              "--out", str(out_file))
         assert rc == 2
-        assert "--m names the companion matrix of ci, ciii and civ only" in err
+        assert f"code {name!r} takes no companion matrix" in err
         assert not out_file.exists()
 
-    @pytest.mark.parametrize("argv, named", [(("ciii",), "ciii-golden"),
-                                             (("civ", "--a", "2"), "civ-a2")])
+    @pytest.mark.parametrize("argv, named", [(("ciii-golden", "--m", "golden"),
+                                              "ciii-golden"),
+                                             (("civ-a2", "--m", "a2"), "civ-a2"),
+                                             (("ci-a2", "--m", "a2"), "ci-a2")])
     def test_default_companion_matrices(self, tmp_path, capsys, argv, named):
+        # naming a sum code's default companion writes the default code
         out_file = tmp_path / "x.json"
         rc, _, _ = run_cli(capsys, "construct", *argv, "--out", str(out_file))
         assert rc == 0
         assert code_to_json(load_code(out_file)) == code_to_json(named_code(named))
 
+    def test_companion_override(self, tmp_path, capsys):
+        out_file = tmp_path / "x.json"
+        rc, _, _ = run_cli(capsys, "construct", "civ-a1", "--m", "golden",
+                           "--out", str(out_file))
+        assert rc == 0
+        assert code_to_json(load_code(out_file)) == code_to_json(
+            named_code("civ-a1", "golden"))
+        assert code_to_json(load_code(out_file)) != code_to_json(
+            named_code("civ-a1"))
+
     def test_rank_deficient_exits_2(self, tmp_path, capsys):
-        rc, _, err = run_cli(capsys, "construct", "ciii", "--m", "identity",
+        rc, _, err = run_cli(capsys, "construct", "ciii-golden", "--m", "identity",
                              "--out", str(tmp_path / "x.json"))
         assert rc == 2
         assert "rank" in err.lower()
@@ -239,6 +262,32 @@ class TestSimulate:
         assert rc == 2
         assert "error: trials_per_point = 1.9 must be an integer" in err
         assert out == ""
+
+    @pytest.mark.parametrize("ordering", [
+        "01234567", [0, 1, 2, 3, 4, 5, 6, 7.5], [True, False, 2, 3, 4, 5, 6, 7],
+        []])
+    def test_non_permutation_ordering_exits_2(self, tmp_path, capsys, ordering):
+        campaign = {
+            "code": "golden", "m": 2, "snr_grid_db": [10.0],
+            "trials_per_point": 1, "master_seed": 4, "ordering": ordering,
+        }
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(campaign))
+        rc, _, err = run_cli(capsys, "simulate", str(cfg))
+        assert rc == 2
+        assert err.startswith("error: ")
+
+    def test_decoder_disagreement_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sim, "run_trial", corrupt_trial(4, 0, 1))
+        campaign = {
+            "code": "bhv", "m": 2, "snr_grid_db": [10.0],
+            "trials_per_point": 3, "master_seed": 4,
+        }
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps(campaign))
+        rc, _, err = run_cli(capsys, "simulate", str(cfg))
+        assert rc == 1
+        assert "trial (4, 0, 1)" in err
 
     def test_zero_receive_antennas_exits_2(self, tmp_path, capsys):
         # a falsy n_r must not fall back to n_t receive antennas

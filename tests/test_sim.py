@@ -3,11 +3,12 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 
-from bostbc import codes
+from bostbc import codes, sim
 from bostbc.decoder import PamConstellation
 from bostbc.sim import (
     CSV_HEADER,
@@ -24,6 +25,8 @@ from bostbc.structure import (
     detect_structure,
     structural_pattern,
 )
+
+from conftest import corrupt_trial
 
 
 def unit_energy_code():
@@ -97,6 +100,16 @@ class TestRunTrial:
         b = run_trial(code, cons, 6.0, 42, profile)
         assert a == b  # bit-for-bit, dataclass equality
 
+    def test_seed_forms_draw_alike(self):
+        # default_rng wraps an int or a list in the same SeedSequence
+        code = codes.named_code("bhv")
+        cons = PamConstellation(2)
+        profile = BlockOrthogonalProfile(*code.declared_profile)
+        for seed in (7, [123, 1, 4]):
+            assert (run_trial(code, cons, 6.0, seed, profile)
+                    == run_trial(code, cons, 6.0, np.random.SeedSequence(seed),
+                                 profile))
+
     def test_paired_instances_share_randomness(self):
         code = codes.named_code("bhv")
         cons = PamConstellation(2)
@@ -139,6 +152,24 @@ class TestCampaign:
         with pytest.raises(ValueError,
                            match=f"^{field} = .* must be an integer$"):
             SimulationCampaign.from_json(data)
+
+    @pytest.mark.parametrize("ordering", [
+        "01234567", [0, 1, 2, 3, 4, 5, 6, 7.5], [True, False, 2, 3, 4, 5, 6, 7]])
+    def test_non_integer_ordering_rejected(self, ordering):
+        # tuple() and int() would read each of these as a permutation
+        data = {"code": "golden", "m": 2, "snr_grid_db": [0.0],
+                "trials_per_point": 1, "master_seed": 1, "ordering": ordering}
+        with pytest.raises(ValueError, match=r"^ordering(\[\d\])? = .* must be"):
+            SimulationCampaign.from_json(data)
+
+    def test_empty_ordering_is_not_null(self):
+        camp = SimulationCampaign.from_json({
+            "code": "golden", "m": 2, "snr_grid_db": [0.0],
+            "trials_per_point": 1, "master_seed": 1, "ordering": []})
+        assert camp.ordering == ()
+        assert camp.to_json()["ordering"] == []
+        with pytest.raises(codes.InvalidPermutation):
+            run_sweep(camp)
 
     def test_integral_floats_accepted(self):
         # JSON Schema counts 4.0 as an integer
@@ -213,6 +244,13 @@ class TestRunSweep:
         # reordering drops the declared profile; detection finds (2,2,2)
         result = run_sweep(camp)
         assert result.rows[0].trials == 3
+
+    def test_decoder_disagreement_names_the_trial(self, monkeypatch):
+        monkeypatch.setattr(sim, "run_trial", corrupt_trial(9, 1, 2))
+        camp = SimulationCampaign(code="bhv", m=2, snr_grid_db=(0.0, 6.0),
+                                  trials_per_point=4, master_seed=9)
+        with pytest.raises(AssertionError, match=re.escape("trial (9, 1, 2)")):
+            run_sweep(camp)
 
     def test_unstructured_code_rejected(self):
         camp = SimulationCampaign(code="golden", m=2, snr_grid_db=(6.0,),

@@ -22,6 +22,7 @@ from bostbc.codes import (
 from bostbc.decoder import _layout
 from bostbc.linalg import check_expand, cvec, gram_schmidt_qr, tilde_vec
 from bostbc.structure import (
+    DEFAULT_TOL_REL,
     BlockOrthogonalProfile,
     TooFewReceiveAntennas,
     classify,
@@ -138,11 +139,15 @@ class TestStructuralZeros:
             assert np.array_equal(profile.structural_zeros(), oracle), profile
 
     def test_decoder_layout_uses_profile_mask(self):
+        # the walk's misplaced-entry cut: 0 below the diagonal, the zero
+        # tolerance on the profile's structural zeros, 1 elsewhere
         for profile in self.PROFILES:
-            layout = _layout(profile, 2)
-            assert np.array_equal(layout.structural_zero,
-                                  profile.structural_zeros()), profile
-            assert not layout.structural_zero.flags.writeable
+            zero_cut = _layout(profile, 2).zero_cut
+            below = np.tri(profile.total, k=-1, dtype=bool)
+            want = np.where(profile.structural_zeros(), DEFAULT_TOL_REL,
+                            np.where(below, 0.0, 1.0))
+            assert np.array_equal(zero_cut, want), profile
+            assert not zero_cut.flags.writeable
 
 
 class TestDetectProfile:
