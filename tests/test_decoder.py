@@ -327,6 +327,16 @@ class TestCandidateOrder:
         assert walker.orders.calls == 2
 
 
+def _patterned_instances(rng, prof, m, n):
+    """``n`` seeded patterned instances of ``prof`` at ``m`` levels."""
+    cons = PamConstellation(m)
+    for _ in range(n):
+        r = patterned_r(rng, prof)
+        x = np.asarray(cons.levels)[rng.integers(0, m, prof.total)]
+        y = r @ x + rng.standard_normal(prof.total)
+        yield r, y, cons, prof
+
+
 def _fingerprint_corpus():
     """Seeded patterned instances over every multi-block profile with
     Gamma 2-4, k 1-3, gamma 1-2 and at most 12 symbols, at M = 2 and 4."""
@@ -336,12 +346,31 @@ def _fingerprint_corpus():
         if prof.total > 12:
             continue
         for m in (2, 4):
-            cons = PamConstellation(m)
-            for _ in range(10):
-                r = patterned_r(rng, prof)
-                x = np.asarray(cons.levels)[rng.integers(0, m, prof.total)]
-                y = r @ x + rng.standard_normal(prof.total)
-                yield r, y, cons, prof
+            yield from _patterned_instances(rng, prof, m, 10)
+
+
+def _wide_fingerprint_corpus():
+    """Shapes the first corpus misses: ci-a2's (2, 4, 2) at M = 4, whose
+    leading block holds four gamma = 2 sub-blocks, and the gamma = 3
+    profiles (2, 1, 3) and (2, 2, 3) at M = 2."""
+    rng = np.random.default_rng(20269)
+    for shape, m in (((2, 4, 2), 4), ((2, 1, 3), 2), ((2, 2, 3), 2)):
+        yield from _patterned_instances(rng, BlockOrthogonalProfile(*shape),
+                                        m, 20)
+
+
+def _counter_totals(corpus):
+    """(em, flops, nodes, hits, summed cache peak) per decoder over
+    ``corpus``."""
+    totals = {memoize: [0] * 5 for memoize in (False, True)}
+    for r, y, cons, prof in corpus:
+        for memoize, acc in totals.items():
+            _, s = sphere_decode(r, y, cons, prof, memoize=memoize)
+            for i, v in enumerate((s.em_evaluations, s.flops,
+                                   s.nodes_visited, s.cache_hits,
+                                   s.cache_entries_peak)):
+                acc[i] += v
+    return {mz: tuple(acc) for mz, acc in totals.items()}
 
 
 class TestCounterFingerprint:
@@ -352,17 +381,16 @@ class TestCounterFingerprint:
         False: (32444, 467447, 30565, 0, 0),
         True: (16624, 390187, 30565, 4123, 2014),
     }
+    EXPECTED_WIDE = {
+        False: (51314, 1516531, 92187, 0, 0),
+        True: (1800, 1214087, 92187, 12478, 1164),
+    }
 
     def test_corpus_totals_are_pinned(self):
-        totals = {memoize: [0] * 5 for memoize in self.EXPECTED}
-        for r, y, cons, prof in _fingerprint_corpus():
-            for memoize, acc in totals.items():
-                _, s = sphere_decode(r, y, cons, prof, memoize=memoize)
-                for i, v in enumerate((s.em_evaluations, s.flops,
-                                       s.nodes_visited, s.cache_hits,
-                                       s.cache_entries_peak)):
-                    acc[i] += v
-        assert {mz: tuple(acc) for mz, acc in totals.items()} == self.EXPECTED
+        assert _counter_totals(_fingerprint_corpus()) == self.EXPECTED
+
+    def test_wide_corpus_totals_are_pinned(self):
+        assert _counter_totals(_wide_fingerprint_corpus()) == self.EXPECTED_WIDE
 
     @pytest.mark.parametrize("shape", [(3, 2, 1), (3, 2, 2)])
     def test_no_stale_table_across_block_reentry(self, rng, shape):
@@ -402,7 +430,7 @@ class TestAgainstExhaustive:
         # walk in plain, baseline and memoized mode
         m = data.draw(st.sampled_from([2, 4]), label="m")
         shape = data.draw(st.tuples(st.integers(1, 3), st.integers(1, 3),
-                                    st.integers(1, 2))
+                                    st.integers(1, 3))
                           .filter(lambda p: m ** (p[0] * p[1] * p[2]) <= 4096),
                           label="profile")
         prof = BlockOrthogonalProfile(*shape)
