@@ -16,7 +16,22 @@ so every row's conditioned offset is ready when the row is reached.  Once
 all conditioned symbols are fixed, the leading block is fast-decodable:
 its sub-blocks share no columns, so each is minimized independently (the
 last undecided symbol of a sub-block is sliced to the nearest level) and
-the minima are summed.
+the minima are summed.  The walk's last conditioned level does this itself
+for every candidate it accepts, from ``parent[lo] - col[lo] * x``: a
+gamma = 1 leading block is one slicing loop over its symbols, and a
+gamma = 2 sub-block one loop over the M values of its trailing symbol that
+slices the top symbol given each.  Larger gamma, and a profile with a single
+block, enumerate the trailing gamma - 1 symbols jointly.
+
+Everything the walk reads of ``(R, y')`` is set up once, in an immutable
+instance: the validation, the row, column and ``y'`` copies, ``1 / r_cc``
+and the products ``r_cc * level`` (and, for gamma = 2, the in-sub-block
+products the leading loop reads).  Nothing in it depends on how the walk
+prices or caches, and a one-slot cache keyed by the bytes of ``R`` and
+``y'``, the profile and the constellation hands it to the next decode of the
+same input, so a trial's baseline and memoized decodes set up once.  Every
+float is still the same IEEE operation on the same operands: products are
+formed ahead, never reassociated.
 
 The metric increments inside a conditioned sub-block do not depend on the
 values of sibling sub-blocks, only on the symbols of the blocks above, so the
@@ -172,11 +187,10 @@ class _Layout:
 
     ``steps[memoize][c]`` holds, for a conditioned level ``c``, the facts
     ``_Walker._descend`` reads on every entry: condition source, sub-block
-    end, block start, whether ``c`` enters its block, cacheable flag,
-    whether entering ``c`` opens a memo table, FLOPs of one increment
-    vector, FLOPs of one accepted candidate, and whether ``c`` borders the
-    leading block.  The baseline pricing (``memoize`` False) caches nothing
-    and charges interference over the whole in-block row."""
+    end, cacheable flag, whether entering ``c`` opens a memo table, FLOPs of
+    one increment vector, FLOPs of one accepted candidate, and whether ``c``
+    borders the leading block.  The baseline pricing (``memoize`` False)
+    caches nothing and charges interference over the whole in-block row."""
 
     steps: tuple
     tails: tuple
@@ -212,8 +226,7 @@ def _layout(profile: BlockOrthogonalProfile, m: int) -> _Layout:
         # whole in-block row (the skipped entries are structural zeros, so
         # the metric value is the same)
         return tuple(
-            (cond_source[c], sub_end[c], block_start[c],
-             c + 1 == cond_source[c],
+            (cond_source[c], sub_end[c],
              memoize and cacheable[c],
              memoize and profile.k > 1 and c + 1 == cond_source[c],
              2 * ((sub_end[c] if memoize else cond_source[c] - 1) - c) + 3 * m,
@@ -230,54 +243,121 @@ def _layout(profile: BlockOrthogonalProfile, m: int) -> _Layout:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class _Instance:
+    """One validated ``(R, y')`` over one profile and constellation, in the
+    forms the walk reads.  Nothing in it depends on how the walk prices or
+    caches, so the baseline and memoized decodes of a trial share it.
+
+    ``cols[c]`` is column ``c`` of R cut at the start of ``c``'s block: the
+    rows a symbol accepted at ``c`` is cancelled from.  ``diag_levels[c][a]``
+    is ``r[c,c] * levels[a]``, and ``pairs`` holds, for each gamma = 2
+    leading sub-block, ``(lo, hi, triples)`` with one triple
+    ``(b, r[hi,hi] * levels[b], r[lo,hi] * levels[b])`` per level ``b``."""
+
+    layout: _Layout
+    rows: tuple
+    cols: tuple
+    y: tuple
+    inv_diag: tuple
+    diag_levels: tuple
+    pairs: tuple
+    pos_shift: float
+
+
+@functools.lru_cache(maxsize=1)
+def _instance(r_bytes: bytes, r_shape: tuple, y_bytes: bytes,
+              profile: BlockOrthogonalProfile,
+              cons: PamConstellation) -> _Instance:
+    """Validate ``r`` and ``y'`` (given as float64 bytes) against ``profile``
+    and set up what every walk over them reads.  The one slot holds the
+    last instance, so a trial's second decode reuses its first's; input
+    that fails validation is never cached and raises on every call."""
+    r = np.frombuffer(r_bytes).reshape(r_shape)
+    y = np.frombuffer(y_bytes)
+    k_total = y.size
+    if r.shape != (k_total, k_total):
+        raise ValueError("r must be square and match y'")
+    if profile.total != k_total:
+        raise InvalidProfile(
+            f"profile covers {profile.total} symbols, r has {k_total}")
+    layout = _layout(profile, cons.m)
+    abs_r = np.abs(r)
+    r_max = abs_r.max()  # the max is NaN or inf iff some entry is
+    y_max = np.abs(y).max()
+    if not (math.isfinite(r_max) and math.isfinite(y_max)):
+        raise ValueError("r and y' must be finite")
+    # one comparison finds both kinds of misplaced entry; which error
+    # applies is decided only when one is found
+    misplaced = np.count_nonzero(abs_r > layout.zero_cut * r_max)
+    if misplaced and np.tril(r, -1).any():
+        raise NotUpperTriangular("r has entries below the diagonal")
+    diag = r.diagonal().tolist()
+    diag_min = min(map(abs, diag))
+    if not diag_min:
+        raise ValueError("r must have a nonzero diagonal (full rank)")
+    # every offset the walk forms is at most `reach` in magnitude, so
+    # every metric is at most K reach^2; levels[0] is the outermost level
+    reach = float(y_max) + k_total * float(r_max) * abs(cons.levels[0])
+    if not math.isfinite(k_total * reach * reach):
+        raise ValueError("r and y' are too large: the metric overflows")
+    if not math.isfinite(1.0 / diag_min):
+        raise ValueError("r has a diagonal entry too small to invert")
+    if misplaced:
+        bad = profile.structural_zeros() & (abs_r > DEFAULT_TOL_REL * r_max)
+        c, j = divmod(int(bad.argmax()), k_total)  # row-major first
+        raise InvalidProfile(
+            f"r[{c},{j}] = {r[c, j]:.3e} should be structurally zero")
+    rows = tuple(map(tuple, r.tolist()))
+    blk = profile.block_size
+    levels = cons.levels
+    # numpy rounds each product exactly as Python does
+    diag_levels = tuple(map(tuple, np.multiply.outer(r.diagonal(),
+                                                     levels).tolist()))
+    pairs = ()
+    if profile.gamma == 2:
+        pairs = tuple(
+            (lo, lo + 1, tuple(zip(range(cons.m), diag_levels[lo + 1],
+                                   [rows[lo][lo + 1] * lev for lev in levels])))
+            for lo in range(0, blk, 2))
+    # a NaN shift, never inside the order table, sorts every level of an r
+    # whose squared increments may underflow
+    pos_shift = math.nan
+    if diag_min * (levels[1] - levels[0]) >= _ORDER_MIN_STEP:
+        pos_shift = cons.m - 1.0 + 2 * _ORDER_REACH
+    return _Instance(
+        layout=layout,
+        rows=rows,
+        # the leading block's columns are never cancelled from any row
+        cols=((),) * blk + tuple(
+            col for s in range(blk, k_total, blk)
+            for col in map(tuple, r[:s, s:s + blk].T.tolist())),
+        y=tuple(y.tolist()),
+        inv_diag=tuple(1.0 / d for d in diag),
+        diag_levels=diag_levels,
+        pairs=pairs,
+        pos_shift=pos_shift,
+    )
+
+
 class _Walker:
     def __init__(self, r, y, cons, profile, memoize, prune,
                  trace=None, validate_cache=False):
         r = np.asarray(r, dtype=float)
         y = np.asarray(y, dtype=float).ravel()
-        k_total = y.size
-        if r.shape != (k_total, k_total):
-            raise ValueError("r must be square and match y'")
-        if profile.total != k_total:
-            raise InvalidProfile(
-                f"profile covers {profile.total} symbols, r has {k_total}")
-        layout = _layout(profile, cons.m)
-        abs_r = np.abs(r)
-        r_max = abs_r.max()  # the max is NaN or inf iff some entry is
-        y_max = np.abs(y).max()
-        if not (math.isfinite(r_max) and math.isfinite(y_max)):
-            raise ValueError("r and y' must be finite")
-        # one comparison finds both kinds of misplaced entry; which error
-        # applies is decided only when one is found
-        misplaced = np.count_nonzero(abs_r > layout.zero_cut * r_max)
-        if misplaced and np.tril(r, -1).any():
-            raise NotUpperTriangular("r has entries below the diagonal")
-        diag = r.diagonal().tolist()
-        diag_min = min(map(abs, diag))
-        if not diag_min:
-            raise ValueError("r must have a nonzero diagonal (full rank)")
-        # every offset the walk forms is at most `reach` in magnitude, so
-        # every metric is at most K reach^2; levels[0] is the outermost level
-        reach = float(y_max) + k_total * float(r_max) * abs(cons.levels[0])
-        if not math.isfinite(k_total * reach * reach):
-            raise ValueError("r and y' are too large: the metric overflows")
-        if not math.isfinite(1.0 / diag_min):
-            raise ValueError("r has a diagonal entry too small to invert")
-        if misplaced:
-            bad = profile.structural_zeros() & (abs_r > DEFAULT_TOL_REL * r_max)
-            c, j = divmod(int(bad.argmax()), k_total)  # row-major first
-            raise InvalidProfile(
-                f"r[{c},{j}] = {r[c, j]:.3e} should be structurally zero")
-        rows = r.tolist()
-        top = profile.block_size
+        inst = _instance(r.tobytes(), r.shape, y.tobytes(), profile, cons)
+        layout = inst.layout
+        k_total = len(inst.y)
         levels = cons.levels
         spacing = levels[1] - levels[0]
         self.k_total = k_total
-        self.top_size = top
+        self.top_size = profile.block_size
         self.gamma = profile.gamma
-        self.rows = rows
-        self.cols = list(zip(*rows))
-        self.y = y.tolist()
+        self.rows = inst.rows
+        self.cols = inst.cols
+        self.inv_diag = inst.inv_diag
+        self.diag_levels = inst.diag_levels
+        self.pairs = inst.pairs
         self.levels = levels
         self.m = cons.m
         self.prune = prune
@@ -287,16 +367,12 @@ class _Walker:
         self.steps = layout.steps[bool(memoize)]  # falsy: baseline pricing
         self.tails = layout.tails
         self.orders = layout.orders
-        self.inv_diag = [1.0 / d for d in diag]
         self.inv_spacing = 1.0 / spacing
         # g = t * inv_diag[c] * pos_scale + pos_shift maps a conditioned
         # offset t to 2 (pos + _ORDER_REACH) (levels[0] sits (m - 1) / 2
-        # spacings below zero); a NaN shift, never inside the order table,
-        # sorts every level of an r whose squared increments may underflow
+        # spacings below zero)
         self.pos_scale = 2.0 / spacing
-        self.pos_shift = math.nan
-        if diag_min * spacing >= _ORDER_MIN_STEP:
-            self.pos_shift = cons.m - 1.0 + 2 * _ORDER_REACH
+        self.pos_shift = inst.pos_shift
         self.order_span = float(len(self.orders))
 
         self.idx = [0] * k_total
@@ -304,7 +380,7 @@ class _Walker:
         # offsets[c]: y minus conditioned interference for rows above the
         # block of level c, captured when level c was accepted
         self.offsets = [None] * (k_total + 1)
-        self.offsets[k_total] = list(self.y)
+        self.offsets[k_total] = inst.y
         self.cache_size = 0
         self.cache_peak = 0
         self.em = 0
@@ -316,7 +392,8 @@ class _Walker:
 
     def run(self):
         if self.top_size == self.k_total:
-            self._solve_top_block(0.0, self.y)  # no conditioned blocks
+            # no conditioned blocks: the leading block is all of R
+            self._solve_top_block(0.0, self.offsets[self.k_total])
         else:
             self._descend(self.k_total - 1, 0.0, None)
         return DecoderStats(
@@ -329,11 +406,19 @@ class _Walker:
             decoded=self.best_idx,
         )
 
+    def _offer(self, total):
+        """Keep a completed leaf if it beats the best one, exact ties going
+        to the lexicographically smaller index vector."""
+        if total < self.best or (total == self.best
+                                 and tuple(self.idx) < self.best_idx):
+            self.best = total
+            self.best_idx = tuple(self.idx)
+
     # -- conditioned-block enumeration ----------------------------------
 
     def _descend(self, c, partial, table):
-        (src, end, upto, enters, cacheable, opens_table, inc_flops,
-         node_flops, at_top) = self.steps[c]
+        (src, end, cacheable, opens_table, inc_flops, node_flops,
+         at_top) = self.steps[c]
         # the walk enters a block at its last column, after a new symbol
         # was accepted above it: the block's conditioning is new, and so is
         # the table keyed by (level, rest of the sub-block's assignment), or
@@ -351,12 +436,12 @@ class _Walker:
             # conditioning offset captured when the block below was
             # finished, minus the interference inside the sub-block
             t = self.offsets[src][c]
-            row = self.rows[c]
             if end > c:
+                row = self.rows[c]
                 for cc in range(c + 1, end + 1):
                     t -= row[cc] * val[cc]
-            rdd = row[c]  # candidate a adds d * d, d = t - rdd * levels[a]
-            inc = [(t - rdd * lev) * (t - rdd * lev) for lev in self.levels]
+            # candidate a adds d * d, d = t - r[c,c] * levels[a]
+            inc = [(d := t - p) * d for p in self.diag_levels[c]]
             g = t * self.inv_diag[c] * self.pos_scale + self.pos_shift
             order = None
             if 0.0 < g < self.order_span:
@@ -382,10 +467,21 @@ class _Walker:
         trace = self.trace
         levels = self.levels
         offsets = self.offsets
-        # the rows above c's block; the level above c covers more of them
-        # when c enters the block
-        parent = offsets[c + 1][:upto] if enters else offsets[c + 1]
+        # the rows above c's block, before and after cancelling c; the
+        # column is cut at the block start, so zip drops the rest
+        parent = offsets[c + 1]
         col = self.cols[c]
+        gam = self.gamma
+        top_nodes = top_flops = 0  # the gamma < 3 leading-block work
+        if at_top:
+            inv_diag = self.inv_diag
+            diag_levels = self.diag_levels
+            lev0 = levels[0]
+            inv_spacing = self.inv_spacing
+            ceil = math.ceil
+            m = self.m
+            last = m - 1
+            clamp = m - 1.5
         accepted = 0
         for a in order:
             total = partial + inc[a]
@@ -396,8 +492,6 @@ class _Walker:
             idx[c] = a
             x = levels[a]
             val[c] = x
-            # cancel the symbol from the rows above its block
-            offsets[c] = out = [p - q * x for p, q in zip(parent, col)]
             if trace is not None:
                 trace.append({
                     "level": c,
@@ -405,16 +499,85 @@ class _Walker:
                     "symbol_index": a,
                     "cache_hit": entry is not None,
                 })
-            if at_top:
-                self._solve_top_block(total, out)
-            else:
+            if not at_top:
+                # cancel the symbol from the rows above its block
+                offsets[c] = [p - q * x for p, q in zip(parent, col)]
                 self._descend(c - 1, total, table)
-        self.flops += flops + accepted * node_flops
-        self.nodes += accepted
+            elif gam == 1:
+                # singleton sub-blocks: slice each leading symbol to the
+                # nearest level, 7 FLOPs and one node each; midpoint ties
+                # take the lower index and far positions clamp
+                for lo, q in enumerate(col):
+                    t = parent[lo] - q * x
+                    pos = (t * inv_diag[lo] - lev0) * inv_spacing
+                    if pos <= 0.5:
+                        s = 0
+                    elif pos > clamp:
+                        s = last
+                    else:
+                        s = ceil(pos - 0.5)
+                    d = t - diag_levels[lo][s]
+                    total += d * d
+                    idx[lo] = s
+                    if prune and total > self.best:
+                        top_nodes += lo + 1
+                        top_flops += 7 * (lo + 1)
+                        break
+                else:
+                    top_nodes += len(col)
+                    top_flops += 7 * len(col)
+                    self._offer(total)
+            elif gam == 2:
+                # each sub-block (lo, lo + 1): every value b of the trailing
+                # symbol, its row first (4 FLOPs), then the leading symbol
+                # sliced given b (9 more); ties take the smaller (a, b)
+                for lo, hi, sub in self.pairs:
+                    t_lo = parent[lo] - col[lo] * x
+                    t_hi = parent[hi] - col[hi] * x
+                    inv_lo = inv_diag[lo]
+                    dl_lo = diag_levels[lo]
+                    budget = self.best - total if prune else math.inf
+                    best = math.inf
+                    for b, p_hi, p_lo in sub:
+                        resid = t_hi - p_hi
+                        metric = resid * resid
+                        if prune and metric > budget and metric > best:
+                            top_flops += 4
+                            continue
+                        t = t_lo - p_lo
+                        pos = (t * inv_lo - lev0) * inv_spacing
+                        if pos <= 0.5:
+                            s = 0
+                        elif pos > clamp:
+                            s = last
+                        else:
+                            s = ceil(pos - 0.5)
+                        resid = t - dl_lo[s]
+                        metric += resid * resid
+                        top_flops += 13
+                        # b only grows, so a tie is smaller iff its a is
+                        if metric < best or (metric == best and s < best_a):
+                            best = metric
+                            best_a = s
+                            best_b = b
+                    top_nodes += m
+                    top_flops += 1
+                    total += best
+                    idx[lo] = best_a
+                    idx[hi] = best_b
+                    if prune and total > self.best:
+                        break
+                else:
+                    self._offer(total)
+            else:
+                self._solve_top_block(
+                    total, [p - q * x for p, q in zip(parent, col)])
+        self.flops += flops + accepted * node_flops + top_flops
+        self.nodes += accepted + top_nodes
         if opens_table:
             self.cache_size -= self.m * len(table)
 
-    # -- leading (fast-decodable) block ----------------------------------
+    # -- leading (fast-decodable) block, gamma >= 3 or no conditioning ----
 
     def _slice_level(self, t, c):
         """Nearest PAM level to t / r[c,c] (3 FLOPs, counted by the caller);
@@ -429,8 +592,7 @@ class _Walker:
         return math.ceil(pos - 0.5)
 
     def _solve_sub_block(self, lo, offsets, budget):
-        """Exact minimum of one leading-block sub-block of gamma >= 2 symbols
-        given conditioning.
+        """Exact minimum of one leading-block sub-block given conditioning.
 
         Enumerates the trailing gamma - 1 symbols jointly and slices the
         first one (its row involves no other undecided columns).  Returns
@@ -465,7 +627,8 @@ class _Walker:
                 a = self._slice_level(t, lo)
                 resid = t - row[lo] * lev[a]
                 metric += resid * resid
-                flops += 2 * (gam - 1) + 7
+                # the top row's square adds to the lower rows' sum, if any
+                flops += 2 * (gam - 1) + 6 + (gam > 1)
                 combo = (a,) + tail
                 if metric < best or (metric == best and combo < best_combo):
                     best = metric
@@ -480,35 +643,15 @@ class _Walker:
         prune = self.prune
         idx = self.idx
         total = partial
-        if gam == 1:
-            # singleton sub-blocks: slice each symbol, 7 FLOPs and one node
-            rows = self.rows
-            levels = self.levels
-            for lo in range(self.top_size):
-                t = offsets[lo]
-                a = self._slice_level(t, lo)
-                d = t - rows[lo][lo] * levels[a]
-                total += d * d
-                idx[lo] = a
-                if prune and total > self.best:
-                    self.flops += 7 * (lo + 1)
-                    self.nodes += lo + 1
-                    return
-            self.flops += 7 * self.top_size
-            self.nodes += self.top_size
-        else:
-            for lo in range(0, self.top_size, gam):
-                budget = self.best - total if prune else math.inf
-                metric, combo = self._solve_sub_block(lo, offsets, budget)
-                total += metric
-                self.flops += 1
-                idx[lo:lo + gam] = combo
-                if prune and total > self.best:
-                    return
-        if total < self.best or (total == self.best
-                                 and tuple(idx) < self.best_idx):
-            self.best = total
-            self.best_idx = tuple(idx)
+        for lo in range(0, self.top_size, gam):
+            budget = self.best - total if prune else math.inf
+            metric, combo = self._solve_sub_block(lo, offsets, budget)
+            total += metric
+            self.flops += 1
+            idx[lo:lo + gam] = combo
+            if prune and total > self.best:
+                return
+        self._offer(total)
 
 
 def sphere_decode(r, y_prime, cons: PamConstellation,

@@ -59,6 +59,17 @@ def _json_integer(value, name) -> int:
     raise ValueError(f"{name} = {value!r} must be an integer")
 
 
+def _json_numbers(value, name) -> tuple:
+    """A JSON array of numbers as a tuple; a non-array, ``bool`` and string
+    entries raise ``ValueError``."""
+    if type(value) is not list:
+        raise ValueError(f"{name} = {value!r} must be an array of numbers")
+    for i, v in enumerate(value):
+        if type(v) not in (int, float):
+            raise ValueError(f"{name}[{i}] = {v!r} must be a number")
+    return tuple(value)
+
+
 def _json_ordering(value) -> tuple | None:
     """A campaign's ``ordering``: ``null`` or a JSON array of integers.
 
@@ -97,10 +108,12 @@ class SimulationCampaign:
     def from_json(cls, data) -> "SimulationCampaign":
         if isinstance(data, str):
             data = json.loads(data)
+        if type(data["code"]) is not str:
+            raise ValueError(f"code = {data['code']!r} must be a string")
         return cls(
             code=data["code"],
             m=_json_integer(data["m"], "m"),
-            snr_grid_db=tuple(data["snr_grid_db"]),
+            snr_grid_db=_json_numbers(data["snr_grid_db"], "snr_grid_db"),
             trials_per_point=_json_integer(data["trials_per_point"],
                                            "trials_per_point"),
             master_seed=_json_integer(data["master_seed"], "master_seed"),

@@ -1,10 +1,12 @@
 """Shared fixtures and reference data for the test suite."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
+from bostbc import decoder
 from bostbc.linalg import cvec, gram_schmidt_qr, tilde_vec
 from bostbc.sim import run_trial
 from bostbc.structure import equivalent_channel, random_channel
@@ -83,3 +85,27 @@ def decode_instance(code, cons, n0, rng, n_r=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def corrupt_memo_entry(trial_number):
+    """A ``decoder._Walker`` whose ``trial_number``-th memoized decode (from
+    0, in sweep order) overwrites the first memo entry its walk is about to
+    replay with a negative increment for every candidate, as a cache
+    returning a wrong value would."""
+    memoized = itertools.count()
+
+    class Walker(decoder._Walker):
+        def __init__(self, r, y, cons, profile, memoize, *args, **kwargs):
+            super().__init__(r, y, cons, profile, memoize, *args, **kwargs)
+            self.corrupt = memoize and next(memoized) == trial_number
+
+        def _descend(self, c, partial, table):
+            end = self.steps[c][1]
+            key = (c, *self.idx[c + 1:end + 1]) if end > c else c
+            if self.corrupt and table and key in table:
+                inc, order = table[key]
+                table[key] = ([-1e3] * len(inc), order)
+                self.corrupt = False
+            super()._descend(c, partial, table)
+
+    return Walker

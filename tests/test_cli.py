@@ -5,11 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from bostbc import sim
+from bostbc import decoder, sim
 from bostbc.cli import build_parser, main
 from bostbc.codes import CODE_NAMES, code_to_json, load_code, named_code, save_code
 
-from conftest import GOLDEN_PATTERN_421, corrupt_trial, parse_pattern
+from conftest import (
+    GOLDEN_PATTERN_421,
+    corrupt_memo_entry,
+    corrupt_trial,
+    parse_pattern,
+)
 
 
 def run_cli(capsys, *argv):
@@ -277,6 +282,24 @@ class TestSimulate:
         assert rc == 2
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("snr_grid_db", "048", "snr_grid_db"),
+        ("snr_grid_db", [True], "snr_grid_db[0]"),
+        ("code", 7, "code"),
+    ])
+    def test_mistyped_field_exits_2(self, tmp_path, capsys, field, value,
+                                    named):
+        campaign = {
+            "code": "bhv", "m": 2, "snr_grid_db": [10.0],
+            "trials_per_point": 1, "master_seed": 4, field: value,
+        }
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(campaign))
+        rc, out, err = run_cli(capsys, "simulate", str(cfg))
+        assert rc == 2
+        assert err.startswith(f"error: {named} = ")
+        assert out == ""
+
     def test_decoder_disagreement_exits_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(sim, "run_trial", corrupt_trial(4, 0, 1))
         campaign = {
@@ -288,6 +311,18 @@ class TestSimulate:
         rc, _, err = run_cli(capsys, "simulate", str(cfg))
         assert rc == 1
         assert "trial (4, 0, 1)" in err
+
+    def test_corrupt_memo_entry_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(decoder, "_Walker", corrupt_memo_entry(5))
+        campaign = {
+            "code": "bhv", "m": 2, "snr_grid_db": [0.0, 6.0],
+            "trials_per_point": 4, "master_seed": 9,
+        }
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps(campaign))
+        rc, _, err = run_cli(capsys, "simulate", str(cfg))
+        assert rc == 1
+        assert "trial (9, 1, 1)" in err
 
     def test_zero_receive_antennas_exits_2(self, tmp_path, capsys):
         # a falsy n_r must not fall back to n_t receive antennas

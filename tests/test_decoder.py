@@ -16,6 +16,7 @@ from bostbc.decoder import (
     NotUpperTriangular,
     PamConstellation,
     TooLarge,
+    _instance,
     _layout,
     _Walker,
     em_count_bounds,
@@ -194,7 +195,7 @@ class TestInputValidation:
                 start = (c // blk) * blk
                 src = start + blk
                 cacheable = c >= blk and (c % blk) // gam < prof.k - 1
-                want.append((src, sub_end[c], start, c + 1 == src,
+                want.append((src, sub_end[c],
                              memoize and cacheable,
                              memoize and prof.k > 1 and c + 1 == src,
                              2 * ((sub_end[c] if memoize else src - 1) - c) + 3 * m,
@@ -213,6 +214,66 @@ class TestInputValidation:
             layout.steps = ()
         with pytest.raises(TypeError):
             layout.steps[True][0] = ()
+
+
+def _fresh_stats(r, y, cons, profile=None, **kwargs):
+    """Stats of a decode that finds no set-up left by an earlier one."""
+    _instance.cache_clear()
+    return sphere_decode(r, y, cons, profile, **kwargs)[1]
+
+
+class TestSharedInstance:
+    # consecutive decodes of one (R, y') share one validated set-up; any
+    # other sequence of calls must decode as if each were the first
+
+    def test_alternating_pairs(self, rng):
+        prof = BlockOrthogonalProfile(2, 4, 2)
+        cons = PamConstellation(4)
+        pairs = [(patterned_r(rng, prof), rng.standard_normal(16))
+                 for _ in range(2)]
+        want = [[_fresh_stats(r, y, cons, prof, memoize=mz)
+                 for mz in (False, True)] for r, y in pairs]
+        for _ in range(2):
+            for (r, y), stats in zip(pairs, want):
+                assert [sphere_decode(r, y, cons, prof, memoize=mz)[1]
+                        for mz in (False, True)] == stats
+
+    def test_r_mutated_in_place(self, rng):
+        prof = BlockOrthogonalProfile(2, 2, 1)
+        cons = PamConstellation(2)
+        r = patterned_r(rng, prof)
+        y = rng.standard_normal(4)
+        before = sphere_decode(r, y, cons, prof)[1]
+        r[0, 2] += 5.0
+        after = sphere_decode(r, y, cons, prof)[1]
+        assert after != before
+        assert after == _fresh_stats(r, y, cons, prof)
+
+    def test_plain_then_profiled(self, rng):
+        prof = BlockOrthogonalProfile(2, 2, 2)
+        cons = PamConstellation(2)
+        r = patterned_r(rng, prof)
+        y = rng.standard_normal(8)
+        plain = sphere_decode(r, y, cons)[1]
+        profiled = sphere_decode(r, y, cons, prof)[1]
+        assert plain == _fresh_stats(r, y, cons)
+        assert profiled == _fresh_stats(r, y, cons, prof)
+
+    @pytest.mark.parametrize("entry, error", [
+        (((1, 3), np.nan), "must be finite"),
+        (((0, 3), 0.5), "should be structurally zero"),
+    ])
+    def test_bad_r_raises_on_every_call(self, rng, entry, error):
+        prof = BlockOrthogonalProfile(2, 2, 2)
+        cons = PamConstellation(2)
+        r = patterned_r(rng, prof)
+        y = rng.standard_normal(8)
+        sphere_decode(r, y, cons, prof)  # a valid set-up is cached
+        pos, value = entry
+        r[pos] = value
+        for memoize in (False, True, False):
+            with pytest.raises(ValueError, match=error):
+                sphere_decode(r, y, cons, prof, memoize=memoize)
 
 
 class TestSubBlockIndependence:

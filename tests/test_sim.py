@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from bostbc import codes, sim
+from bostbc import codes, decoder, sim
 from bostbc.decoder import PamConstellation
 from bostbc.sim import (
     CSV_HEADER,
@@ -26,7 +26,7 @@ from bostbc.structure import (
     structural_pattern,
 )
 
-from conftest import corrupt_trial
+from conftest import corrupt_memo_entry, corrupt_trial
 
 
 def unit_energy_code():
@@ -162,6 +162,21 @@ class TestCampaign:
         with pytest.raises(ValueError, match=r"^ordering(\[\d\])? = .* must be"):
             SimulationCampaign.from_json(data)
 
+    @pytest.mark.parametrize("grid", ["048", [True], [0.0, "4"], {"0": 1}])
+    def test_non_numeric_snr_grid_rejected(self, grid):
+        # tuple() and float() would read "048" as 0, 4 and 8 dB and true as 1
+        data = {"code": "bhv", "m": 2, "snr_grid_db": grid,
+                "trials_per_point": 1, "master_seed": 1}
+        with pytest.raises(ValueError, match=r"^snr_grid_db(\[\d\])? = .* must be"):
+            SimulationCampaign.from_json(data)
+
+    @pytest.mark.parametrize("code", [7, None, ["bhv"]])
+    def test_non_string_code_rejected(self, code):
+        data = {"code": code, "m": 2, "snr_grid_db": [0.0],
+                "trials_per_point": 1, "master_seed": 1}
+        with pytest.raises(ValueError, match="^code = .* must be a string$"):
+            SimulationCampaign.from_json(data)
+
     def test_empty_ordering_is_not_null(self):
         camp = SimulationCampaign.from_json({
             "code": "golden", "m": 2, "snr_grid_db": [0.0],
@@ -251,6 +266,21 @@ class TestRunSweep:
                                   trials_per_point=4, master_seed=9)
         with pytest.raises(AssertionError, match=re.escape("trial (9, 1, 2)")):
             run_sweep(camp)
+
+    def test_corrupt_memo_entry_names_the_trial(self, monkeypatch):
+        # a wrong value inside the memoized walker's own table, not a
+        # doctored trial result, trips the sweep's invariant check
+        monkeypatch.setattr(decoder, "_Walker", corrupt_memo_entry(5))
+        camp = SimulationCampaign(code="bhv", m=2, snr_grid_db=(0.0, 6.0),
+                                  trials_per_point=4, master_seed=9)
+        with pytest.raises(AssertionError, match=re.escape("trial (9, 1, 1)")):
+            run_sweep(camp)
+
+    def test_sweep_leaves_at_most_one_instance_cached(self):
+        camp = SimulationCampaign(code="ci-a2", m=2, snr_grid_db=(0.0, 6.0),
+                                  trials_per_point=3, master_seed=5)
+        run_sweep(camp)
+        assert decoder._instance.cache_info().currsize <= 1
 
     def test_unstructured_code_rejected(self):
         camp = SimulationCampaign(code="golden", m=2, snr_grid_db=(6.0,),
