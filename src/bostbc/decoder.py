@@ -75,6 +75,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -243,8 +244,7 @@ def _layout(profile: BlockOrthogonalProfile, m: int) -> _Layout:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class _Instance:
+class _Instance(NamedTuple):
     """One validated ``(R, y')`` over one profile and constellation, in the
     forms the walk reads.  Nothing in it depends on how the walk prices or
     caches, so the baseline and memoized decodes of a trial share it.
@@ -311,9 +311,7 @@ def _instance(r_bytes: bytes, r_shape: tuple, y_bytes: bytes,
     rows = tuple(map(tuple, r.tolist()))
     blk = profile.block_size
     levels = cons.levels
-    # numpy rounds each product exactly as Python does
-    diag_levels = tuple(map(tuple, np.multiply.outer(r.diagonal(),
-                                                     levels).tolist()))
+    diag_levels = tuple([tuple([d * lev for lev in levels]) for d in diag])
     pairs = ()
     if profile.gamma == 2:
         pairs = tuple(
@@ -331,9 +329,9 @@ def _instance(r_bytes: bytes, r_shape: tuple, y_bytes: bytes,
         # the leading block's columns are never cancelled from any row
         cols=((),) * blk + tuple(
             col for s in range(blk, k_total, blk)
-            for col in map(tuple, r[:s, s:s + blk].T.tolist())),
+            for col in itertools.islice(zip(*rows[:s]), s, s + blk)),
         y=tuple(y.tolist()),
-        inv_diag=tuple(1.0 / d for d in diag),
+        inv_diag=tuple([1.0 / d for d in diag]),
         diag_levels=diag_levels,
         pairs=pairs,
         pos_shift=pos_shift,

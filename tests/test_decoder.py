@@ -592,6 +592,25 @@ class TestFullTreeCounts:
         with pytest.raises(TooLarge):
             force_full_tree_decode(np.eye(8), np.zeros(8), cons)
 
+    @pytest.mark.parametrize("shape, flops, nodes", [
+        # a singleton: slice 3, residual 2, square 1, add to the sum 1
+        ((1, 3, 1), 3 * 7, 3),
+        # a gamma = 2 sub-block: 4 per value of the trailing symbol, 9 more
+        # to slice the top one given it, 1 to add the sub-block's minimum
+        ((1, 2, 2), 2 * (4 * (4 + 9) + 1), 2 * 4),
+    ])
+    def test_single_block_counts(self, rng, shape, flops, nodes):
+        # with one block nothing is conditioned, cached or pruned
+        prof = BlockOrthogonalProfile(*shape)
+        cons = PamConstellation(4)
+        r = patterned_r(rng, prof)
+        y = rng.standard_normal(prof.total)
+        for memoize in (False, True):
+            got, stats = sphere_decode(r, y, cons, prof, memoize=memoize)
+            assert (stats.em_evaluations, stats.flops, stats.nodes_visited,
+                    stats.cache_hits) == (0, flops, nodes, 0)
+            assert np.array_equal(got, exhaustive_ml(r, y, cons))
+
 
 class TestPruningSafety:
     def test_pruning_preserves_argmin(self, rng):
