@@ -601,17 +601,40 @@ def code_to_json(code: LinearSTBC) -> dict:
     }
 
 
+def _json_integer(value, name) -> int:
+    """``value`` as an ``int``: JSON integers, ``3.0`` included, pass;
+    ``bool``, strings and non-integral numbers raise ``ValueError``."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{name} = {value!r} must be an integer")
+
+
 def code_from_json(data) -> LinearSTBC:
+    """The code of a ``schemas/code.schema.json`` object (or its text); a
+    malformed field raises ``ValueError`` naming it."""
     if isinstance(data, str):
         data = json.loads(data)
-    weights = [
-        np.array([[complex(re, im) for re, im in row] for row in w])
-        for w in data["weights"]
-    ]
+    if type(data) is not dict:
+        raise ValueError(f"code = {data!r} must be a JSON object")
+    weights, labels = data["weights"], data["labels"]
+    if type(weights) is not list or not weights:
+        raise ValueError(f"weights = {weights!r} must be a non-empty array")
+    if type(labels) is not list or not all(type(s) is str for s in labels):
+        raise ValueError(f"labels = {labels!r} must be an array of strings")
+    profile = data.get("declared_profile")
+    if profile is not None:
+        if type(profile) is not list or len(profile) != 3:
+            raise ValueError(f"declared_profile = {profile!r} must be null "
+                             "or an array of three integers")
+        profile = [_json_integer(p, f"declared_profile[{i}]")
+                   for i, p in enumerate(profile)]
+        if min(profile) < 1:
+            raise ValueError(f"declared_profile = {profile} must be >= 1")
+    weights = [np.array([[complex(re, im) for re, im in row] for row in w])
+               for w in weights]
     if len(weights) != data["k_real"]:
         raise ValueError("k_real does not match the number of weight matrices")
-    code = _make_code(weights, data["labels"],
-                      declared_profile=data.get("declared_profile"),
+    code = _make_code(weights, labels, declared_profile=profile,
                       check_rank=False)
     if (code.n_t, code.t) != (data["n_t"], data["t"]):
         raise ValueError("declared dimensions do not match the weights")

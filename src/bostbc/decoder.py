@@ -1,49 +1,44 @@
 """Depth-first sphere decoding with per-sub-block metric memoization.
 
-The decoder enumerates the conditioned blocks of the upper-triangular
-factor from the last column inward, visiting each level's candidates in
-increasing order of metric increment (Schnorr-Euchner) and pruning once
-the partial metric passes the best leaf found.  For equally spaced levels
-that order depends only on where the level's conditioned offset slices
-between the levels, and changes only at the midpoints between two levels,
-so it is read from a per-M table of zig-zag orders indexed by twice the
-sliced position.  Where float rounding or underflow could decide the order
-(near a midpoint, far outside the constellation, or when ``|r_cc|`` times
-the level spacing is tiny) the increments are sorted instead, so exact ties
-still take the lower index.  Interference from each
-accepted symbol is propagated incrementally to the rows above its block,
-so every row's conditioned offset is ready when the row is reached.  Once
-all conditioned symbols are fixed, the leading block is fast-decodable:
-its sub-blocks share no columns, so each is minimized independently (the
-last undecided symbol of a sub-block is sliced to the nearest level) and
-the minima are summed.  The walk's last conditioned level does this itself
-for every candidate it accepts, from ``parent[lo] - col[lo] * x``: a
-gamma = 1 leading block is one slicing loop over its symbols, and a
-gamma = 2 sub-block one loop over the M values of its trailing symbol that
-slices the top symbol given each.  Larger gamma, and a profile with a single
-block, enumerate the trailing gamma - 1 symbols jointly.
+A decode has three parts, each with one owner.
 
-Everything the walk reads of ``(R, y')`` is set up once, in an immutable
-instance: the validation, the row, column and ``y'`` copies, ``1 / r_cc``
-and the products ``r_cc * level`` (and, for gamma = 2, the in-sub-block
-products the leading loop reads).  Nothing in it depends on how the walk
-prices or caches, and a one-slot cache keyed by the bytes of ``R`` and
-``y'``, the profile and the constellation hands it to the next decode of the
-same input, so a trial's baseline and memoized decodes set up once.  Every
-float is still the same IEEE operation on the same operands: products are
-formed ahead, never reassociated.
+*Set-up* (``_instance``): the validation of ``(R, y')`` and everything the
+walk reads of them (the row, column and ``y'`` copies, ``1 / r_cc`` and the
+products ``r_cc * level``) are built once, in an immutable instance.  A
+one-slot cache keyed by the bytes of ``R`` and ``y'``, the profile and the
+constellation hands it to the next decode of the same input, so a trial's
+baseline and memoized decodes set up once.  Products are formed ahead, never
+reassociated, so every float is the same IEEE operation on the same operands.
 
-The metric increments inside a conditioned sub-block do not depend on the
-values of sibling sub-blocks, only on the symbols of the blocks above, so the
-memoized decoder caches them together with their candidate order and
-replays both instead of recomputing.  Those
-symbols stay fixed while the walk is inside the block, so a block's table
-lives for one visit: it starts empty when the walk enters the block's last
-column and is dropped when the walk leaves it.  A code without
-block-orthogonal structure is the trivial profile ``(K, 1, 1)``: every
-symbol is its own block, the walk is plain Schnorr-Euchner enumeration, and
-the last symbol is sliced.  Its counters follow the conventions below with
-every symbol but that last one in a conditioned block.
+*Conditioned walk* (``_Walker._descend``): the conditioned blocks are
+enumerated from the last column inward, each level's candidates in
+increasing order of metric increment (Schnorr-Euchner), pruning once the
+partial metric passes the best leaf found.  For equally spaced levels that
+order depends only on where the level's conditioned offset slices between
+the levels, so it is read from a per-M table of zig-zag orders indexed by
+twice the sliced position; where float rounding or underflow could decide it
+(near a midpoint, far outside the constellation, or when ``|r_cc|`` times the
+level spacing is tiny) the increments are sorted instead, so exact ties still
+take the lower index.  Each accepted symbol's interference is propagated to
+the rows above its block, so every row's conditioned offset is ready when the
+row is reached.  The increments inside a conditioned sub-block depend only on
+the symbols of the blocks above, so the memoized decoder caches them with
+their order and replays both; a block's table lives for one visit, from the
+walk entering the block's last column to leaving the block.
+
+*Leading block* (``_Walker._solve_leading``): once the conditioned symbols
+are fixed the leading block is fast-decodable: its sub-blocks share no
+columns, so each is minimized independently (its last undecided symbol is
+sliced to the nearest level) and the minima are summed.  The walk's last
+conditioned level calls it once per accepted candidate, and a single-block
+profile once with no conditioning.  A gamma = 1 block is one slicing loop, a
+gamma = 2 sub-block one loop over the M values of its trailing symbol, and a
+larger gamma enumerates the trailing gamma - 1 symbols jointly.
+
+A code without block-orthogonal structure is the trivial profile
+``(K, 1, 1)``: every symbol is its own block, the walk is plain
+Schnorr-Euchner enumeration, and the last symbol is sliced.  Its counters
+follow the conventions below with every other symbol conditioned.
 
 Counting conventions
 --------------------
@@ -391,7 +386,8 @@ class _Walker:
     def run(self):
         if self.top_size == self.k_total:
             # no conditioned blocks: the leading block is all of R
-            self._solve_top_block(0.0, self.offsets[self.k_total])
+            self._solve_leading(0.0, self.offsets[self.k_total],
+                                (0.0,) * self.k_total, 0.0)
         else:
             self._descend(self.k_total - 1, 0.0, None)
         return DecoderStats(
@@ -469,17 +465,6 @@ class _Walker:
         # column is cut at the block start, so zip drops the rest
         parent = offsets[c + 1]
         col = self.cols[c]
-        gam = self.gamma
-        top_nodes = top_flops = 0  # the gamma < 3 leading-block work
-        if at_top:
-            inv_diag = self.inv_diag
-            diag_levels = self.diag_levels
-            lev0 = levels[0]
-            inv_spacing = self.inv_spacing
-            ceil = math.ceil
-            m = self.m
-            last = m - 1
-            clamp = m - 1.5
         accepted = 0
         for a in order:
             total = partial + inc[a]
@@ -497,159 +482,159 @@ class _Walker:
                     "symbol_index": a,
                     "cache_hit": entry is not None,
                 })
-            if not at_top:
+            if at_top:
+                self._solve_leading(total, parent, col, x)
+            else:
                 # cancel the symbol from the rows above its block
                 offsets[c] = [p - q * x for p, q in zip(parent, col)]
                 self._descend(c - 1, total, table)
-            elif gam == 1:
-                # singleton sub-blocks: slice each leading symbol to the
-                # nearest level, 7 FLOPs and one node each; midpoint ties
-                # take the lower index and far positions clamp
-                for lo, q in enumerate(col):
-                    t = parent[lo] - q * x
-                    pos = (t * inv_diag[lo] - lev0) * inv_spacing
+        self.flops += flops + accepted * node_flops
+        self.nodes += accepted
+        if opens_table:
+            self.cache_size -= self.m * len(table)
+
+    # -- leading (fast-decodable) block -----------------------------------
+
+    def _solve_leading(self, total, parent, col, x):
+        """Add each leading sub-block's minimum to ``total`` and offer the
+        leaf.  Leading row ``lo`` sees the offset ``parent[lo] - col[lo] *
+        x``; a single-block profile passes ``y'``, zero columns and ``x =
+        0.0``, which leave ``y'`` bit for bit.  Slicing (3 FLOPs) takes the
+        lower index at a midpoint and clamps beyond the outer levels; ties
+        between sub-block assignments take the lexicographically smaller."""
+        prune = self.prune
+        idx = self.idx
+        inv_diag = self.inv_diag
+        diag_levels = self.diag_levels
+        lev0 = self.levels[0]
+        inv_spacing = self.inv_spacing
+        ceil = math.ceil
+        m = self.m
+        last = m - 1
+        clamp = m - 1.5
+        gam = self.gamma
+        nodes = flops = 0
+        if gam == 1:
+            # singleton sub-blocks: slice each leading symbol to the
+            # nearest level, 7 FLOPs and one node each
+            for lo, q in enumerate(col):
+                t = parent[lo] - q * x
+                pos = (t * inv_diag[lo] - lev0) * inv_spacing
+                if pos <= 0.5:
+                    s = 0
+                elif pos > clamp:
+                    s = last
+                else:
+                    s = ceil(pos - 0.5)
+                d = t - diag_levels[lo][s]
+                total += d * d
+                idx[lo] = s
+                if prune and total > self.best:
+                    nodes += lo + 1
+                    flops += 7 * (lo + 1)
+                    break
+            else:
+                nodes += len(col)
+                flops += 7 * len(col)
+                self._offer(total)
+        elif gam == 2:
+            # each sub-block (lo, lo + 1): every value b of the trailing
+            # symbol, its row first (4 FLOPs), then the leading symbol
+            # sliced given b (9 more)
+            for lo, hi, sub in self.pairs:
+                t_lo = parent[lo] - col[lo] * x
+                t_hi = parent[hi] - col[hi] * x
+                inv_lo = inv_diag[lo]
+                dl_lo = diag_levels[lo]
+                budget = self.best - total if prune else math.inf
+                best = math.inf
+                for b, p_hi, p_lo in sub:
+                    resid = t_hi - p_hi
+                    metric = resid * resid
+                    if prune and metric > budget and metric > best:
+                        flops += 4
+                        continue
+                    t = t_lo - p_lo
+                    pos = (t * inv_lo - lev0) * inv_spacing
                     if pos <= 0.5:
                         s = 0
                     elif pos > clamp:
                         s = last
                     else:
                         s = ceil(pos - 0.5)
-                    d = t - diag_levels[lo][s]
-                    total += d * d
-                    idx[lo] = s
-                    if prune and total > self.best:
-                        top_nodes += lo + 1
-                        top_flops += 7 * (lo + 1)
-                        break
-                else:
-                    top_nodes += len(col)
-                    top_flops += 7 * len(col)
-                    self._offer(total)
-            elif gam == 2:
-                # each sub-block (lo, lo + 1): every value b of the trailing
-                # symbol, its row first (4 FLOPs), then the leading symbol
-                # sliced given b (9 more); ties take the smaller (a, b)
-                for lo, hi, sub in self.pairs:
-                    t_lo = parent[lo] - col[lo] * x
-                    t_hi = parent[hi] - col[hi] * x
-                    inv_lo = inv_diag[lo]
-                    dl_lo = diag_levels[lo]
-                    budget = self.best - total if prune else math.inf
-                    best = math.inf
-                    for b, p_hi, p_lo in sub:
-                        resid = t_hi - p_hi
-                        metric = resid * resid
+                    resid = t - dl_lo[s]
+                    metric += resid * resid
+                    flops += 13
+                    # b only grows, so a tie is smaller iff its a is
+                    if metric < best or (metric == best and s < best_a):
+                        best = metric
+                        best_a = s
+                        best_b = b
+                nodes += m
+                flops += 1
+                total += best
+                idx[lo] = best_a
+                idx[hi] = best_b
+                if prune and total > self.best:
+                    break
+            else:
+                self._offer(total)
+        else:
+            # enumerate the trailing gamma - 1 symbols jointly, their rows
+            # bottom first, and slice the top symbol given them
+            rows = self.rows
+            levels = self.levels
+            tails = self.tails
+            offs = [p - q * x for p, q in zip(parent, col)]
+            for lo in range(0, self.top_size, gam):
+                budget = self.best - total if prune else math.inf
+                best = math.inf
+                for tail in tails:
+                    metric = 0.0
+                    for d in range(gam - 1, 0, -1):
+                        r = lo + d
+                        row = rows[r]
+                        t = offs[r]
+                        for dd in range(d + 1, gam):
+                            t -= row[lo + dd] * levels[tail[dd - 1]]
+                        resid = t - row[r] * levels[tail[d - 1]]
+                        metric += resid * resid
+                        flops += 2 * (gam - 1 - d) + 4
                         if prune and metric > budget and metric > best:
-                            top_flops += 4
-                            continue
-                        t = t_lo - p_lo
-                        pos = (t * inv_lo - lev0) * inv_spacing
+                            break
+                    else:
+                        row = rows[lo]
+                        t = offs[lo]
+                        for dd in range(1, gam):
+                            t -= row[lo + dd] * levels[tail[dd - 1]]
+                        pos = (t * inv_diag[lo] - lev0) * inv_spacing
                         if pos <= 0.5:
                             s = 0
                         elif pos > clamp:
                             s = last
                         else:
                             s = ceil(pos - 0.5)
-                        resid = t - dl_lo[s]
+                        resid = t - diag_levels[lo][s]
+                        # the top row's square adds to the lower rows' sum
                         metric += resid * resid
-                        top_flops += 13
-                        # b only grows, so a tie is smaller iff its a is
+                        flops += 2 * gam + 5
+                        # tails arrive in lexicographic order, so a tie is
+                        # smaller iff its top symbol is
                         if metric < best or (metric == best and s < best_a):
                             best = metric
                             best_a = s
-                            best_b = b
-                    top_nodes += m
-                    top_flops += 1
-                    total += best
-                    idx[lo] = best_a
-                    idx[hi] = best_b
-                    if prune and total > self.best:
-                        break
-                else:
-                    self._offer(total)
-            else:
-                self._solve_top_block(
-                    total, [p - q * x for p, q in zip(parent, col)])
-        self.flops += flops + accepted * node_flops + top_flops
-        self.nodes += accepted + top_nodes
-        if opens_table:
-            self.cache_size -= self.m * len(table)
-
-    # -- leading (fast-decodable) block, gamma >= 3 or no conditioning ----
-
-    def _slice_level(self, t, c):
-        """Nearest PAM level to t / r[c,c] (3 FLOPs, counted by the caller);
-        midpoint ties take the lower index, matching exhaustive first-minimum
-        order.  A position beyond the outer levels, infinite included, clamps
-        to them."""
-        pos = (t * self.inv_diag[c] - self.levels[0]) * self.inv_spacing
-        if pos <= 0.5:
-            return 0
-        if pos > self.m - 1.5:
-            return self.m - 1
-        return math.ceil(pos - 0.5)
-
-    def _solve_sub_block(self, lo, offsets, budget):
-        """Exact minimum of one leading-block sub-block given conditioning.
-
-        Enumerates the trailing gamma - 1 symbols jointly and slices the
-        first one (its row involves no other undecided columns).  Returns
-        (metric, index tuple); ties inside the sub-block resolve to the
-        lexicographically smallest tuple.
-        """
-        gam = self.gamma
-        rows = self.rows
-        lev = self.levels
-        prune = self.prune
-        best = math.inf
-        best_combo = None
-        flops = 0
-        for tail in self.tails:
-            metric = 0.0
-            for d in range(gam - 1, 0, -1):  # rows below the top, bottom first
-                r = lo + d
-                row = rows[r]
-                t = offsets[r]
-                for dd in range(d + 1, gam):
-                    t -= row[lo + dd] * lev[tail[dd - 1]]
-                resid = t - row[r] * lev[tail[d - 1]]
-                metric += resid * resid
-                flops += 2 * (gam - 1 - d) + 4
-                if prune and metric > budget and metric > best:
+                            best_tail = tail
+                nodes += len(tails)
+                flops += 1
+                total += best
+                idx[lo] = best_a
+                idx[lo + 1:lo + gam] = best_tail
+                if prune and total > self.best:
                     break
             else:
-                row = rows[lo]
-                t = offsets[lo]
-                for dd in range(1, gam):
-                    t -= row[lo + dd] * lev[tail[dd - 1]]
-                a = self._slice_level(t, lo)
-                resid = t - row[lo] * lev[a]
-                metric += resid * resid
-                # the top row's square adds to the lower rows' sum, if any
-                flops += 2 * (gam - 1) + 6 + (gam > 1)
-                combo = (a,) + tail
-                if metric < best or (metric == best and combo < best_combo):
-                    best = metric
-                    best_combo = combo
+                self._offer(total)
+        self.nodes += nodes
         self.flops += flops
-        self.nodes += len(self.tails)
-        return best, best_combo
-
-    def _solve_top_block(self, partial, offsets):
-        """Sum of independent sub-block minima over the leading block."""
-        gam = self.gamma
-        prune = self.prune
-        idx = self.idx
-        total = partial
-        for lo in range(0, self.top_size, gam):
-            budget = self.best - total if prune else math.inf
-            metric, combo = self._solve_sub_block(lo, offsets, budget)
-            total += metric
-            self.flops += 1
-            idx[lo:lo + gam] = combo
-            if prune and total > self.best:
-                return
-        self._offer(total)
 
 
 def sphere_decode(r, y_prime, cons: PamConstellation,

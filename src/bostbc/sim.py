@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from . import codes as _codes
+from .codes import _json_integer
 from .decoder import DecoderStats, PamConstellation, sphere_decode
 from .linalg import cvec, gram_schmidt_qr, tilde_vec
 from .structure import (
@@ -49,14 +49,6 @@ __all__ = [
 ]
 
 RNG_ALGORITHM = "numpy-PCG64/standard_normal"
-
-
-def _json_integer(value, name) -> int:
-    """``value`` as an ``int``: JSON integers, ``3.0`` included, pass;
-    ``bool``, strings and non-integral numbers raise ``ValueError``."""
-    if type(value) is int or (type(value) is float and value.is_integer()):
-        return int(value)
-    raise ValueError(f"{name} = {value!r} must be an integer")
 
 
 def _json_numbers(value, name) -> tuple:
@@ -96,6 +88,8 @@ class SimulationCampaign:
     def __post_init__(self):
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed = {self.master_seed} must be >= 0")
         grid = tuple(float(s) for s in self.snr_grid_db)
         if not grid:
             raise ValueError("snr_grid_db must hold at least one SNR")
@@ -106,8 +100,8 @@ class SimulationCampaign:
 
     @classmethod
     def from_json(cls, data) -> "SimulationCampaign":
-        if isinstance(data, str):
-            data = json.loads(data)
+        if type(data) is not dict:
+            raise ValueError(f"campaign = {data!r} must be a JSON object")
         if type(data["code"]) is not str:
             raise ValueError(f"code = {data['code']!r} must be a string")
         return cls(

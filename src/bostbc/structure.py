@@ -265,13 +265,10 @@ def _cut_points(pattern) -> list:
 
 
 def _has_fast_split(pattern) -> bool:
-    """True if some leading principal block is >= 2-way block diagonal."""
-    k = pattern.shape[0]
-    for L in range(2, k):
-        lead = pattern[:L, :L]
-        if _cut_points(lead):
-            return True
-    return False
+    """True if some proper leading principal block is >= 2-way block
+    diagonal, i.e. some column p, 1 <= p <= K - 2, has no support above the
+    diagonal (the block of the first p + 1 columns then splits at p)."""
+    return not np.triu(pattern, 1)[:, 1:-1].any(axis=0).all()
 
 
 def classify(pattern, *, tol: float = DEFAULT_TOL_REL,

@@ -1,6 +1,8 @@
 """Command-line interface tests (exit codes, formats, grid output)."""
 
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,16 @@ def run_cli(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def test_console_script_resolves_to_main():
+    # every other CLI test calls main in-process, past the entry point
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    module, _, name = scripts["bostbc"].partition(":")
+    assert (module, name) == ("bostbc.cli", "main")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 class TestConstruct:
@@ -153,6 +165,32 @@ class TestAnalyze:
         assert rc == 0
         assert "profile: (2, 2, 2)" in out
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("weights", [], "weights"),
+        ("declared_profile", [2, 4], "declared_profile"),
+        ("declared_profile", [2, 4, 1.5], "declared_profile[2]"),
+        ("declared_profile", [2, 0, 4], "declared_profile"),
+        ("labels", "abcdefgh", "labels"),
+    ])
+    def test_malformed_code_file_exits_2(self, tmp_path, capsys, field,
+                                         value, named):
+        data = dict(code_to_json(named_code("bhv")), **{field: value})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        for argv in (("analyze", str(path)), ("verify", str(path))):
+            rc, out, err = run_cli(capsys, *argv)
+            assert rc == 2
+            assert err.startswith(f"error: {named} = ")
+            assert out == ""
+
+    def test_non_object_code_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("[]")
+        rc, out, err = run_cli(capsys, "analyze", str(path))
+        assert rc == 2
+        assert err.startswith("error: code = [] must be a JSON object")
+        assert out == ""
+
     def test_missing_file_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, "analyze", "nonexistent.json")
         assert rc == 2
@@ -181,6 +219,19 @@ class TestVerify:
         assert rc == 0
         payload = json.loads(out[out.index("{"):])
         assert payload["construction_i"]["pass"] is True
+
+    def test_profile_overrides_declared(self, capsys):
+        # bhv declares (2, 4, 1); its diagonal conditioned block also meets
+        # the coarser (2, 2, 2)
+        rc, out, _ = run_cli(capsys, "verify", "bhv", "--profile", "2,2,2",
+                             "--format", "json")
+        assert rc == 0
+        premises = json.loads(out[out.index("{"):])["premises"]
+        assert premises["profile"] == [2, 2, 2]
+        assert premises["pass"] is True
+        assert [c["name"] for c in premises["conditions"]] == [
+            "block-1-group-decodable", "block-2-group-decodable",
+            "r-full-rank", "ete-block-diagonal-at-4"]
 
     def test_nothing_to_verify(self, capsys):
         rc, _, err = run_cli(capsys, "verify", "alamouti")
@@ -223,6 +274,20 @@ class TestDecode:
         assert "transmitted" in out
         assert "cache_hits" in out
 
+    def test_trace_file_holds_the_memoized_records(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        rc, out, _ = run_cli(capsys, "decode", "ci-a2", "--m", "4", "--snr",
+                             "8", "--seed", "3", "--trace", str(path))
+        assert rc == 0
+        code = named_code("ci-a2")
+        want = []
+        sim.run_trial(code, decoder.PamConstellation(4), 8.0,
+                      np.random.SeedSequence(3), sim.resolve_profile(code),
+                      trace=want)
+        got = [json.loads(line) for line in path.read_text().splitlines()]
+        assert want and got == want
+        assert f"wrote {len(want)} trace records to {path}" in out
+
     @pytest.mark.parametrize("snr", ["-1e308", "1e308", "-inf", "nan"])
     def test_snr_without_finite_noise_exits_2(self, capsys, snr):
         rc, _, err = run_cli(capsys, "decode", "bhv", "--m", "2",
@@ -245,6 +310,33 @@ class TestSimulate:
         lines = out_csv.read_text().strip().splitlines()
         assert len(lines) == 2  # header + one row
         assert lines[0].startswith("snr_db,trials,")
+
+    def test_csv_to_stdout_without_out(self, tmp_path, capsys):
+        campaign = {
+            "code": "bhv", "m": 2, "snr_grid_db": [0.0, 10.0],
+            "trials_per_point": 3, "master_seed": 4,
+        }
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps(campaign))
+        rc, out, _ = run_cli(capsys, "simulate", str(cfg))
+        assert rc == 0
+        camp = sim.SimulationCampaign.from_json(campaign)
+        config = f"config: {json.dumps(camp.to_json())}\n"
+        assert out == config + sim.sweep_to_csv(sim.run_sweep(camp))
+
+    @pytest.mark.parametrize("campaign, named", [
+        ([], "campaign"),
+        ({"code": "bhv", "m": 2, "snr_grid_db": [10.0],
+          "trials_per_point": 1, "master_seed": -1}, "master_seed"),
+    ])
+    def test_schema_violation_exits_2(self, tmp_path, capsys, campaign,
+                                      named):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(campaign))
+        rc, out, err = run_cli(capsys, "simulate", str(cfg))
+        assert rc == 2
+        assert err.startswith(f"error: {named} = ")
+        assert out == ""
 
     def test_invalid_grid_exits_2(self, tmp_path, capsys):
         campaign = {

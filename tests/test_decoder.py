@@ -420,18 +420,47 @@ def _wide_fingerprint_corpus():
                                         m, 20)
 
 
+def _single_block_corpus():
+    """Seeded patterned instances over every single-block profile
+    (1, k, gamma) with k 1-4 and gamma 1-3, at M = 2 and 4."""
+    rng = np.random.default_rng(20273)
+    for k, gam in itertools.product((1, 2, 3, 4), (1, 2, 3)):
+        for m in (2, 4):
+            yield from _patterned_instances(
+                rng, BlockOrthogonalProfile(1, k, gam), m, 10)
+
+
+def _accumulate(acc, s):
+    for i, v in enumerate((s.em_evaluations, s.flops, s.nodes_visited,
+                           s.cache_hits, s.cache_entries_peak)):
+        acc[i] += v
+
+
 def _counter_totals(corpus):
     """(em, flops, nodes, hits, summed cache peak) per decoder over
     ``corpus``."""
     totals = {memoize: [0] * 5 for memoize in (False, True)}
     for r, y, cons, prof in corpus:
         for memoize, acc in totals.items():
-            _, s = sphere_decode(r, y, cons, prof, memoize=memoize)
-            for i, v in enumerate((s.em_evaluations, s.flops,
-                                   s.nodes_visited, s.cache_hits,
-                                   s.cache_entries_peak)):
-                acc[i] += v
+            _accumulate(acc, sphere_decode(r, y, cons, prof,
+                                           memoize=memoize)[1])
     return {mz: tuple(acc) for mz, acc in totals.items()}
+
+
+def _mode_totals(corpus):
+    """The same totals per (mode, prune) for baseline, memoized and plain
+    decoding, pruned and full-tree; full-tree plain decoding runs only where
+    its grid has at most 4096 points."""
+    totals = {}
+    for r, y, cons, prof in corpus:
+        for mode, prune in itertools.product(("baseline", "memoized", "plain"),
+                                             (True, False)):
+            if mode == "plain" and not prune and cons.m ** prof.total > 4096:
+                continue
+            _, s = sphere_decode(r, y, cons, None if mode == "plain" else prof,
+                                 memoize=mode == "memoized", prune=prune)
+            _accumulate(totals.setdefault((mode, prune), [0] * 5), s)
+    return {key: tuple(acc) for key, acc in totals.items()}
 
 
 class TestCounterFingerprint:
@@ -446,12 +475,26 @@ class TestCounterFingerprint:
         False: (51314, 1516531, 92187, 0, 0),
         True: (1800, 1214087, 92187, 12478, 1164),
     }
+    # one block: nothing is conditioned, cached or pruned, so baseline and
+    # memoized decoding count the same, pruned or not; plain decoding walks
+    # the same R as the trivial profile
+    EXPECTED_SINGLE = {
+        ("baseline", True): (0, 51600, 2800, 0, 0),
+        ("baseline", False): (0, 51600, 2800, 0, 0),
+        ("memoized", True): (0, 51600, 2800, 0, 0),
+        ("memoized", False): (0, 51600, 2800, 0, 0),
+        ("plain", True): (13474, 83401, 4676, 0, 0),
+        ("plain", False): (79700, 927780, 127120, 0, 0),
+    }
 
     def test_corpus_totals_are_pinned(self):
         assert _counter_totals(_fingerprint_corpus()) == self.EXPECTED
 
     def test_wide_corpus_totals_are_pinned(self):
         assert _counter_totals(_wide_fingerprint_corpus()) == self.EXPECTED_WIDE
+
+    def test_single_block_corpus_totals_are_pinned(self):
+        assert _mode_totals(_single_block_corpus()) == self.EXPECTED_SINGLE
 
     @pytest.mark.parametrize("shape", [(3, 2, 1), (3, 2, 2)])
     def test_no_stale_table_across_block_reentry(self, rng, shape):

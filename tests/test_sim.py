@@ -143,6 +143,21 @@ class TestCampaign:
         with pytest.raises(ValueError, match=field):
             SimulationCampaign.from_json(data)
 
+    @pytest.mark.parametrize("data", [[], "{}", 7, None])
+    def test_non_object_campaign_rejected(self, data):
+        with pytest.raises(ValueError, match="^campaign = .* must be a JSON object$"):
+            SimulationCampaign.from_json(data)
+
+    def test_negative_master_seed_rejected(self):
+        # numpy's SeedSequence would reject it only mid-sweep
+        data = {"code": "bhv", "m": 2, "snr_grid_db": [0.0],
+                "trials_per_point": 1, "master_seed": -1}
+        with pytest.raises(ValueError, match="^master_seed = -1 must be >= 0$"):
+            SimulationCampaign.from_json(data)
+        with pytest.raises(ValueError, match="master_seed"):
+            SimulationCampaign(code="bhv", m=2, snr_grid_db=(0.0,),
+                               trials_per_point=1, master_seed=-1)
+
     @pytest.mark.parametrize("field", ["m", "trials_per_point", "master_seed"])
     @pytest.mark.parametrize("value", [1.9, 4.5, True, "3"])
     def test_non_integer_counts_rejected(self, field, value):
@@ -190,9 +205,9 @@ class TestCampaign:
         # JSON Schema counts 4.0 as an integer
         camp = SimulationCampaign.from_json({
             "code": "bhv", "m": 4.0, "snr_grid_db": [0.0],
-            "trials_per_point": 2.0, "master_seed": -3.0, "n_r": 2.0})
+            "trials_per_point": 2.0, "master_seed": 3.0, "n_r": 2.0})
         counts = (camp.m, camp.trials_per_point, camp.master_seed, camp.n_r)
-        assert counts == (4, 2, -3, 2)
+        assert counts == (4, 2, 3, 2)
         assert all(type(v) is int for v in counts)
 
     def test_json_round_trip(self):

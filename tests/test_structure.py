@@ -25,6 +25,8 @@ from bostbc.structure import (
     DEFAULT_TOL_REL,
     BlockOrthogonalProfile,
     TooFewReceiveAntennas,
+    _cut_points,
+    _has_fast_split,
     classify,
     detect_profile,
     equivalent_channel,
@@ -198,6 +200,33 @@ class TestClassify:
         report = classify(GOLDEN_PATTERN_SCRAMBLED)
         assert report.profile is None
         assert report.classification == "fast-decodable"
+
+    def test_decoupled_fast_segments_are_fast_group(self):
+        # two decoupled 3x3 segments, each coupled as a whole but with a
+        # leading 2x2 block that splits
+        seg = np.eye(3, dtype=bool)
+        seg[:2, 2] = True
+        pattern = np.zeros((6, 6), dtype=bool)
+        pattern[:3, :3] = pattern[3:, 3:] = seg
+        report = classify(pattern)
+        assert report.classification == "fast-group"
+        assert report.group_count == 2
+        assert classify(seg).classification == "fast-decodable"
+
+    def test_fast_split_matches_leading_block_search(self):
+        # the definition: some leading principal block of size 2 .. K - 1
+        # has a cut point
+        def oracle(pattern):
+            k = pattern.shape[0]
+            return any(_cut_points(pattern[:n, :n]) for n in range(2, k))
+
+        rng = np.random.default_rng(31)
+        for _ in range(3000):
+            k = int(rng.integers(1, 11))
+            density = rng.uniform(0.05, 0.95)
+            pattern = np.triu(rng.random((k, k)) < density)
+            pattern[np.diag_indices(k)] = True
+            assert _has_fast_split(pattern) == oracle(pattern), pattern
 
     def test_report_serializes(self):
         data = classify(structural_pattern(bhv_code())).to_json()
