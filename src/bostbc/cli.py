@@ -51,6 +51,14 @@ def _parse_ordering(code, text: str):
     return codes.ordering_from_labels(code, items)
 
 
+def _seed(text: str) -> int:
+    """``--seed``: a non-negative integer, checked before any output."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _pattern_grid(pattern) -> str:
     return "\n".join(" ".join("t" if x else "0" for x in row) for row in pattern)
 
@@ -220,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("code", help="shipped code name or code JSON file")
     p.add_argument("--ordering", help="comma-separated indices or labels")
     p.add_argument("--channels", type=int, default=structure.DEFAULT_PATTERN_CHANNELS)
-    p.add_argument("--seed", type=int, default=structure.DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=structure.DEFAULT_SEED)
     p.add_argument("--tol", type=float, default=structure.DEFAULT_TOL_REL)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_analyze)
@@ -232,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--construction-i", action="store_true",
                    help="also check the sum-construction R1/E/R2 structure")
     p.add_argument("--channels", type=int, default=structure.DEFAULT_PATTERN_CHANNELS)
-    p.add_argument("--seed", type=int, default=structure.DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=structure.DEFAULT_SEED)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_verify)
 
@@ -240,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("code")
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--snr", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trace", help="write per-node JSONL records here")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_decode)

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import RankDeficient, check_expand, cvec, tilde_vec
+from .linalg import RankDeficient, check_expand, kron
 
 __all__ = [
     "LinearSTBC",
@@ -89,9 +89,9 @@ def _frozen(a) -> np.ndarray:
 class LinearSTBC:
     """A linear STBC: ``X(x) = sum_i x_i * weights[i]`` over real symbols.
 
-    The generator matrix is computed on first use and stored on the
-    instance; :func:`reorder` and ``dataclasses.replace`` build new
-    instances, so they never see a stale one.
+    The weight stack and the generator matrix are computed on first use and
+    stored on the instance; :func:`reorder` and ``dataclasses.replace`` build
+    new instances, so they never see a stale one.
     """
 
     n_t: int
@@ -115,8 +115,18 @@ class LinearSTBC:
         return out
 
     @cached_property
+    def _stack(self) -> np.ndarray:
+        """The weights as one read-only complex ``(K, n_t, t)`` array."""
+        return _frozen(self.weights)
+
+    @cached_property
     def _generator(self) -> np.ndarray:
-        g = np.column_stack([tilde_vec(cvec(a)) for a in self.weights])
+        # stack[i, r, c] viewed as reals is w[i, r, c, p] (p = 0 real, 1
+        # imag); row 2 * (c * n_t + r) + p of G is the cvec-then-tilde_vec
+        # position of that part, so G is w moved to (c, r, p, i) order
+        k = self.k_real
+        w = self._stack.view(float).reshape(k, self.n_t, self.t, 2)
+        g = np.ascontiguousarray(w.transpose(2, 1, 3, 0).reshape(-1, k))
         g.setflags(write=False)
         return g
 
@@ -129,24 +139,30 @@ def generator_matrix(code: LinearSTBC) -> np.ndarray:
     return code._generator
 
 
+def _with_stack(code: LinearSTBC, stack: np.ndarray) -> LinearSTBC:
+    """``code`` with its weight stack already in place (``stack`` must hold
+    ``code.weights`` in order and be read-only)."""
+    object.__setattr__(code, "_stack", stack)
+    return code
+
+
 def _make_code(weights, labels, declared_profile=None, *, check_rank=True) -> LinearSTBC:
-    weights = tuple(_frozen(w) for w in weights)
-    n_t, t = weights[0].shape
-    for w in weights:
-        if w.shape != (n_t, t):
-            raise ValueError("all weight matrices must share one shape")
-        if not np.isfinite(w).all():
-            raise ValueError("weight entries must be finite")
+    shape = np.shape(weights[0])
+    if len(shape) != 2 or any(np.shape(w) != shape for w in weights):
+        raise ValueError("all weight matrices must share one shape")
+    stack = _frozen(weights)
+    if not np.isfinite(stack).all():
+        raise ValueError("weight entries must be finite")
     labels = tuple(labels)
-    if len(labels) != len(weights):
+    if len(labels) != len(stack):
         raise ValueError("need one label per weight matrix")
-    code = LinearSTBC(
-        n_t=n_t,
-        t=t,
-        weights=weights,
+    code = _with_stack(LinearSTBC(
+        n_t=shape[0],
+        t=shape[1],
+        weights=tuple(stack),
         labels=labels,
         declared_profile=tuple(declared_profile) if declared_profile else None,
-    )
+    ), stack)
     if check_rank:
         g = generator_matrix(code)
         rank = np.linalg.matrix_rank(g, tol=_RANK_TOL * np.abs(g).max())
@@ -314,7 +330,7 @@ _SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 def _kron_chain(mats) -> np.ndarray:
     out = np.array([[1.0 + 0j]])
     for m in mats:
-        out = np.kron(out, m)
+        out = kron(out, m)
     return out
 
 
@@ -455,17 +471,19 @@ def hr_orthogonal(weights, groups) -> bool:
     """True iff every cross-group weight pair is Hurwitz-Radon orthogonal.
 
     A pair ``(A, B)`` from different groups passes when
-    ``A B^H + B A^H = 0`` to ``1e-12``; the test stops at the first failure.
+    ``A B^H + B A^H = 0`` to ``1e-12``; all pairs are checked at once.
     """
     groups = [tuple(g) for g in groups]
-    for gi in range(len(groups)):
-        for gj in range(gi + 1, len(groups)):
-            for i in groups[gi]:
-                for j in groups[gj]:
-                    a, b = np.asarray(weights[i]), np.asarray(weights[j])
-                    if np.abs(a @ b.conj().T + b @ a.conj().T).max() > 1e-12:
-                        return False
-    return True
+    pairs = [(i, j) for gi, first in enumerate(groups)
+             for second in groups[gi + 1:] for i in first for j in second]
+    if not pairs:
+        return True
+    stack = np.asarray(weights, dtype=complex)
+    left, right = zip(*pairs)
+    a, b = stack[list(left)], stack[list(right)]
+    a_h, b_h = a.conj().transpose(0, 2, 1), b.conj().transpose(0, 2, 1)
+    defects = np.abs(a @ b_h + b @ a_h).max(axis=(1, 2))
+    return not (defects > 1e-12).any()
 
 
 def _sum_code(x1, m, labels, declared_profile) -> LinearSTBC:
@@ -569,13 +587,15 @@ def reorder(code: LinearSTBC, perm) -> LinearSTBC:
         raise InvalidPermutation(f"not a permutation of 0..{code.k_real - 1}")
     if perm == tuple(range(code.k_real)):
         return code
-    return LinearSTBC(
+    stack = code._stack[list(perm)]
+    stack.setflags(write=False)
+    return _with_stack(LinearSTBC(
         n_t=code.n_t,
         t=code.t,
-        weights=tuple(code.weights[p] for p in perm),
+        weights=tuple(stack),
         labels=tuple(code.labels[p] for p in perm),
         declared_profile=None,
-    )
+    ), stack)
 
 
 def ordering_from_labels(code: LinearSTBC, labels) -> tuple:
@@ -609,6 +629,30 @@ def _json_integer(value, name) -> int:
     raise ValueError(f"{name} = {value!r} must be an integer")
 
 
+def _json_entry(entry, i, r, c) -> complex:
+    """Entry ``weights[i][r][c]``: ``[re, im]``, two numbers that fit a float
+    (``bool`` is not a number here)."""
+    if (type(entry) is list and len(entry) == 2
+            and all(type(x) in (int, float) for x in entry)):
+        try:
+            return complex(*entry)
+        except OverflowError:
+            pass
+    raise ValueError(f"weights[{i}][{r}][{c}] = {entry!r} must be an array "
+                     "of two numbers [re, im]")
+
+
+def _json_weight(w, i) -> np.ndarray:
+    """Weight ``i`` of a code JSON object: an array of equal-length rows of
+    ``[re, im]`` entries."""
+    if type(w) is not list or not all(type(row) is list for row in w):
+        raise ValueError(f"weights[{i}] = {w!r} must be an array of rows")
+    if len({len(row) for row in w}) > 1:
+        raise ValueError(f"weights[{i}] rows must share one length")
+    return np.array([[_json_entry(e, i, r, c) for c, e in enumerate(row)]
+                     for r, row in enumerate(w)], dtype=complex)
+
+
 def code_from_json(data) -> LinearSTBC:
     """The code of a ``schemas/code.schema.json`` object (or its text); a
     malformed field raises ``ValueError`` naming it."""
@@ -630,8 +674,7 @@ def code_from_json(data) -> LinearSTBC:
                    for i, p in enumerate(profile)]
         if min(profile) < 1:
             raise ValueError(f"declared_profile = {profile} must be >= 1")
-    weights = [np.array([[complex(re, im) for re, im in row] for row in w])
-               for w in weights]
+    weights = [_json_weight(w, i) for i, w in enumerate(weights)]
     if len(weights) != data["k_real"]:
         raise ValueError("k_real does not match the number of weight matrices")
     code = _make_code(weights, labels, declared_profile=profile,

@@ -81,10 +81,12 @@ def cvec(m) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product of two real matrices.
+    """Kronecker product of two real or complex matrices.
 
     Each entry is the single product ``a[i, j] * b[k, l]``, as in
-    ``np.kron``, so the two agree bit for bit.
+    ``np.kron``, so the two agree bit for bit.  It serves the real
+    equivalent channel and the complex Clifford chains of
+    ``codes._kron_chain`` alike, without ``np.kron``'s per-call overhead.
     """
     a = np.asarray(a)
     b = np.asarray(b)

@@ -183,6 +183,17 @@ class TestAnalyze:
             assert err.startswith(f"error: {named} = ")
             assert out == ""
 
+    @pytest.mark.parametrize("entry", [[1, "x"], [1, 2, 3], [True, False]])
+    def test_malformed_weight_entry_exits_2(self, tmp_path, capsys, entry):
+        data = code_to_json(named_code("bhv"))
+        data["weights"][3][1][0] = entry
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        rc, out, err = run_cli(capsys, "analyze", str(path))
+        assert rc == 2
+        assert err.startswith(f"error: weights[3][1][0] = {entry!r} must be ")
+        assert out == ""
+
     def test_non_object_code_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("[]")
@@ -236,6 +247,18 @@ class TestVerify:
     def test_nothing_to_verify(self, capsys):
         rc, _, err = run_cli(capsys, "verify", "alamouti")
         assert rc == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+@pytest.mark.parametrize("argv", [("analyze", "bhv"), ("verify", "bhv"),
+                                  ("decode", "bhv")])
+def test_seed_not_a_non_negative_integer_exits_2(capsys, argv, seed):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", seed])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""  # rejected before the config line
+    assert f"argument --seed: must be a non-negative integer, got '{seed}'" in out.err
 
 
 @pytest.mark.parametrize("channels", ["0", "-3"])

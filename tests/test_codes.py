@@ -8,6 +8,7 @@ import pytest
 
 from bostbc import codes
 from bostbc.codes import (
+    CODE_NAMES,
     GOLDEN_ORDERING_222,
     GOLDEN_ORDERING_421,
     GOLDEN_ORDERING_SCRAMBLED,
@@ -248,6 +249,43 @@ class TestHrOrthogonal:
         weights = golden_code().weights
         assert not codes.hr_orthogonal(weights, [range(4), range(4, 8)])
 
+    @staticmethod
+    def pairwise(weights, groups):
+        """Reference verdict: one product per cross-group pair."""
+        groups = [tuple(g) for g in groups]
+        return all(hr_defect(weights[i], weights[j]) <= 1e-12
+                   for gi, first in enumerate(groups)
+                   for second in groups[gi + 1:]
+                   for i in first for j in second)
+
+    @pytest.mark.parametrize("design", [
+        cuwd_rate1_4group(1), cuwd_rate1_4group(2), cuwd_rate1_4group(3),
+        ciod(1), ciod(2)], ids=["cuwd-a1", "cuwd-a2", "cuwd-a3", "ciod-a1",
+                                "ciod-a2"])
+    def test_matches_pairwise_reference(self, design):
+        weights = [np.array(w) for w in design.weights]
+        assert codes.hr_orthogonal(weights, design.groups)
+        assert self.pairwise(weights, design.groups)
+        for i in range(len(weights)):
+            bumped = list(weights)
+            bumped[i] = weights[i] + 1e-9
+            assert not self.pairwise(bumped, design.groups)
+            assert not codes.hr_orthogonal(bumped, design.groups)
+
+    def test_matches_pairwise_reference_on_shipped_codes(self):
+        # the halves of every two-block code, and every code split into
+        # single-weight groups, both ways of the verdict
+        verdicts = set()
+        for name in CODE_NAMES:
+            weights = named_code(name).weights
+            k = len(weights)
+            for groups in ([range(k // 2), range(k // 2, k)],
+                           [(i,) for i in range(k)]):
+                want = self.pairwise(weights, groups)
+                assert codes.hr_orthogonal(weights, groups) is want
+                verdicts.add(want)
+        assert verdicts == {True, False}
+
 
 class TestConstructionII:
     def test_golden_forms(self):
@@ -344,11 +382,12 @@ class TestReorder:
 
 class TestGeneratorMatrix:
     def test_read_only_and_fresh_equal(self):
-        for name in ("golden", "bhv", "ci-a2"):
+        for name in CODE_NAMES:
             code = named_code(name)
             g = generator_matrix(code)
             fresh = np.column_stack([tilde_vec(cvec(a)) for a in code.weights])
             assert np.array_equal(g, fresh)
+            assert g.flags.c_contiguous and g.dtype == np.float64
             assert generator_matrix(code) is g  # computed once per code
             with pytest.raises(ValueError):
                 g[0, 0] = 1.0
@@ -399,6 +438,24 @@ class TestSerialization:
         assert data["k_real"] == 8
         parsed = code_from_json(json.dumps(data))
         assert parsed.k_real == 8
+
+    @pytest.mark.parametrize("entry", [[1, "x"], [1, 2, 3], [True, False],
+                                       [10 ** 400, 0], 1.0])
+    def test_malformed_weight_entry_rejected(self, entry):
+        data = code_to_json(alamouti_code())
+        data["weights"][2][0][1] = entry
+        with pytest.raises(ValueError, match=r"^weights\[2\]\[0\]\[1\] = "):
+            code_from_json(data)
+
+    @pytest.mark.parametrize("weight, named", [
+        (7, r"weights\[1\] = 7 must be an array of rows"),
+        ([[[1, 0]], [[1, 0], [0, 0]]], r"weights\[1\] rows must share one length"),
+    ])
+    def test_malformed_weight_matrix_rejected(self, weight, named):
+        data = code_to_json(alamouti_code())
+        data["weights"][1] = weight
+        with pytest.raises(ValueError, match=f"^{named}"):
+            code_from_json(data)
 
     def test_dimension_mismatch_rejected(self):
         data = code_to_json(alamouti_code())

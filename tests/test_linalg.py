@@ -112,6 +112,20 @@ class TestKron:
         assert out.shape == np.kron(a, b).shape
         assert np.array_equal(out, np.kron(a, b))
 
+    @pytest.mark.parametrize("shape_a, shape_b", [
+        ((1, 1), (2, 2)), ((2, 2), (2, 2)), ((4, 4), (2, 2)), ((2, 3), (3, 1)),
+    ])
+    @pytest.mark.parametrize("b_complex", [True, False])
+    def test_complex_bit_equal_to_numpy(self, rng, shape_a, shape_b, b_complex):
+        # the Clifford chains of codes._kron_chain are complex
+        a = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
+        b = rng.standard_normal(shape_b)
+        if b_complex:
+            b = b + 1j * rng.standard_normal(shape_b)
+        out, want = kron(a, b), np.kron(a, b)
+        assert out.shape == want.shape and out.dtype == want.dtype
+        assert out.tobytes() == want.tobytes()
+
     def test_against_index_formula(self, rng):
         a = rng.standard_normal((2, 2))
         b = rng.standard_normal((2, 2))
