@@ -6,8 +6,6 @@ a depth-first sphere decoder that exploits it through metric memoization.
 """
 
 from .codes import (
-    CiodDesign,
-    CuwdDesign,
     GOLDEN_ORDERING_222,
     GOLDEN_ORDERING_421,
     GOLDEN_ORDERING_SCRAMBLED,

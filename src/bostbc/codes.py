@@ -1,7 +1,8 @@
 """Linear STBC constructions as weight-matrix families.
 
-A code is a list of fixed complex ``n_t x t`` weight matrices ``A_i``; the
-transmitted matrix for real symbols ``x`` is ``sum_i x_i A_i``.  Block
+A code is a stack of fixed complex ``n_t x t`` weight matrices ``A_i``; the
+transmitted matrix for real symbols ``x`` is ``sum_i x_i A_i``.  The CUWD
+and CIOD base designs of the sum constructions are codes too.  Block
 orthogonality of the QR factor depends on the *order* of the weight
 matrices, so every constructor fixes a documented default ordering and
 :func:`reorder` produces relabeled variants.
@@ -20,8 +21,6 @@ from .linalg import RankDeficient, check_expand, kron
 
 __all__ = [
     "LinearSTBC",
-    "CuwdDesign",
-    "CiodDesign",
     "NotUnitary",
     "UnsupportedSize",
     "InvalidPermutation",
@@ -89,14 +88,15 @@ def _frozen(a) -> np.ndarray:
 class LinearSTBC:
     """A linear STBC: ``X(x) = sum_i x_i * weights[i]`` over real symbols.
 
-    The weight stack and the generator matrix are computed on first use and
-    stored on the instance; :func:`reorder` and ``dataclasses.replace`` build
-    new instances, so they never see a stale one.
+    ``weights`` is one read-only complex ``(K, n_t, t)`` array.  The
+    generator matrix is computed on first use and stored on the instance;
+    :func:`reorder` and ``dataclasses.replace`` build new instances, so they
+    never see a stale one (``replace`` keeps the weight array itself).
     """
 
     n_t: int
     t: int
-    weights: tuple
+    weights: np.ndarray
     labels: tuple
     declared_profile: tuple | None = None
 
@@ -115,17 +115,12 @@ class LinearSTBC:
         return out
 
     @cached_property
-    def _stack(self) -> np.ndarray:
-        """The weights as one read-only complex ``(K, n_t, t)`` array."""
-        return _frozen(self.weights)
-
-    @cached_property
     def _generator(self) -> np.ndarray:
-        # stack[i, r, c] viewed as reals is w[i, r, c, p] (p = 0 real, 1
+        # weights[i, r, c] viewed as reals is w[i, r, c, p] (p = 0 real, 1
         # imag); row 2 * (c * n_t + r) + p of G is the cvec-then-tilde_vec
         # position of that part, so G is w moved to (c, r, p, i) order
         k = self.k_real
-        w = self._stack.view(float).reshape(k, self.n_t, self.t, 2)
+        w = self.weights.view(float).reshape(k, self.n_t, self.t, 2)
         g = np.ascontiguousarray(w.transpose(2, 1, 3, 0).reshape(-1, k))
         g.setflags(write=False)
         return g
@@ -139,30 +134,23 @@ def generator_matrix(code: LinearSTBC) -> np.ndarray:
     return code._generator
 
 
-def _with_stack(code: LinearSTBC, stack: np.ndarray) -> LinearSTBC:
-    """``code`` with its weight stack already in place (``stack`` must hold
-    ``code.weights`` in order and be read-only)."""
-    object.__setattr__(code, "_stack", stack)
-    return code
-
-
 def _make_code(weights, labels, declared_profile=None, *, check_rank=True) -> LinearSTBC:
     shape = np.shape(weights[0])
     if len(shape) != 2 or any(np.shape(w) != shape for w in weights):
         raise ValueError("all weight matrices must share one shape")
-    stack = _frozen(weights)
-    if not np.isfinite(stack).all():
+    weights = _frozen(weights)
+    if not np.isfinite(weights).all():
         raise ValueError("weight entries must be finite")
     labels = tuple(labels)
-    if len(labels) != len(stack):
+    if len(labels) != len(weights):
         raise ValueError("need one label per weight matrix")
-    code = _with_stack(LinearSTBC(
+    code = LinearSTBC(
         n_t=shape[0],
         t=shape[1],
-        weights=tuple(stack),
+        weights=weights,
         labels=labels,
         declared_profile=tuple(declared_profile) if declared_profile else None,
-    ), stack)
+    )
     if check_rank:
         g = generator_matrix(code)
         rank = np.linalg.matrix_rank(g, tol=_RANK_TOL * np.abs(g).max())
@@ -349,34 +337,18 @@ def _clifford_generators(a: int) -> dict:
     return reps
 
 
-@dataclass(frozen=True)
-class CuwdDesign:
-    """Rate-1 four-group Clifford unitary weight design for 2^a antennas.
+def cuwd_rate1_4group(a: int) -> LinearSTBC:
+    """The rate-1, four-group CUWD for 2^a transmit antennas, as a code.
 
-    ``weights`` holds the 4*lam matrices in group-contiguous order: group g
-    occupies positions [g*lam, (g+1)*lam).
-    """
-
-    a: int
-    lam: int
-    weights: tuple
-
-    @property
-    def n_t(self) -> int:
-        return 2 ** self.a
-
-    @property
-    def groups(self) -> tuple:
-        return tuple(tuple(range(g * self.lam, (g + 1) * self.lam)) for g in range(4))
-
-
-def cuwd_rate1_4group(a: int) -> CuwdDesign:
-    """Build the rate-1, four-group CUWD for 2^a transmit antennas.
-
-    Positions lam+1, 2*lam+1, 3*lam+1 hold the generator representations
-    (the first of them listed as R(1) is taken to be the j*sigma3 tensor
-    element); position j*lam+k is ``A_k @ A_{j*lam+1}`` with ``A_k`` the
-    product of paired-generator elements selected by the bits of k-1.
+    Its ``K = 4 lam`` weights (``lam = 2^(a-1)``), labelled
+    ``x1 .. x{4 lam}``, are in group-contiguous order: group g occupies
+    positions [g*lam, (g+1)*lam).  Positions lam+1, 2*lam+1, 3*lam+1 hold
+    the generator representations (the first of them listed as R(1) is
+    taken to be the j*sigma3 tensor element); position j*lam+k is
+    ``A_k @ A_{j*lam+1}`` with ``A_k`` the product of paired-generator
+    elements selected by the bits of k-1.  The design is full rank by
+    construction, so only the rank of each sum code built from it is
+    checked.
     """
     if a not in (1, 2, 3):
         raise UnsupportedSize("supported design sizes are a in {1, 2, 3}")
@@ -394,42 +366,25 @@ def cuwd_rate1_4group(a: int) -> CuwdDesign:
     weights = list(a_k)
     for head in heads:
         weights.extend(mat @ head for mat in a_k)
-    return CuwdDesign(a=a, lam=lam, weights=tuple(_frozen(w) for w in weights))
+    labels = tuple(f"x{i+1}" for i in range(4 * lam))
+    return _make_code(weights, labels, check_rank=False)
 
 
 # ---------------------------------------------------------------------------
 # coordinate interleaved orthogonal designs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CiodDesign:
-    """Rate-1 coordinate-interleaved orthogonal design for 2^a antennas.
+def ciod(a: int) -> LinearSTBC:
+    """The rate-1 CIOD for 2^a antennas (a = 1 or 2), as a code.
 
     The codeword is block diagonal in two orthogonal designs whose complex
-    inputs interleave I/Q coordinates across symbol pairs.  ``weights`` are
-    grouped two per interleaved input.
-    """
-
-    a: int
-    weights: tuple
-    labels: tuple
-
-    @property
-    def n_t(self) -> int:
-        return 2 ** self.a
-
-    @property
-    def groups(self) -> tuple:
-        n = len(self.weights) // 2
-        return tuple(tuple(range(2 * g, 2 * g + 2)) for g in range(n))
-
-
-def ciod(a: int) -> CiodDesign:
-    """Build the rate-1 CIOD for 2^a antennas (a = 1 or 2).
-
-    For a = 1 the two diagonal entries are ``x0I + j x1Q`` and
-    ``x1I + j x0Q``.  For a = 2 the diagonal blocks are Alamouti designs in
-    the four interleaved inputs ``x_iI + j x_{(i+2) mod 4, Q}``.
+    inputs interleave I/Q coordinates across symbol pairs; weights 2g and
+    2g+1 form the group of one interleaved input.  For a = 1 the two
+    diagonal entries are ``x0I + j x1Q`` and ``x1I + j x0Q``.  For a = 2 the
+    diagonal blocks are Alamouti designs in the four interleaved inputs
+    ``x_iI + j x_{(i+2) mod 4, Q}``.  The design is full rank by
+    construction, so only the rank of each sum code built from it is
+    checked.
     """
     if a == 1:
         weights = (
@@ -460,7 +415,7 @@ def ciod(a: int) -> CiodDesign:
         labels = ("x0I", "x2Q", "x1I", "x3Q", "x2I", "x0Q", "x3I", "x1Q")
     else:
         raise UnsupportedSize("supported design sizes are a in {1, 2}")
-    return CiodDesign(a=a, weights=tuple(_frozen(w) for w in weights), labels=labels)
+    return _make_code(weights, labels, check_rank=False)
 
 
 # ---------------------------------------------------------------------------
@@ -492,22 +447,27 @@ def _sum_code(x1, m, labels, declared_profile) -> LinearSTBC:
     n_t = x1.n_t
     if m.shape != (n_t, n_t):
         raise ValueError(f"m must be {n_t}x{n_t}")
-    weights = tuple(x1.weights) + tuple(m @ a for a in x1.weights)
+    weights = np.concatenate((x1.weights, m @ x1.weights))
     return _make_code(weights, labels, declared_profile)
 
 
-def construction_i(x1: CuwdDesign, m) -> LinearSTBC:
-    """Sum of a four-group CUWD with an m-multiplied copy of itself.
+def construction_i(x1: LinearSTBC, m) -> LinearSTBC:
+    """Sum of a four-group design (e.g. a CUWD) with an m-copy of itself.
 
-    Weight list is ``[A_1 .. A_{4 lam}, m A_1 .. m A_{4 lam}]``; the result
-    carries the declared profile (2, 4, lam).  Raises :class:`RankDeficient`
-    when the combined generator loses rank (e.g. ``m = I``).
+    ``x1``'s ``K = 4 lam`` weights must form four Hurwitz-Radon orthogonal
+    groups of contiguous quarters, else :class:`PremiseViolated`.  Weight
+    list is ``[A_1 .. A_{4 lam}, m A_1 .. m A_{4 lam}]``; the result carries
+    the declared profile (2, 4, lam).  Raises :class:`RankDeficient` when
+    the combined generator loses rank (e.g. ``m = I``).
     """
-    # cheap premise re-check: cross-group HR orthogonality of the base design
-    if not hr_orthogonal(x1.weights, x1.groups):
+    lam, rest = divmod(x1.k_real, 4)
+    if rest:
+        raise PremiseViolated("four-group premise needs K divisible by 4")
+    if not hr_orthogonal(x1.weights, [range(g * lam, (g + 1) * lam)
+                                      for g in range(4)]):
         raise PremiseViolated("base design is not four-group decodable")
-    labels = tuple(f"x{i+1}" for i in range(2 * len(x1.weights)))
-    return _sum_code(x1, m, labels, (2, 4, x1.lam))
+    labels = tuple(f"x{i+1}" for i in range(2 * x1.k_real))
+    return _sum_code(x1, m, labels, (2, 4, lam))
 
 
 def construction_ii(linear_forms) -> LinearSTBC:
@@ -550,22 +510,21 @@ def construction_iii(x1: LinearSTBC, m) -> LinearSTBC:
     if x1.k_real % 2:
         raise PremiseViolated("two-group premise needs an even symbol count")
     half = x1.k_real // 2
-    for a, b in zip(x1.weights[:half], x1.weights[half:]):
-        if np.abs(b - 1j * a).max() > 1e-12:
-            raise PremiseViolated("second half must equal j times the first half")
+    if np.abs(x1.weights[half:] - 1j * x1.weights[:half]).max() > 1e-12:
+        raise PremiseViolated("second half must equal j times the first half")
     if not hr_orthogonal(x1.weights, (range(half), range(half, 2 * half))):
         raise PremiseViolated("halves are not two-group decodable")
     labels = tuple(x1.labels) + tuple(f"{lab}'" for lab in x1.labels)
     return _sum_code(x1, m, labels, (2, 2, half))
 
 
-def construction_iv(x1: CiodDesign, m) -> LinearSTBC:
-    """Sum of a rate-1 CIOD with an m-multiplied copy of itself.
+def construction_iv(x1: LinearSTBC, m) -> LinearSTBC:
+    """Sum of a rate-1 CIOD code (see :func:`ciod`) with an m-copy of itself.
 
     Declared profile is (2, K/2, 2) with K the CIOD's real symbol count.
     """
     labels = tuple(x1.labels) + tuple(f"{lab}'" for lab in x1.labels)
-    return _sum_code(x1, m, labels, (2, len(x1.weights) // 2, 2))
+    return _sum_code(x1, m, labels, (2, x1.k_real // 2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -587,15 +546,15 @@ def reorder(code: LinearSTBC, perm) -> LinearSTBC:
         raise InvalidPermutation(f"not a permutation of 0..{code.k_real - 1}")
     if perm == tuple(range(code.k_real)):
         return code
-    stack = code._stack[list(perm)]
-    stack.setflags(write=False)
-    return _with_stack(LinearSTBC(
+    weights = code.weights[list(perm)]
+    weights.setflags(write=False)
+    return LinearSTBC(
         n_t=code.n_t,
         t=code.t,
-        weights=tuple(stack),
+        weights=weights,
         labels=tuple(code.labels[p] for p in perm),
         declared_profile=None,
-    ), stack)
+    )
 
 
 def ordering_from_labels(code: LinearSTBC, labels) -> tuple:

@@ -74,6 +74,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .linalg import _real_array
 from .structure import DEFAULT_TOL_REL, BlockOrthogonalProfile
 
 __all__ = [
@@ -336,8 +337,8 @@ def _instance(r_bytes: bytes, r_shape: tuple, y_bytes: bytes,
 class _Walker:
     def __init__(self, r, y, cons, profile, memoize, prune,
                  trace=None, validate_cache=False):
-        r = np.asarray(r, dtype=float)
-        y = np.asarray(y, dtype=float).ravel()
+        r = _real_array(r, "r")
+        y = _real_array(y, "y_prime").ravel()
         inst = _instance(r.tobytes(), r.shape, y.tobytes(), profile, cons)
         layout = inst.layout
         k_total = len(inst.y)
@@ -652,8 +653,8 @@ def sphere_decode(r, y_prime, cons: PamConstellation,
     plain sphere decoding: the trivial profile ``(K, 1, 1)``, in which every
     symbol is its own block and nothing is cached whatever ``memoize`` says.
 
-    Raises ``ValueError`` for non-finite ``r`` or ``y'``, for inputs so large
-    that the metric would overflow, and for a zero diagonal.
+    Raises ``ValueError`` for complex or non-finite ``r`` or ``y'``, for
+    inputs so large that the metric would overflow, and for a zero diagonal.
 
     Returns ``(symbols, stats)`` where ``symbols`` are the decoded PAM
     levels and ``stats.decoded`` the matching level indices.
@@ -699,8 +700,8 @@ def exhaustive_ml(h_eq, y, cons: PamConstellation) -> np.ndarray:
     ``np.argmin`` resolves exact metric ties to the lexicographically
     smallest symbol-index vector, matching the tree decoder's rule.
     """
-    h_eq = np.asarray(h_eq, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
+    h_eq = _real_array(h_eq, "h_eq")
+    y = _real_array(y, "y").ravel()
     grid = _level_grid(cons, h_eq.shape[1])
     diff = grid @ h_eq.T - y
     metrics = np.einsum("ij,ij->i", diff, diff)

@@ -38,6 +38,15 @@ class RankDeficient(ValueError):
     """Input columns are numerically dependent (no unique factorization)."""
 
 
+def _real_array(x, name: str) -> np.ndarray:
+    """``x`` as a float array.  Complex input raises ``ValueError`` naming
+    argument ``name``: casting it would silently drop the imaginary part."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ValueError(f"{name} must be real, got a complex array")
+    return np.asarray(x, dtype=float)
+
+
 @dataclass(frozen=True)
 class QrResult:
     """QR factorization with orthonormal ``q`` and upper-triangular ``r``.
@@ -107,12 +116,14 @@ def gram_schmidt_qr(h) -> QrResult:
 
     Raises
     ------
+    ValueError
+        If ``h`` is complex, not 2-D or not finite.
     RankDeficient
         If the matrix has fewer rows than columns, or some residual column
         norm falls below ``RANK_TOL`` times the largest input column norm;
         the first such column is reported.
     """
-    h = np.asarray(h, dtype=float)
+    h = _real_array(h, "h")
     if h.ndim != 2:
         raise ValueError("expected a 2-D matrix")
     rows, cols = h.shape

@@ -4,13 +4,14 @@ Every trial draws one quasi-static Rayleigh channel, one random codeword and
 one noise realization, then runs the baseline and memoized decoders on the
 identical instance, so the metric-reduction ratio is a paired statistic.
 Per-trial seeds derive deterministically from (master seed, SNR index,
-trial index); results do not depend on execution order or worker count.
+trial index); results are the same however trials are scheduled.
 
 SNR convention: signal-to-noise per receive antenna per channel use, with
 the average received energy computed from the code's generator and the
 constellation, i.e. ``N0 = E_rx / 10^(snr_db / 10)``.  Channel entries are
 unit-variance complex Gaussian; the Gaussian sampler is numpy's PCG64
-``standard_normal``, recorded in the campaign metadata.
+``standard_normal``, recorded in the campaign metadata; a campaign's
+``rng`` key, when given, must name exactly that generator.
 """
 
 from __future__ import annotations
@@ -93,6 +94,9 @@ class SimulationCampaign:
         grid = tuple(float(s) for s in self.snr_grid_db)
         if not grid:
             raise ValueError("snr_grid_db must hold at least one SNR")
+        for i, snr in enumerate(grid):
+            if not math.isfinite(snr):
+                raise ValueError(f"snr_grid_db[{i}] = {snr} must be finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr grid must be strictly increasing")
         _receive_antennas(self.n_r)
@@ -104,6 +108,10 @@ class SimulationCampaign:
             raise ValueError(f"campaign = {data!r} must be a JSON object")
         if type(data["code"]) is not str:
             raise ValueError(f"code = {data['code']!r} must be a string")
+        rng = data.get("rng", RNG_ALGORITHM)
+        if rng != RNG_ALGORITHM:
+            raise ValueError(f"rng = {rng!r} must be {RNG_ALGORITHM!r}, "
+                             "the only generator the sweep runs")
         return cls(
             code=data["code"],
             m=_json_integer(data["m"], "m"),

@@ -371,6 +371,30 @@ class TestSimulate:
         rc, _, err = run_cli(capsys, "simulate", str(cfg))
         assert rc == 2
 
+    @pytest.mark.parametrize("text, shown", [
+        ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")])
+    def test_non_finite_snr_exits_2_before_any_trial(self, tmp_path, capsys,
+                                                     text, shown):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"code": "bhv", "m": 2, "snr_grid_db": [0, 4, %s], '
+                       '"trials_per_point": 1, "master_seed": 4}' % text)
+        rc, out, err = run_cli(capsys, "simulate", str(cfg))
+        assert rc == 2
+        assert err == f"error: snr_grid_db[2] = {shown} must be finite\n"
+        assert out == ""
+
+    def test_foreign_rng_exits_2(self, tmp_path, capsys):
+        campaign = {
+            "code": "bhv", "m": 2, "snr_grid_db": [10.0],
+            "trials_per_point": 1, "master_seed": 4, "rng": "mt19937",
+        }
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(campaign))
+        rc, out, err = run_cli(capsys, "simulate", str(cfg))
+        assert rc == 2
+        assert err.startswith("error: rng = 'mt19937' must be ")
+        assert out == ""
+
     def test_fractional_trial_count_exits_2(self, tmp_path, capsys):
         campaign = {
             "code": "bhv", "m": 2, "snr_grid_db": [10.0],

@@ -1,5 +1,6 @@
 """Tests for the code constructors, sum constructions and serialization."""
 
+import dataclasses
 import json
 import math
 
@@ -51,6 +52,19 @@ ALPHA_BAR = 1 + 1j * (1 - (1 - SQRT5) / 2)
 
 def hr_defect(a, b):
     return np.abs(a @ b.conj().T + b @ a.conj().T).max()
+
+
+def cuwd_groups(design):
+    """A CUWD's four groups: contiguous quarters of its ``K = 4 lam``
+    weights."""
+    lam = design.k_real // 4
+    return [range(g * lam, (g + 1) * lam) for g in range(4)]
+
+
+def ciod_groups(design):
+    """A CIOD's groups: weights 2g and 2g+1, one pair per interleaved
+    input."""
+    return [range(2 * g, 2 * g + 2) for g in range(design.k_real // 2)]
 
 
 def same_column_space(code_a, code_b):
@@ -124,7 +138,8 @@ class TestSrinathRajanCode:
 class TestCuwd:
     def test_a1_matrices(self):
         design = cuwd_rate1_4group(1)
-        assert design.lam == 1
+        assert design.k_real == 4  # lam = 1
+        assert design.labels == ("x1", "x2", "x3", "x4")
         expected = [
             np.eye(2),
             np.diag([1j, -1j]),
@@ -141,20 +156,21 @@ class TestCuwd:
     @pytest.mark.parametrize("a", [1, 2, 3])
     def test_identity_head_and_count(self, a):
         design = cuwd_rate1_4group(a)
-        assert len(design.weights) == 4 * design.lam
+        assert len(design.weights) == design.k_real == 4 * 2 ** (a - 1)
         assert np.array_equal(design.weights[0], np.eye(2 ** a))
 
     def test_a2_first_row_squares_to_minus_identity(self):
         design = cuwd_rate1_4group(2)
         eye = np.eye(4)
-        for idx in (design.lam, 2 * design.lam, 3 * design.lam):
+        lam = design.k_real // 4
+        for idx in (lam, 2 * lam, 3 * lam):
             w = design.weights[idx]
             assert np.abs(w @ w + eye).max() < 1e-12
 
     @pytest.mark.parametrize("a", [1, 2, 3])
     def test_cross_group_hr_orthogonality(self, a):
         design = cuwd_rate1_4group(a)
-        groups = design.groups
+        groups = cuwd_groups(design)
         for gi in range(4):
             for gj in range(gi + 1, 4):
                 for i in groups[gi]:
@@ -178,7 +194,7 @@ class TestCiod:
 
     def test_a2_four_group_decodable(self):
         design = ciod(2)
-        groups = design.groups
+        groups = ciod_groups(design)
         assert len(groups) == 4
         for gi in range(4):
             for gj in range(4):
@@ -216,6 +232,16 @@ class TestConstructionI:
         for i in range(4):
             assert np.abs(built.weights[4 + i] - m @ built.weights[i]).max() < 1e-15
 
+    @pytest.mark.parametrize("forms", [1, 3])
+    def test_symbol_count_not_a_multiple_of_four(self, forms):
+        x1 = construction_ii(golden_linear_forms()[:forms])  # K = 2 or 6
+        with pytest.raises(PremiseViolated, match="K divisible by 4"):
+            construction_i(x1, np.eye(2))
+
+    def test_groups_not_hr_orthogonal(self):
+        with pytest.raises(PremiseViolated, match="not four-group decodable"):
+            construction_i(golden_code(), M_GOLDEN)
+
 
 @pytest.mark.parametrize("build, n_t", [
     (lambda m: construction_i(cuwd_rate1_4group(1), m), 2),
@@ -243,7 +269,7 @@ class TestHrOrthogonal:
 
     def test_cuwd_table_columns(self):
         design = cuwd_rate1_4group(2)
-        assert codes.hr_orthogonal(design.weights, design.groups)
+        assert codes.hr_orthogonal(design.weights, cuwd_groups(design))
 
     def test_golden_two_part_split_fails(self):
         weights = golden_code().weights
@@ -258,19 +284,21 @@ class TestHrOrthogonal:
                    for second in groups[gi + 1:]
                    for i in first for j in second)
 
-    @pytest.mark.parametrize("design", [
-        cuwd_rate1_4group(1), cuwd_rate1_4group(2), cuwd_rate1_4group(3),
-        ciod(1), ciod(2)], ids=["cuwd-a1", "cuwd-a2", "cuwd-a3", "ciod-a1",
-                                "ciod-a2"])
-    def test_matches_pairwise_reference(self, design):
+    @pytest.mark.parametrize("design, grouping", [
+        (cuwd_rate1_4group(1), cuwd_groups), (cuwd_rate1_4group(2), cuwd_groups),
+        (cuwd_rate1_4group(3), cuwd_groups), (ciod(1), ciod_groups),
+        (ciod(2), ciod_groups)], ids=["cuwd-a1", "cuwd-a2", "cuwd-a3",
+                                      "ciod-a1", "ciod-a2"])
+    def test_matches_pairwise_reference(self, design, grouping):
         weights = [np.array(w) for w in design.weights]
-        assert codes.hr_orthogonal(weights, design.groups)
-        assert self.pairwise(weights, design.groups)
+        groups = grouping(design)
+        assert codes.hr_orthogonal(weights, groups)
+        assert self.pairwise(weights, groups)
         for i in range(len(weights)):
             bumped = list(weights)
             bumped[i] = weights[i] + 1e-9
-            assert not self.pairwise(bumped, design.groups)
-            assert not codes.hr_orthogonal(bumped, design.groups)
+            assert not self.pairwise(bumped, groups)
+            assert not codes.hr_orthogonal(bumped, groups)
 
     def test_matches_pairwise_reference_on_shipped_codes(self):
         # the halves of every two-block code, and every code split into
@@ -378,6 +406,38 @@ class TestReorder:
         for perm in (GOLDEN_ORDERING_421, GOLDEN_ORDERING_222,
                      GOLDEN_ORDERING_SCRAMBLED):
             assert sorted(perm) == list(range(8))
+
+
+class TestWeightStack:
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_read_only_complex_stack(self, name):
+        code = named_code(name)
+        w = code.weights
+        assert type(w) is np.ndarray and w.dtype == np.complex128
+        assert w.shape == (code.k_real, code.n_t, code.t)
+        with pytest.raises(ValueError):
+            w[0, 0, 0] = 1.0
+
+    def test_replace_keeps_the_stack(self):
+        code = reorder(golden_code(), GOLDEN_ORDERING_222)
+        again = dataclasses.replace(code, declared_profile=(2, 2, 2))
+        assert again.weights is code.weights
+
+    def test_named_golden_222_is_the_reordered_stack(self):
+        want = golden_code().weights[list(GOLDEN_ORDERING_222)]
+        assert named_code("golden-222").weights.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(codes._SUM_CODES))
+    def test_sum_code_halves_bit_exact(self, name):
+        # the batched m @ stack must equal one product per weight, bit for bit
+        _, base, default = codes._SUM_CODES[name]
+        x1 = base()
+        m = codes.named_m_matrix(default, x1.n_t)
+        k = x1.k_real
+        built = named_code(name)
+        per_weight = np.array([m @ a for a in x1.weights])
+        assert built.weights[:k].tobytes() == x1.weights.tobytes()
+        assert built.weights[k:].tobytes() == per_weight.tobytes()
 
 
 class TestGeneratorMatrix:

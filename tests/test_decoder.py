@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -113,6 +114,24 @@ class TestInputValidation:
         (r if arg == "r" else y)[pos] = bad
         with pytest.raises(ValueError, match="r and y' must be finite"):
             sphere_decode(r, y, PamConstellation(2), profile)
+
+    @pytest.mark.parametrize("decode", [sphere_decode, force_full_tree_decode])
+    @pytest.mark.parametrize("arg, named", [("r", "r"), ("y", "y_prime")])
+    @pytest.mark.parametrize("imag", [0.5, 0.0])
+    def test_complex_rejected(self, rng, decode, arg, named, imag):
+        # a float cast would only warn and decode the real part; a complex
+        # array is refused even when its imaginary part is zero
+        r = patterned_r(rng, BlockOrthogonalProfile(2, 2, 1))
+        y = rng.standard_normal(4)
+        if arg == "r":
+            r = r + imag * 1j * np.eye(4)
+        else:
+            y = y + imag * 1j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=f"^{named} must be real, got a complex"):
+                decode(r, y, PamConstellation(2), BlockOrthogonalProfile(2, 2, 1))
 
     @pytest.mark.parametrize("profile", [None, BlockOrthogonalProfile(2, 1, 1)])
     @pytest.mark.parametrize("r_scale, y", [
@@ -589,6 +608,18 @@ class TestExhaustive:
         h_eq = equivalent_channel(code, h)
         x = np.asarray(cons.levels)[rng.integers(0, 2, 8)]
         assert np.array_equal(exhaustive_ml(h_eq, h_eq @ x, cons), x)
+
+    @pytest.mark.parametrize("arg", ["h_eq", "y"])
+    def test_complex_rejected(self, arg):
+        h_eq, y = np.eye(2), np.zeros(2)
+        if arg == "h_eq":
+            h_eq = h_eq + 0.5j * np.eye(2)
+        else:
+            y = y + 0.5j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{arg} must be real"):
+                exhaustive_ml(h_eq, y, PamConstellation(2))
 
     def test_grid_guard(self):
         cons = PamConstellation(8)

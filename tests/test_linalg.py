@@ -1,5 +1,7 @@
 """Tests for the real/complex expansion operators and Gram-Schmidt QR."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,15 @@ class TestGramSchmidtQr:
         h[:, 2] = 2 * h[:, 0] - h[:, 1]
         with pytest.raises(RankDeficient):
             gram_schmidt_qr(h)
+
+    @pytest.mark.parametrize("imag", [0.5, 0.0])
+    def test_complex_raises(self, imag):
+        # a float cast would only warn and factorize the real part
+        h = np.eye(4) + imag * 1j * np.eye(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^h must be real"):
+                gram_schmidt_qr(h)
 
     def test_wide_matrix_raises(self, rng):
         with pytest.raises(RankDeficient, match="rows >= cols"):

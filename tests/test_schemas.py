@@ -37,6 +37,14 @@ def test_campaign_round_trip_validates():
     jsonschema.validate(camp.to_json(), schema)
 
 
+def test_schema_rejects_foreign_rng():
+    schema = load_schema("campaign.schema.json")
+    camp = SimulationCampaign(code="bhv", m=2, snr_grid_db=(0.0,),
+                              trials_per_point=1, master_seed=1)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(dict(camp.to_json(), rng="mt19937"), schema)
+
+
 def test_schema_rejects_malformed_code():
     schema = load_schema("code.schema.json")
     bad = code_to_json(golden_code())

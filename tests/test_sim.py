@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 import re
 
@@ -215,6 +216,29 @@ class TestCampaign:
                                   trials_per_point=5, master_seed=9)
         again = SimulationCampaign.from_json(camp.to_json())
         assert again == camp
+
+    @pytest.mark.parametrize("text, shown", [
+        ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")])
+    def test_non_finite_snr_rejected(self, text, shown):
+        # NaN passed the increasing check and inf ran as a noiseless point
+        data = json.loads('{"code": "bhv", "m": 2, "snr_grid_db": [0, %s], '
+                          '"trials_per_point": 1, "master_seed": 1}' % text)
+        with pytest.raises(ValueError,
+                           match=rf"^snr_grid_db\[1\] = {shown} must be finite$"):
+            SimulationCampaign.from_json(data)
+
+    @pytest.mark.parametrize("rng", ["mt19937", "numpy-PCG64", None, 7])
+    def test_foreign_rng_rejected(self, rng):
+        data = {"code": "bhv", "m": 2, "snr_grid_db": [0.0],
+                "trials_per_point": 1, "master_seed": 1, "rng": rng}
+        with pytest.raises(ValueError, match=f"^rng = {rng!r} must be "):
+            SimulationCampaign.from_json(data)
+
+    def test_own_rng_and_absent_rng_accepted(self):
+        data = {"code": "bhv", "m": 2, "snr_grid_db": [0.0],
+                "trials_per_point": 1, "master_seed": 1}
+        named = SimulationCampaign.from_json(dict(data, rng=sim.RNG_ALGORITHM))
+        assert named == SimulationCampaign.from_json(data)
 
     def test_modes_key_dropped_and_tolerated(self):
         camp = SimulationCampaign(code="bhv", m=2, snr_grid_db=(0.0,),
