@@ -61,7 +61,6 @@ from .sim import (
 )
 from .structure import (
     BlockOrthogonalProfile,
-    EquivalentChannelFactorization,
     StructureReport,
     TooFewReceiveAntennas,
     classify,
@@ -70,7 +69,6 @@ from .structure import (
     equivalent_channel,
     ordering_search,
     profile_validates,
-    r_factorize,
     structural_pattern,
     verify_cuwd_sum_structure,
     verify_multi_block_premises,

@@ -84,7 +84,7 @@ def _frozen(a) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSTBC:
     """A linear STBC: ``X(x) = sum_i x_i * weights[i]`` over real symbols.
 
@@ -92,6 +92,7 @@ class LinearSTBC:
     generator matrix is computed on first use and stored on the instance;
     :func:`reorder` and ``dataclasses.replace`` build new instances, so they
     never see a stale one (``replace`` keeps the weight array itself).
+    Equality is identity, so codes hash and serve as dict keys.
     """
 
     n_t: int
@@ -288,22 +289,15 @@ def srinath_rajan_code() -> LinearSTBC:
 
     Entries: ``X[0,0] = x1I + j x2Q``, ``X[1,1] = x2I + j x1Q``,
     ``X[0,1] = e^{j pi/4} (x3I + j x4Q)``, ``X[1,0] = e^{j pi/4} (x4I + j x3Q)``.
-    Default symbol order groups the two real symbols sharing a codeword
-    entry, which exhibits the declared (2, 2, 2) structure.
+    It is construction IV of the 2x2 CIOD with ``M_SRINATH_RAJAN``, its
+    last two symbol pairs swapped so that the two real symbols sharing a
+    codeword entry are adjacent; that order exhibits the declared (2, 2, 2)
+    structure.
     """
-    e = np.exp(1j * np.pi / 4)
-    weights = (
-        np.diag([1, 0]).astype(complex),        # x1I
-        np.diag([1j, 0]),                        # x2Q
-        np.diag([0, 1]).astype(complex),         # x2I
-        np.diag([0, 1j]),                        # x1Q
-        np.array([[0, e], [0, 0]]),              # x3I
-        np.array([[0, 1j * e], [0, 0]]),         # x4Q
-        np.array([[0, 0], [e, 0]]),              # x4I
-        np.array([[0, 0], [1j * e, 0]]),         # x3Q
-    )
+    code = reorder(construction_iv(ciod(1), M_SRINATH_RAJAN),
+                   (0, 1, 2, 3, 6, 7, 4, 5))
     labels = ("x1I", "x2Q", "x2I", "x1Q", "x3I", "x4Q", "x4I", "x3Q")
-    return _make_code(weights, labels, declared_profile=(2, 2, 2))
+    return replace(code, labels=labels, declared_profile=(2, 2, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,10 @@ class SimulationCampaign:
     n_r: int | None = None
 
     def __post_init__(self):
+        try:
+            PamConstellation(self.m)
+        except ValueError as exc:
+            raise ValueError(f"m = {self.m!r}: {exc}") from None
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
         if self.master_seed < 0:

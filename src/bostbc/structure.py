@@ -14,16 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codes as _codes
-from .linalg import QrResult, RankDeficient, check_expand, gram_schmidt_qr, kron
+from .linalg import RankDeficient, check_expand, gram_schmidt_qr, kron
 
 __all__ = [
     "TooFewReceiveAntennas",
     "BlockOrthogonalProfile",
-    "EquivalentChannelFactorization",
     "ConditionResult",
     "StructureReport",
     "equivalent_channel",
-    "r_factorize",
     "structural_pattern",
     "detect_profile",
     "profile_validates",
@@ -93,15 +91,6 @@ class BlockOrthogonalProfile:
 
 
 @dataclass(frozen=True)
-class EquivalentChannelFactorization:
-    """H_eq together with its QR factors and thresholded zero pattern."""
-
-    h_eq: np.ndarray
-    qr: QrResult
-    zero_pattern: np.ndarray
-
-
-@dataclass(frozen=True)
 class ConditionResult:
     name: str
     passed: bool
@@ -114,14 +103,16 @@ class ConditionResult:
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Classification of an R zero pattern plus the checks behind it."""
+    """Classification of an R zero pattern plus the checks behind it.
+
+    It describes the pattern alone; the tolerance and seeds that produced
+    the pattern belong to its caller (``bostbc analyze`` prints them).
+    """
 
     classification: str
     profile: BlockOrthogonalProfile | None
     group_count: int | None
     conditions: tuple
-    tol: float
-    seeds: tuple
 
     def to_json(self) -> dict:
         return {
@@ -129,8 +120,6 @@ class StructureReport:
             "profile": list(self.profile.as_tuple()) if self.profile else None,
             "group_count": self.group_count,
             "conditions": [c.to_json() for c in self.conditions],
-            "tol": self.tol,
-            "seeds": list(self.seeds),
         }
 
 
@@ -177,30 +166,23 @@ def equivalent_channel(code, h) -> np.ndarray:
     return kron(np.eye(code.t), check_expand(h)) @ g
 
 
-def r_factorize(code, h, tol_rel: float = DEFAULT_TOL_REL) -> EquivalentChannelFactorization:
-    """QR-factorize the equivalent channel and threshold its zero pattern:
-    an entry is zero when ``|r_ij| <= tol_rel * max|r|``, ``0 <= tol_rel < 1``."""
-    if not 0.0 <= tol_rel < 1.0:
-        raise ValueError(f"tol_rel = {tol_rel} must satisfy 0 <= tol_rel < 1")
-    h_eq = equivalent_channel(code, h)
-    qr = gram_schmidt_qr(h_eq)
-    abs_r = np.abs(qr.r)
-    pattern = abs_r <= tol_rel * abs_r.max()
-    return EquivalentChannelFactorization(h_eq=h_eq, qr=qr, zero_pattern=pattern)
-
-
 def structural_pattern(code, *, n_r: int | None = None,
                        n_channels: int = DEFAULT_PATTERN_CHANNELS,
                        tol_rel: float = DEFAULT_TOL_REL,
                        seed: int = DEFAULT_SEED) -> np.ndarray:
     """Boolean support of R: True where the entry is structurally nonzero.
 
-    An entry counts as structurally zero only if it falls below tolerance on
-    every one of ``n_channels`` seeded channel draws.
+    On each of ``n_channels`` seeded channel draws, R is the QR factor of
+    the equivalent channel and its support is ``|r_ij| > tol_rel * max|r|``
+    with ``0 <= tol_rel < 1``.  An entry counts as structurally zero only if
+    it lies outside the support on every draw.
     """
+    if not 0.0 <= tol_rel < 1.0:
+        raise ValueError(f"tol_rel = {tol_rel} must satisfy 0 <= tol_rel < 1")
     support = np.zeros((code.k_real, code.k_real), dtype=bool)
     for h in _channels(code, n_channels, seed, n_r):
-        support |= ~r_factorize(code, h, tol_rel).zero_pattern
+        abs_r = np.abs(gram_schmidt_qr(equivalent_channel(code, h)).r)
+        support |= abs_r > tol_rel * abs_r.max()
     return support
 
 
@@ -271,15 +253,14 @@ def _has_fast_split(pattern) -> bool:
     return not np.triu(pattern, 1)[:, 1:-1].any(axis=0).all()
 
 
-def classify(pattern, *, tol: float = DEFAULT_TOL_REL,
-             seeds: tuple = ()) -> StructureReport:
+def classify(pattern) -> StructureReport:
     """Label a zero pattern with the most specific structure it supports.
 
     Order of specificity: fully decoupled patterns are multi-group (or
     fast-group when the groups decode fast internally); coupled patterns are
     block-orthogonal when a (Gamma >= 2, k >= 2) profile validates, else
     fast-decodable when a leading block-diagonal section exists, else
-    unstructured.
+    unstructured.  The label depends on ``pattern`` only.
     """
     pattern = np.asarray(pattern, dtype=bool)
     k = pattern.shape[0]
@@ -295,23 +276,23 @@ def classify(pattern, *, tol: float = DEFAULT_TOL_REL,
             _has_fast_split(pattern[a:b, a:b]) for a, b in segments if b - a >= 2
         ]
         if inner_fast and all(inner_fast):
-            return StructureReport("fast-group", None, g, tuple(conditions), tol, seeds)
-        return StructureReport("multi-group", None, g, tuple(conditions), tol, seeds)
+            return StructureReport("fast-group", None, g, tuple(conditions))
+        return StructureReport("multi-group", None, g, tuple(conditions))
 
     profile = detect_profile(pattern)
     if profile is not None and profile.gamma_blocks >= 2:
         conditions.append(ConditionResult("block-orthogonal-profile", True, None))
-        return StructureReport("block-orthogonal", profile, None, tuple(conditions), tol, seeds)
+        return StructureReport("block-orthogonal", profile, None, tuple(conditions))
     conditions.append(ConditionResult("block-orthogonal-profile", False, None))
 
     if _has_fast_split(pattern):
-        return StructureReport("fast-decodable", None, None, tuple(conditions), tol, seeds)
-    return StructureReport("unstructured", None, None, tuple(conditions), tol, seeds)
+        return StructureReport("fast-decodable", None, None, tuple(conditions))
+    return StructureReport("unstructured", None, None, tuple(conditions))
 
 
 def detect_structure(code, *, n_r: int | None = None) -> StructureReport:
     """Classify a code from its channel-independent structural pattern."""
-    return classify(structural_pattern(code, n_r=n_r), seeds=(DEFAULT_SEED,))
+    return classify(structural_pattern(code, n_r=n_r))
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +348,12 @@ def verify_multi_block_premises(code, profile: BlockOrthogonalProfile, *,
     worst = {s: 0.0 for s in range(m, K, m)}
     for h in _channels(code, n_channels, seed):
         try:
-            fact = r_factorize(code, h)
+            r = gram_schmidt_qr(equivalent_channel(code, h)).r
         except RankDeficient:
             rank_ok = False
             continue
         for s in worst:
-            e = fact.qr.r[:s, s:s + m]
+            e = r[:s, s:s + m]
             worst[s] = max(worst[s], _ete_block_residual(e.T @ e, off_block))
     cond.append(ConditionResult("r-full-rank", rank_ok))
     for s, w in worst.items():
@@ -429,7 +410,7 @@ def verify_cuwd_sum_structure(code, *, n_channels: int = 50,
     res_first = 0.0
     res_inner = {+1: 0.0, -1: 0.0}
     for h in _channels(code, n_channels, seed):
-        r = r_factorize(code, h).qr.r
+        r = gram_schmidt_qr(equivalent_channel(code, h)).r
         scale = np.abs(r).max()
         r1, e, r2 = r[:L, :L], r[:L, L:], r[L:, L:]
 

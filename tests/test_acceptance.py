@@ -32,8 +32,8 @@ from bostbc.sim import SimulationCampaign, run_sweep
 from bostbc.structure import (
     BlockOrthogonalProfile,
     detect_profile,
+    equivalent_channel,
     profile_validates,
-    r_factorize,
     random_channel,
     structural_pattern,
     verify_cuwd_sum_structure,
@@ -117,10 +117,11 @@ def _full_tree_ratio(code_name, profile, m, seed):
     rng = np.random.default_rng(seed)
     cons = PamConstellation(m)
     h = random_channel(code.n_t, code.n_t, rng)
-    fact = r_factorize(code, h)
-    y_prime = fact.qr.q.T @ rng.standard_normal(fact.h_eq.shape[0])
-    base = force_full_tree_decode(fact.qr.r, y_prime, cons, profile, memoize=False)
-    memo = force_full_tree_decode(fact.qr.r, y_prime, cons, profile, memoize=True)
+    h_eq = equivalent_channel(code, h)
+    qr = gram_schmidt_qr(h_eq)
+    y_prime = qr.q.T @ rng.standard_normal(h_eq.shape[0])
+    base = force_full_tree_decode(qr.r, y_prime, cons, profile, memoize=False)
+    memo = force_full_tree_decode(qr.r, y_prime, cons, profile, memoize=True)
     assert base.decoded == memo.decoded
     return base, memo
 

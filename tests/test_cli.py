@@ -229,6 +229,9 @@ class TestVerify:
                              "--format", "json")
         assert rc == 0
         payload = json.loads(out[out.index("{"):])
+        assert list(payload["construction_i"]) == [
+            "r1_blocks_equal", "r1_block_diagonal", "e_structure",
+            "e_structure_orientation", "r2_block_diagonal", "pass"]
         assert payload["construction_i"]["pass"] is True
 
     def test_profile_overrides_declared(self, capsys):
@@ -351,6 +354,8 @@ class TestSimulate:
         ([], "campaign"),
         ({"code": "bhv", "m": 2, "snr_grid_db": [10.0],
           "trials_per_point": 1, "master_seed": -1}, "master_seed"),
+        ({"code": "bhv", "m": 3, "snr_grid_db": [10.0],
+          "trials_per_point": 1, "master_seed": 4}, "m"),
     ])
     def test_schema_violation_exits_2(self, tmp_path, capsys, campaign,
                                       named):

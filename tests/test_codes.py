@@ -114,7 +114,31 @@ class TestBhvCode:
             bhv_code(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
+_E = np.exp(1j * np.pi / 4)
+
+#: The Srinath-Rajan weights written out entry by entry, in the shipped
+#: symbol order; the reference for the construction-IV recipe.
+SRINATH_RAJAN_WEIGHTS = (
+    np.diag([1, 0]).astype(complex),        # x1I
+    np.diag([1j, 0]),                        # x2Q
+    np.diag([0, 1]).astype(complex),         # x2I
+    np.diag([0, 1j]),                        # x1Q
+    np.array([[0, _E], [0, 0]]),             # x3I
+    np.array([[0, 1j * _E], [0, 0]]),        # x4Q
+    np.array([[0, 0], [_E, 0]]),             # x4I
+    np.array([[0, 0], [1j * _E, 0]]),        # x3Q
+)
+
+
 class TestSrinathRajanCode:
+    def test_matches_reference_table(self):
+        code = srinath_rajan_code()
+        want = np.array(SRINATH_RAJAN_WEIGHTS, dtype=complex)
+        assert code.weights.tobytes() == want.tobytes()
+        assert code.labels == ("x1I", "x2Q", "x2I", "x1Q",
+                               "x3I", "x4Q", "x4I", "x3Q")
+        assert code.declared_profile == (2, 2, 2)
+
     def test_entry_placement(self):
         code = srinath_rajan_code()
         x = np.zeros(8)
@@ -422,6 +446,15 @@ class TestWeightStack:
         code = reorder(golden_code(), GOLDEN_ORDERING_222)
         again = dataclasses.replace(code, declared_profile=(2, 2, 2))
         assert again.weights is code.weights
+
+    def test_equality_is_identity(self):
+        a, b = named_code("bhv"), named_code("bhv")
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a)
+        keyed = {a: "first", b: "second"}
+        assert (keyed[a], keyed[b]) == ("first", "second")
+        assert len({a, b, a}) == 2
 
     def test_named_golden_222_is_the_reordered_stack(self):
         want = golden_code().weights[list(GOLDEN_ORDERING_222)]

@@ -135,7 +135,7 @@ class TestCampaign:
 
     @pytest.mark.parametrize("field, value", [
         ("snr_grid_db", []), ("n_r", 0), ("n_r", -1), ("n_r", 1.5),
-        ("n_r", "two"), ("n_r", True),
+        ("n_r", "two"), ("n_r", True), ("m", 3), ("m", 16),
     ])
     def test_schema_violations_rejected(self, field, value):
         # each value schemas/campaign.schema.json rejects
