@@ -11,7 +11,6 @@ from .codes import (
     GOLDEN_ORDERING_SCRAMBLED,
     InvalidPermutation,
     LinearSTBC,
-    NotUnitary,
     PremiseViolated,
     UnsupportedSize,
     alamouti_code,

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: construct, analyze, verify, decode, bounds, simulate.
-Exit codes: 0 success, 1 internal error, 2 invalid input or config.
+Exit codes: 0 success, 1 internal error or a failed ``verify`` check,
+2 invalid input or config.
 Every run prints its resolved configuration (seeds, tolerances) so results
 can be reproduced from the console transcript alone.
 """
@@ -124,7 +125,7 @@ def cmd_verify(args) -> int:
             for key, value in body.items():
                 if key != "pass":
                     print(f"  {key}: {value}")
-    return 0
+    return 0 if all(body["pass"] for body in results.values()) else 1
 
 
 def cmd_decode(args) -> int:

@@ -21,7 +21,6 @@ from .linalg import RankDeficient, check_expand, kron
 
 __all__ = [
     "LinearSTBC",
-    "NotUnitary",
     "UnsupportedSize",
     "InvalidPermutation",
     "PremiseViolated",
@@ -57,10 +56,6 @@ __all__ = [
     "M_A2",
     "generator_matrix",
 ]
-
-
-class NotUnitary(ValueError):
-    """A matrix required to be unitary is not."""
 
 
 class UnsupportedSize(ValueError):
@@ -145,6 +140,10 @@ def _make_code(weights, labels, declared_profile=None, *, check_rank=True) -> Li
     labels = tuple(labels)
     if len(labels) != len(weights):
         raise ValueError("need one label per weight matrix")
+    if declared_profile and math.prod(declared_profile) != len(weights):
+        raise ValueError(f"declared_profile = {list(declared_profile)} covers "
+                         f"{math.prod(declared_profile)} symbols, the code has "
+                         f"{len(weights)}")
     code = LinearSTBC(
         n_t=shape[0],
         t=shape[1],
@@ -177,7 +176,11 @@ _ALAMOUTI_WEIGHTS = (
     np.array([[0, 1j], [1j, 0]]),                    # s2Q
 )
 
-_T_FLIP = np.diag([1.0, -1.0]).astype(complex)
+_BHV_ANGLE = math.atan(2.0) / 2
+#: The symbol rotation of :func:`bhv_code`: a real Givens rotation by
+#: ``atan(2)/2``.
+_BHV_ROTATION = _frozen([[math.cos(_BHV_ANGLE), -math.sin(_BHV_ANGLE)],
+                         [math.sin(_BHV_ANGLE), math.cos(_BHV_ANGLE)]])
 
 #: Column swap with a quarter-turn phase; pairs the diagonal Golden half
 #: into the full Golden code under construction III.
@@ -249,34 +252,20 @@ def golden_diagonal_half() -> LinearSTBC:
     return _make_code(weights, labels)
 
 
-def default_bhv_rotation() -> np.ndarray:
-    """Default symbol rotation for :func:`bhv_code`.
-
-    A real Givens rotation by ``atan(2)/2``.  The tested block-orthogonal
-    structure is independent of this choice as long as the combined
-    generator stays full rank; the angle is configurable.
-    """
-    ang = math.atan(2.0) / 2
-    return np.array([[math.cos(ang), -math.sin(ang)],
-                     [math.sin(ang), math.cos(ang)]], dtype=complex)
-
-
-def bhv_code(u=None) -> LinearSTBC:
+def bhv_code() -> LinearSTBC:
     """Rate-2 2x2 code: an Alamouti block plus a flipped, rotated second one.
 
     ``X = X1(s1, s2) + T X1(z1, z2)`` where ``X1`` is the Alamouti design,
-    ``T = diag(1, -1)`` and ``(z1, z2) = u @ (s3, s4)`` with ``u`` unitary.
-    Carries a (2, 4, 1) block-orthogonal structure in the default ordering.
+    ``T = diag(1, -1)`` and ``(z1, z2) = U @ (s3, s4)`` with ``U`` the real
+    Givens rotation by ``atan(2)/2``.  Carries a (2, 4, 1) block-orthogonal
+    structure in the default ordering.
     """
-    u = default_bhv_rotation() if u is None else np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or np.abs(u.conj().T @ u - np.eye(2)).max() > 1e-10:
-        raise NotUnitary("u must be a 2x2 unitary matrix")
-    # z-tilde = check_expand(u) @ s-tilde, so the weight of the p-th real
+    # z-tilde = check_expand(U) @ s-tilde, so the weight of the p-th real
     # symbol in the second block is T times the matching mix of Alamouti
     # weights.
-    cu = check_expand(u)
+    cu = check_expand(_BHV_ROTATION)
     second = tuple(
-        _T_FLIP @ sum(cu[q, p] * _ALAMOUTI_WEIGHTS[q] for q in range(4))
+        _SIGMA3 @ sum(cu[q, p] * _ALAMOUTI_WEIGHTS[q] for q in range(4))
         for p in range(4)
     )
     weights = _ALAMOUTI_WEIGHTS + second
@@ -371,44 +360,25 @@ def cuwd_rate1_4group(a: int) -> LinearSTBC:
 def ciod(a: int) -> LinearSTBC:
     """The rate-1 CIOD for 2^a antennas (a = 1 or 2), as a code.
 
-    The codeword is block diagonal in two orthogonal designs whose complex
-    inputs interleave I/Q coordinates across symbol pairs; weights 2g and
-    2g+1 form the group of one interleaved input.  For a = 1 the two
-    diagonal entries are ``x0I + j x1Q`` and ``x1I + j x0Q``.  For a = 2 the
-    diagonal blocks are Alamouti designs in the four interleaved inputs
-    ``x_iI + j x_{(i+2) mod 4, Q}``.  The design is full rank by
-    construction, so only the rank of each sum code built from it is
-    checked.
+    With ``n = 2^(a-1)``, the codeword is block diagonal in two copies of
+    the rate-1 orthogonal design for n antennas (``[x]`` for a = 1, the
+    Alamouti design for a = 2), whose complex inputs interleave I/Q
+    coordinates: input i of the 2n is ``x_iI + j x_{(i+n) mod 2n, Q}``.
+    Diagonal block b takes inputs bn .. bn+n-1, its design's weights in
+    order, so weights 2i and 2i+1 are input i's group.  The design is full
+    rank by construction, so only the rank of each sum code built from it
+    is checked.
     """
-    if a == 1:
-        weights = (
-            np.diag([1, 0]).astype(complex),   # x0I
-            np.diag([1j, 0]),                   # x1Q
-            np.diag([0, 1]).astype(complex),    # x1I
-            np.diag([0, 1j]),                   # x0Q
-        )
-        labels = ("x0I", "x1Q", "x1I", "x0Q")
-    elif a == 2:
-        def w(block, slot, coef):
-            out = np.zeros((4, 4), dtype=complex)
-            o = 2 * block
-            if slot == "a":
-                out[o, o] = coef
-                out[o + 1, o + 1] = np.conj(coef)
-            else:
-                out[o, o + 1] = -np.conj(coef)
-                out[o + 1, o] = coef
-            return out
-
-        weights = (
-            w(0, "a", 1), w(0, "a", 1j),    # x0I, x2Q
-            w(0, "b", 1), w(0, "b", 1j),    # x1I, x3Q
-            w(1, "a", 1), w(1, "a", 1j),    # x2I, x0Q
-            w(1, "b", 1), w(1, "b", 1j),    # x3I, x1Q
-        )
-        labels = ("x0I", "x2Q", "x1I", "x3Q", "x2I", "x0Q", "x3I", "x1Q")
-    else:
+    if a not in (1, 2):
         raise UnsupportedSize("supported design sizes are a in {1, 2}")
+    n = 2 ** (a - 1)
+    design = np.reshape((1, 1j), (2, 1, 1)) if a == 1 else _ALAMOUTI_WEIGHTS
+    weights = np.zeros((4 * n, 2 * n, 2 * n), dtype=complex)
+    for b in range(2):
+        block = slice(n * b, n * (b + 1))
+        weights[2 * n * b:2 * n * (b + 1), block, block] = design
+    labels = [lab for i in range(2 * n)
+              for lab in (f"x{i}I", f"x{(i + n) % (2 * n)}Q")]
     return _make_code(weights, labels, check_rank=False)
 
 
@@ -489,9 +459,7 @@ def cda_2x2() -> LinearSTBC:
     A conjugate-free two-symbol design over Q(i); shipped as the small
     construction-II instance with profile (2, 2, 1).
     """
-    forms = (np.eye(2, dtype=complex),
-             np.array([[0, 1j], [1, 0]], dtype=complex))
-    return construction_ii(forms)
+    return construction_ii((np.eye(2, dtype=complex), M_GOLDEN))
 
 
 def construction_iii(x1: LinearSTBC, m) -> LinearSTBC:
@@ -658,7 +626,7 @@ def named_m_matrix(name: str, n_t: int = 2) -> np.ndarray:
     if name == "identity":
         return np.eye(n_t, dtype=complex)
     if name == "bhv":
-        return _T_FLIP @ default_bhv_rotation()
+        return _SIGMA3 @ _BHV_ROTATION
     if name == "golden":
         return np.array(M_GOLDEN)
     if name in ("sr", "srinath-rajan"):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import MISSING, astuple, dataclass, fields
 
 import numpy as np
 
@@ -53,30 +53,32 @@ RNG_ALGORITHM = "numpy-PCG64/standard_normal"
 
 
 def _json_numbers(value, name) -> tuple:
-    """A JSON array of numbers as a tuple; a non-array, ``bool`` and string
-    entries raise ``ValueError``."""
-    if type(value) is not list:
+    """An array (list or tuple) of numbers as a tuple of floats; a non-array,
+    ``bool`` and string entries raise ``ValueError``."""
+    if type(value) not in (list, tuple):
         raise ValueError(f"{name} = {value!r} must be an array of numbers")
     for i, v in enumerate(value):
         if type(v) not in (int, float):
             raise ValueError(f"{name}[{i}] = {v!r} must be a number")
-    return tuple(value)
+    return tuple(float(v) for v in value)
 
 
 def _json_ordering(value) -> tuple | None:
-    """A campaign's ``ordering``: ``null`` or a JSON array of integers.
+    """A campaign's ``ordering``: ``null`` or a list or tuple of integers.
 
     ``[]`` stays an empty ordering, which :func:`codes.reorder` rejects."""
     if value is None:
         return None
-    if type(value) is not list:
+    if type(value) not in (list, tuple):
         raise ValueError(f"ordering = {value!r} must be an array of integers")
     return tuple(_json_integer(p, f"ordering[{i}]") for i, p in enumerate(value))
 
 
 @dataclass(frozen=True)
 class SimulationCampaign:
-    """Config for one sweep; see ``schemas/campaign.schema.json``."""
+    """Config for one sweep; see ``schemas/campaign.schema.json``.  However
+    it is built, each field meets the schema's rules and is stored
+    normalised (integral floats as ``int``, arrays as tuples)."""
 
     code: str
     m: int
@@ -87,6 +89,15 @@ class SimulationCampaign:
     n_r: int | None = None
 
     def __post_init__(self):
+        if type(self.code) is not str:
+            raise ValueError(f"code = {self.code!r} must be a string")
+        for name in ("m", "trials_per_point", "master_seed"):
+            object.__setattr__(self, name, _json_integer(getattr(self, name), name))
+        if self.n_r is not None:
+            object.__setattr__(self, "n_r", _json_integer(self.n_r, "n_r"))
+        object.__setattr__(self, "snr_grid_db",
+                           _json_numbers(self.snr_grid_db, "snr_grid_db"))
+        object.__setattr__(self, "ordering", _json_ordering(self.ordering))
         try:
             PamConstellation(self.m)
         except ValueError as exc:
@@ -95,7 +106,7 @@ class SimulationCampaign:
             raise ValueError("trials_per_point must be >= 1")
         if self.master_seed < 0:
             raise ValueError(f"master_seed = {self.master_seed} must be >= 0")
-        grid = tuple(float(s) for s in self.snr_grid_db)
+        grid = self.snr_grid_db
         if not grid:
             raise ValueError("snr_grid_db must hold at least one SNR")
         for i, snr in enumerate(grid):
@@ -104,29 +115,22 @@ class SimulationCampaign:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr grid must be strictly increasing")
         _receive_antennas(self.n_r)
-        object.__setattr__(self, "snr_grid_db", grid)
 
     @classmethod
     def from_json(cls, data) -> "SimulationCampaign":
+        """The campaign of a JSON object whose keys are the field names and
+        an optional ``rng``; an unknown key raises ``ValueError``."""
         if type(data) is not dict:
             raise ValueError(f"campaign = {data!r} must be a JSON object")
-        if type(data["code"]) is not str:
-            raise ValueError(f"code = {data['code']!r} must be a string")
         rng = data.get("rng", RNG_ALGORITHM)
         if rng != RNG_ALGORITHM:
             raise ValueError(f"rng = {rng!r} must be {RNG_ALGORITHM!r}, "
                              "the only generator the sweep runs")
-        return cls(
-            code=data["code"],
-            m=_json_integer(data["m"], "m"),
-            snr_grid_db=_json_numbers(data["snr_grid_db"], "snr_grid_db"),
-            trials_per_point=_json_integer(data["trials_per_point"],
-                                           "trials_per_point"),
-            master_seed=_json_integer(data["master_seed"], "master_seed"),
-            ordering=_json_ordering(data.get("ordering")),
-            n_r=(None if data.get("n_r") is None
-                 else _json_integer(data["n_r"], "n_r")),
-        )
+        unknown = sorted(data.keys() - {f.name for f in fields(cls)} - {"rng"})
+        if unknown:
+            raise ValueError(f"unknown campaign key(s) {unknown}")
+        return cls(**{f.name: data[f.name] for f in fields(cls)
+                      if f.name in data or f.default is MISSING})
 
     def to_json(self) -> dict:
         return {

@@ -171,6 +171,7 @@ class TestAnalyze:
         ("declared_profile", [2, 4, 1.5], "declared_profile[2]"),
         ("declared_profile", [2, 0, 4], "declared_profile"),
         ("labels", "abcdefgh", "labels"),
+        ("declared_profile", [2, 2, 1], "declared_profile"),
     ])
     def test_malformed_code_file_exits_2(self, tmp_path, capsys, field,
                                          value, named):
@@ -246,6 +247,22 @@ class TestVerify:
         assert [c["name"] for c in premises["conditions"]] == [
             "block-1-group-decodable", "block-2-group-decodable",
             "r-full-rank", "ete-block-diagonal-at-4"]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv", [
+        ("--ordering", "0,1,6,3,4,5,2,7", "--profile", "2,2,2"),
+        ("--construction-i",)])
+    def test_failed_check_exits_1(self, capsys, argv, fmt):
+        # the full report prints before the exit code reports the failure
+        rc, out, err = run_cli(capsys, "verify", "golden", *argv,
+                               "--format", fmt)
+        assert rc == 1
+        assert err == ""
+        if fmt == "json":
+            results = json.loads(out[out.index("{"):])
+            assert [body["pass"] for body in results.values()].count(False) == 1
+        else:
+            assert out.count("pass=False") == 1
 
     def test_nothing_to_verify(self, capsys):
         rc, _, err = run_cli(capsys, "verify", "alamouti")
@@ -398,6 +415,24 @@ class TestSimulate:
         rc, out, err = run_cli(capsys, "simulate", str(cfg))
         assert rc == 2
         assert err.startswith("error: rng = 'mt19937' must be ")
+        assert out == ""
+
+    @pytest.mark.parametrize("change, named", [
+        ({"n_rr": 3}, "unknown campaign key(s) ['n_rr']"),
+        ({"modes": ["baseline", "memoized"]}, "unknown campaign key(s) ['modes']"),
+        ({"master_seed": None}, "'master_seed'"),
+    ])
+    def test_unknown_or_missing_key_exits_2(self, tmp_path, capsys, change,
+                                            named):
+        campaign = {"code": "bhv", "m": 2, "snr_grid_db": [10.0],
+                    "trials_per_point": 1, "master_seed": 4}
+        campaign = {k: v for k, v in (campaign | change).items()
+                    if v is not None}
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(campaign))
+        rc, out, err = run_cli(capsys, "simulate", str(cfg))
+        assert rc == 2
+        assert err == f"error: {named}\n"
         assert out == ""
 
     def test_fractional_trial_count_exits_2(self, tmp_path, capsys):

@@ -17,7 +17,6 @@ from bostbc.codes import (
     M_A2,
     M_GOLDEN,
     M_SRINATH_RAJAN,
-    NotUnitary,
     PremiseViolated,
     RankDeficient,
     UnsupportedSize,
@@ -99,19 +98,19 @@ class TestBhvCode:
         assert code.k_real == 8
         assert code.declared_profile == (2, 4, 1)
 
-    def test_identity_rotation_second_block(self):
-        # with u = I, z1 = 1 contributes T * I = diag(1, -1)
-        code = bhv_code(np.eye(2))
-        assert np.abs(code.weights[4] - np.diag([1.0, -1.0])).max() == 0.0
+    def test_rotated_flip_second_block(self):
+        # z1 = cos(theta) s3 - sin(theta) s4 and z2 = sin(theta) s3 +
+        # cos(theta) s4, so s3I's weight is T (cos(theta) A0 + sin(theta) A2)
+        code = bhv_code()
+        theta = math.atan(2.0) / 2
+        a0, a2 = code.weights[0], code.weights[2]
+        want = np.diag([1.0, -1.0]) @ (math.cos(theta) * a0 + math.sin(theta) * a2)
+        assert np.abs(code.weights[4] - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_first_block_is_alamouti(self):
         code = bhv_code()
         assert np.array_equal(code.weights[0], np.eye(2))
         assert np.array_equal(code.weights[2], np.array([[0, -1], [1, 0]]))
-
-    def test_non_unitary_rejected(self):
-        with pytest.raises(NotUnitary):
-            bhv_code(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
 _E = np.exp(1j * np.pi / 4)
@@ -206,7 +205,42 @@ class TestCuwd:
             cuwd_rate1_4group(4)
 
 
+def _ciod2_weight(block, slot, coef):
+    """One weight of the 4x4 CIOD, written out: ``coef`` at slot "a" (the
+    diagonal, conjugated below) or "b" (the anti-diagonal, ``-conj`` above)
+    of 2x2 diagonal block ``block``."""
+    out = np.zeros((4, 4), dtype=complex)
+    o = 2 * block
+    if slot == "a":
+        out[o, o] = coef
+        out[o + 1, o + 1] = np.conj(coef)
+    else:
+        out[o, o + 1] = -np.conj(coef)
+        out[o + 1, o] = coef
+    return out
+
+
+#: The 4x4 CIOD's weights written out entry by entry; the reference for
+#: building it from two Alamouti designs.
+CIOD2_WEIGHTS = (
+    _ciod2_weight(0, "a", 1), _ciod2_weight(0, "a", 1j),    # x0I, x2Q
+    _ciod2_weight(0, "b", 1), _ciod2_weight(0, "b", 1j),    # x1I, x3Q
+    _ciod2_weight(1, "a", 1), _ciod2_weight(1, "a", 1j),    # x2I, x0Q
+    _ciod2_weight(1, "b", 1), _ciod2_weight(1, "b", 1j),    # x3I, x1Q
+)
+
+
 class TestCiod:
+    def test_a2_matches_reference_table(self):
+        design = ciod(2)
+        want = np.array(CIOD2_WEIGHTS)
+        # equal as numbers; the table's -conj(1j) and the Alamouti design's
+        # -1j differ only in the sign of a zero real part
+        assert np.array_equal(design.weights, want)
+        assert (design.weights + 0.0).tobytes() == (want + 0.0).tobytes()
+        assert design.labels == ("x0I", "x2Q", "x1I", "x3Q",
+                                 "x2I", "x0Q", "x3I", "x1Q")
+
     def test_a1_entries(self):
         design = ciod(1)
         x = {lab: i for i, lab in enumerate(design.labels)}

@@ -38,6 +38,15 @@ def test_schema_rejects_foreign_rng():
         jsonschema.validate(dict(camp.to_json(), rng="mt19937"), schema)
 
 
+@pytest.mark.parametrize("key", ["modes", "n_rr"])
+def test_schema_rejects_unknown_key(key):
+    schema = load_schema("campaign.schema.json")
+    camp = SimulationCampaign(code="bhv", m=2, snr_grid_db=(0.0,),
+                              trials_per_point=1, master_seed=1)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(dict(camp.to_json(), **{key: 3}), schema)
+
+
 def test_schema_rejects_malformed_code():
     schema = load_schema("code.schema.json")
     bad = code_to_json(golden_code())

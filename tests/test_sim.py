@@ -144,6 +144,27 @@ class TestCampaign:
         with pytest.raises(ValueError, match=field):
             SimulationCampaign.from_json(data)
 
+    @pytest.mark.parametrize("field, value", [
+        ("snr_grid_db", "048"), ("snr_grid_db", [True]),
+        ("trials_per_point", True), ("trials_per_point", 1.5),
+        ("master_seed", 4.5), ("code", 7), ("ordering", "01234567"),
+    ])
+    def test_constructor_violations_rejected(self, field, value):
+        # the constructor applies the JSON rules, not just from_json
+        kwargs = dict(code="bhv", m=2, snr_grid_db=(0.0,), trials_per_point=1,
+                      master_seed=1)
+        with pytest.raises(ValueError, match=rf"^{field}(\[\d\])? = "):
+            SimulationCampaign(**dict(kwargs, **{field: value}))
+
+    def test_constructor_normalises_fields(self):
+        camp = SimulationCampaign(code="bhv", m=2.0, snr_grid_db=[0, 4],
+                                  trials_per_point=3.0, master_seed=1,
+                                  ordering=[0, 1, 2, 3, 4, 5, 6, 7], n_r=2.0)
+        assert camp == SimulationCampaign.from_json(camp.to_json())
+        assert (camp.m, camp.trials_per_point, camp.n_r) == (2, 3, 2)
+        assert camp.snr_grid_db == (0.0, 4.0)
+        assert camp.ordering == (0, 1, 2, 3, 4, 5, 6, 7)
+
     @pytest.mark.parametrize("data", [[], "{}", 7, None])
     def test_non_object_campaign_rejected(self, data):
         with pytest.raises(ValueError, match="^campaign = .* must be a JSON object$"):
@@ -240,14 +261,15 @@ class TestCampaign:
         named = SimulationCampaign.from_json(dict(data, rng=sim.RNG_ALGORITHM))
         assert named == SimulationCampaign.from_json(data)
 
-    def test_modes_key_dropped_and_tolerated(self):
-        camp = SimulationCampaign(code="bhv", m=2, snr_grid_db=(0.0,),
-                                  trials_per_point=1, master_seed=3)
-        data = camp.to_json()
-        assert "modes" not in data
-        # campaign files written before the key was dropped still load
-        old = dict(data, modes=["baseline", "memoized"])
-        assert SimulationCampaign.from_json(old) == camp
+    @pytest.mark.parametrize("key, value", [
+        ("modes", ["baseline", "memoized"]), ("n_rr", 3)])
+    def test_unknown_key_rejected(self, key, value):
+        # a misspelt n_r, or the long-dropped modes, would run with defaults
+        data = {"code": "bhv", "m": 2, "snr_grid_db": [0.0],
+                "trials_per_point": 1, "master_seed": 3, key: value}
+        with pytest.raises(ValueError,
+                           match=rf"^unknown campaign key\(s\) \['{key}'\]$"):
+            SimulationCampaign.from_json(data)
 
 
 class TestRunSweep:
