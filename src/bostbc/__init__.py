@@ -38,7 +38,6 @@ from .decoder import (
     TooLarge,
     em_count_bounds,
     exhaustive_ml,
-    force_full_tree_decode,
     qrdm_bound,
     sphere_decode,
 )

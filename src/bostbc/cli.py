@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: construct, analyze, verify, decode, bounds, simulate.
-Exit codes: 0 success, 1 internal error or a failed ``verify`` check,
-2 invalid input or config.
+Exit codes: 0 success, 1 internal error, a failed ``verify`` check or a
+``decode`` whose baseline and memoized decoders disagree, 2 invalid input or
+config.
 Every run prints its resolved configuration (seeds, tolerances) so results
 can be reproduced from the console transcript alone.
 """
@@ -54,6 +55,13 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _channel_count(text: str) -> int:
+    """``--channels``: an integer >= 1, checked before any output."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _pattern_grid(pattern) -> str:
     return "\n".join(" ".join("t" if x else "0" for x in row) for row in pattern)
 
@@ -96,17 +104,20 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     code = _load_code_arg(args.code, args.ordering)
+    profile = None
+    if args.profile:
+        profile = _parse_profile(args.profile)
+        if profile.total != code.k_real:
+            raise ValueError(f"--profile {args.profile} covers {profile.total} "
+                             f"symbols, {args.code} has {code.k_real}")
+    elif code.declared_profile:
+        profile = BlockOrthogonalProfile(*code.declared_profile)
     print(f"config: channels={args.channels} seed={args.seed}")
     results = {}
     if args.construction_i:
         rep = structure.verify_cuwd_sum_structure(
             code, n_channels=args.channels, seed=args.seed)
         results["construction_i"] = asdict(rep) | {"pass": rep.passes()}
-    profile = None
-    if args.profile:
-        profile = _parse_profile(args.profile)
-    elif code.declared_profile:
-        profile = BlockOrthogonalProfile(*code.declared_profile)
     if profile is not None:
         rep = structure.verify_multi_block_premises(
             code, profile, n_channels=args.channels, seed=args.seed)
@@ -159,10 +170,12 @@ def cmd_decode(args) -> int:
             f"flops={trial.stats_memoized.flops} "
             f"cache_hits={trial.stats_memoized.cache_hits}")
     _emit(args, payload, text)
-    return 0
+    # the paper's invariant: caching never changes the decoded symbols
+    return int(trial.stats_baseline.decoded != trial.stats_memoized.decoded)
 
 
 def cmd_bounds(args) -> int:
+    PamConstellation(args.m)  # the PAM sizes decode and campaigns take
     profile = _parse_profile(args.profile)
     b = em_count_bounds(profile, args.m)
     q = qrdm_bound(profile.k, profile.gamma, args.m)
@@ -215,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="print the structural R pattern and profile")
     p.add_argument("code", help="shipped code name or code JSON file")
     p.add_argument("--ordering", help="comma-separated indices or labels")
-    p.add_argument("--channels", type=int, default=structure.DEFAULT_PATTERN_CHANNELS)
+    p.add_argument("--channels", type=_channel_count,
+                   default=structure.DEFAULT_PATTERN_CHANNELS)
     p.add_argument("--seed", type=_seed, default=structure.DEFAULT_SEED)
     p.add_argument("--tol", type=float, default=structure.DEFAULT_TOL_REL)
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -227,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", help="Gamma,k,gamma to verify (default: declared)")
     p.add_argument("--construction-i", action="store_true",
                    help="also check the sum-construction R1/E/R2 structure")
-    p.add_argument("--channels", type=int, default=structure.DEFAULT_PATTERN_CHANNELS)
+    p.add_argument("--channels", type=_channel_count,
+                   default=structure.DEFAULT_PATTERN_CHANNELS)
     p.add_argument("--seed", type=_seed, default=structure.DEFAULT_SEED)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_verify)

@@ -84,7 +84,6 @@ __all__ = [
     "InvalidProfile",
     "NotUpperTriangular",
     "sphere_decode",
-    "force_full_tree_decode",
     "exhaustive_ml",
     "EmCountBounds",
     "em_count_bounds",
@@ -335,8 +334,7 @@ def _instance(r_bytes: bytes, r_shape: tuple, y_bytes: bytes,
 
 
 class _Walker:
-    def __init__(self, r, y, cons, profile, memoize, prune,
-                 trace=None, validate_cache=False):
+    def __init__(self, r, y, cons, profile, memoize, prune, trace=None):
         r = _real_array(r, "r")
         y = _real_array(y, "y_prime").ravel()
         inst = _instance(r.tobytes(), r.shape, y.tobytes(), profile, cons)
@@ -356,7 +354,6 @@ class _Walker:
         self.m = cons.m
         self.prune = prune
         self.trace = trace
-        self.validate_cache = validate_cache
 
         self.steps = layout.steps[bool(memoize)]  # falsy: baseline pricing
         self.tails = layout.tails
@@ -426,8 +423,7 @@ class _Walker:
         if cacheable:
             key = (c, *idx[c + 1:end + 1]) if end > c else c
             entry = table.get(key)
-        flops = 0
-        if entry is None or self.validate_cache:
+        if entry is None:
             # conditioning offset captured when the block below was
             # finished, minus the interference inside the sub-block
             t = self.offsets[src][c]
@@ -445,19 +441,17 @@ class _Walker:
                     order = self.orders[j]
             if order is None:  # stable: equal increments keep index order
                 order = tuple(sorted(range(self.m), key=inc.__getitem__))
-            if entry is None:
-                self.em += self.m  # every level below the leading block
-                flops = inc_flops
-                if cacheable:
-                    table[key] = (inc, order)
-                    self.cache_size += self.m
-                    if self.cache_size > self.cache_peak:
-                        self.cache_peak = self.cache_size
-            elif (inc, order) != entry:
-                raise AssertionError("cache returned a stale metric vector")
-        if entry is not None:
+            self.em += self.m  # every level below the leading block
+            flops = inc_flops
+            if cacheable:
+                table[key] = (inc, order)
+                self.cache_size += self.m
+                if self.cache_size > self.cache_peak:
+                    self.cache_peak = self.cache_size
+        else:
             self.hits += 1
             inc, order = entry
+            flops = 0
         prune = self.prune
         trace = self.trace
         levels = self.levels
@@ -640,8 +634,7 @@ class _Walker:
 
 def sphere_decode(r, y_prime, cons: PamConstellation,
                   profile: BlockOrthogonalProfile | None = None, *,
-                  memoize: bool = True, prune: bool = True,
-                  trace=None, validate_cache: bool = False):
+                  memoize: bool = True, prune: bool = True, trace=None):
     """ML-decode ``argmin_x ||y' - R x||^2`` over the PAM grid.
 
     The R pattern is validated against the profile, the leading block is
@@ -653,6 +646,12 @@ def sphere_decode(r, y_prime, cons: PamConstellation,
     plain sphere decoding: the trivial profile ``(K, 1, 1)``, in which every
     symbol is its own block and nothing is cached whatever ``memoize`` says.
 
+    ``prune=False`` visits every node of the tree, so its
+    ``em_evaluations`` equal the closed forms of :func:`em_count_bounds`
+    exactly (baseline vs memoized).  It raises :class:`TooLarge` before any
+    set-up when the tree's ``M^(K - k gamma)`` leaves, one leading-block
+    solve each, exceed ``MAX_GRID``.
+
     Raises ``ValueError`` for complex or non-finite ``r`` or ``y'``, for
     inputs so large that the metric would overflow, and for a zero diagonal.
 
@@ -661,27 +660,13 @@ def sphere_decode(r, y_prime, cons: PamConstellation,
     """
     if profile is None:
         profile = BlockOrthogonalProfile(np.size(y_prime), 1, 1)
-    walker = _Walker(r, y_prime, cons, profile, memoize, prune,
-                     trace=trace, validate_cache=validate_cache)
+    depth = profile.total - profile.block_size
+    if not prune and cons.m ** depth > MAX_GRID:
+        raise TooLarge(f"full tree has {cons.m}^{depth} leaves")
+    walker = _Walker(r, y_prime, cons, profile, memoize, prune, trace=trace)
     stats = walker.run()
     symbols = tuple(cons.levels[i] for i in stats.decoded)
     return symbols, stats
-
-
-def force_full_tree_decode(r, y_prime, cons: PamConstellation,
-                           profile: BlockOrthogonalProfile | None = None, *,
-                           memoize: bool = True) -> DecoderStats:
-    """Run the decoder with pruning disabled so every node is visited.
-
-    The resulting ``em_evaluations`` equal the closed forms of
-    :func:`em_count_bounds` exactly (baseline vs memoized).
-    """
-    k_total = np.asarray(y_prime).size
-    if cons.m ** k_total > MAX_GRID:
-        raise TooLarge(f"full tree has {cons.m}^{k_total} leaves")
-    _, stats = sphere_decode(r, y_prime, cons, profile,
-                             memoize=memoize, prune=False)
-    return stats
 
 
 @functools.lru_cache(maxsize=16)

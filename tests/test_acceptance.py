@@ -23,7 +23,6 @@ from bostbc.decoder import (
     PamConstellation,
     em_count_bounds,
     exhaustive_ml,
-    force_full_tree_decode,
     qrdm_bound,
     sphere_decode,
 )
@@ -120,8 +119,10 @@ def _full_tree_ratio(code_name, profile, m, seed):
     h_eq = equivalent_channel(code, h)
     qr = gram_schmidt_qr(h_eq)
     y_prime = qr.q.T @ rng.standard_normal(h_eq.shape[0])
-    base = force_full_tree_decode(qr.r, y_prime, cons, profile, memoize=False)
-    memo = force_full_tree_decode(qr.r, y_prime, cons, profile, memoize=True)
+    base = sphere_decode(qr.r, y_prime, cons, profile, memoize=False,
+                         prune=False)[1]
+    memo = sphere_decode(qr.r, y_prime, cons, profile, memoize=True,
+                         prune=False)[1]
     assert base.decoded == memo.decoded
     return base, memo
 
@@ -136,10 +137,10 @@ def test_criterion_3_closed_form_em_counts():
     r[0, 1] = r[2, 3] = 0.0
     r[np.diag_indices(4)] = np.abs(np.diag(r)) + 1.0
     cons = PamConstellation(2)
-    base = force_full_tree_decode(r, rng.standard_normal(4), cons, prof,
-                                  memoize=False)
-    memo = force_full_tree_decode(r, rng.standard_normal(4), cons, prof,
-                                  memoize=True)
+    base = sphere_decode(r, rng.standard_normal(4), cons, prof,
+                         memoize=False, prune=False)[1]
+    memo = sphere_decode(r, rng.standard_normal(4), cons, prof,
+                         memoize=True, prune=False)[1]
     assert Fraction(memo.em_evaluations, base.em_evaluations) == Fraction(2, 3)
 
     # (2,4,1) at M=4 on the rate-2 Alamouti-sum code

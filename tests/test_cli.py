@@ -268,6 +268,12 @@ class TestVerify:
         rc, _, err = run_cli(capsys, "verify", "alamouti")
         assert rc == 2
 
+    def test_profile_of_another_size_exits_2(self, capsys):
+        rc, out, err = run_cli(capsys, "verify", "bhv", "--profile", "2,2,1")
+        assert rc == 2
+        assert out == ""  # rejected before the config line
+        assert "error: --profile 2,2,1 covers 4 symbols, bhv has 8" in err
+
 
 @pytest.mark.parametrize("seed", ["-1", "x"])
 @pytest.mark.parametrize("argv", [("analyze", "bhv"), ("verify", "bhv"),
@@ -285,9 +291,13 @@ def test_seed_not_a_non_negative_integer_exits_2(capsys, argv, seed):
 @pytest.mark.parametrize("argv", [("analyze", "bhv"), ("verify", "bhv"),
                                   ("verify", "bhv", "--construction-i")])
 def test_channels_below_one_exit_2(capsys, argv, channels):
-    rc, _, err = run_cli(capsys, *argv, f"--channels={channels}")
-    assert rc == 2
-    assert "error: n_channels must be >= 1" in err
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"--channels={channels}"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""  # rejected before the config line
+    assert (f"argument --channels: must be an integer >= 1, got '{channels}'"
+            in out.err)
 
 
 class TestBounds:
@@ -307,6 +317,13 @@ class TestBounds:
     def test_bad_profile_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, "bounds", "--profile", "2,4", "--m", "4")
         assert rc == 2
+
+    @pytest.mark.parametrize("m", ["3", "1", "16"])
+    def test_m_outside_pam_sizes_exits_2(self, capsys, m):
+        rc, out, err = run_cli(capsys, "bounds", "--profile", "2,4,1", "--m", m)
+        assert rc == 2
+        assert out == ""
+        assert "error: points per real dimension must be 2, 4 or 8" in err
 
 
 class TestDecode:
@@ -330,6 +347,20 @@ class TestDecode:
         got = [json.loads(line) for line in path.read_text().splitlines()]
         assert want and got == want
         assert f"wrote {len(want)} trace records to {path}" in out
+
+    def test_disagreement_exits_1_after_the_report(self, capsys, monkeypatch):
+        # bhv at seed 1 (16-QAM, 10 dB) replays 4 memo entries; corrupting
+        # the first moves the memoized decode off the baseline's
+        argv = ("decode", "bhv", "--seed", "1", "--format", "json")
+        rc, out, _ = run_cli(capsys, *argv)
+        report = json.loads(out[out.index("{"):])
+        assert rc == 0 and report["memoized"]["cache_hits"] == 4
+        monkeypatch.setattr(decoder, "_Walker", corrupt_memo_entry(0))
+        rc, out, err = run_cli(capsys, *argv)
+        report = json.loads(out[out.index("{"):])
+        assert rc == 1
+        assert err == ""
+        assert report["memoized"]["decoded"] != report["baseline"]["decoded"]
 
     @pytest.mark.parametrize("snr", ["-1e308", "1e308", "-inf", "nan"])
     def test_snr_without_finite_noise_exits_2(self, capsys, snr):

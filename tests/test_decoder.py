@@ -1,6 +1,7 @@
 """Tests for the sphere decoder, the exhaustive oracle and the bound math."""
 
 import dataclasses
+import functools
 import itertools
 import re
 import warnings
@@ -22,7 +23,6 @@ from bostbc.decoder import (
     _Walker,
     em_count_bounds,
     exhaustive_ml,
-    force_full_tree_decode,
     qrdm_bound,
     sphere_decode,
 )
@@ -35,6 +35,17 @@ from bostbc.structure import (
 )
 
 from conftest import decode_instance
+
+
+def walk_trace(r, y, cons, profile, *, memoize, prune):
+    """``(stats, trace)`` of one decode, each trace record cut to ``(level,
+    partial metric, symbol index)``: what a memoized walk that replays its
+    cache correctly shares with the baseline walk, bit for bit."""
+    trace = []
+    _, stats = sphere_decode(r, y, cons, profile, memoize=memoize,
+                             prune=prune, trace=trace)
+    return stats, [(t["level"], t["partial_metric"], t["symbol_index"])
+                   for t in trace]
 
 
 def patterned_r(rng, profile, scale=1.0):
@@ -115,7 +126,10 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="r and y' must be finite"):
             sphere_decode(r, y, PamConstellation(2), profile)
 
-    @pytest.mark.parametrize("decode", [sphere_decode, force_full_tree_decode])
+    @pytest.mark.parametrize("decode", [
+        sphere_decode,
+        pytest.param(functools.partial(sphere_decode, prune=False),
+                     id="full_tree")])
     @pytest.mark.parametrize("arg, named", [("r", "r"), ("y", "y_prime")])
     @pytest.mark.parametrize("imag", [0.5, 0.0])
     def test_complex_rejected(self, rng, decode, arg, named, imag):
@@ -304,12 +318,11 @@ class TestSubBlockIndependence:
         r = patterned_r(rng, prof)
         cons = PamConstellation(2)
         y = rng.standard_normal(4)
-        stats = force_full_tree_decode(r, y, cons, prof, memoize=True)
+        stats, trace = walk_trace(r, y, cons, prof, memoize=True, prune=False)
         assert stats.cache_hits == 1
-        # validate_cache recomputes on hit and asserts bitwise equality
-        _, stats2 = sphere_decode(r, y, cons, prof, memoize=True, prune=False,
-                                  validate_cache=True)
-        assert stats2.cache_hits == 1
+        # the hit replays the increments and order the baseline recomputes
+        assert trace == walk_trace(r, y, cons, prof, memoize=False,
+                                   prune=False)[1]
 
     def test_trace_records_hits(self, rng):
         prof = BlockOrthogonalProfile(2, 2, 1)
@@ -385,22 +398,15 @@ class TestCandidateOrder:
             assert want == list(range(m))
             assert got == want, pos
 
-    @pytest.mark.parametrize("validate", [False, True])
-    def test_hit_replays_stored_order(self, rng, validate):
+    def test_hit_replays_stored_order(self, rng):
         # level 3 and the stored entry of level 2 read the table, then it
-        # turns: the hit on level 2 must replay the stored order, and
-        # validate_cache must see that a fresh order differs from it
+        # turns: the hit on level 2 must replay the stored order
         prof = BlockOrthogonalProfile(2, 2, 1)
         cons = PamConstellation(2)
         trace = []
         walker = _Walker(patterned_r(rng, prof), rng.standard_normal(4), cons,
-                         prof, True, False, trace=trace,
-                         validate_cache=validate)
+                         prof, True, False, trace=trace)
         walker.orders = _OrdersThatTurn(walker.orders, 2)
-        if validate:
-            with pytest.raises(AssertionError, match="stale"):
-                walker.run()
-            return
         assert walker.run().cache_hits == 1
         visits = [rec["symbol_index"] for rec in trace if rec["level"] == 2]
         assert len(visits) == 4 and visits[:2] == visits[2:]
@@ -515,16 +521,35 @@ class TestCounterFingerprint:
     def test_single_block_corpus_totals_are_pinned(self):
         assert _mode_totals(_single_block_corpus()) == self.EXPECTED_SINGLE
 
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_memoized_walk_replays_the_baseline_walk(self, prune):
+        # every replayed increment and order shows in the trace, all of them
+        # with pruning off; full trees of more than 4096 leaves are skipped
+        # to keep the test quick
+        checked = 0
+        for corpus in (_fingerprint_corpus, _wide_fingerprint_corpus):
+            for r, y, cons, prof in corpus():
+                if not prune and cons.m ** (prof.total - prof.block_size) > 4096:
+                    continue
+                base = walk_trace(r, y, cons, prof, memoize=False, prune=prune)
+                memo = walk_trace(r, y, cons, prof, memoize=True, prune=prune)
+                assert memo[1] == base[1], (prof, cons.m)
+                assert memo[0].decoded == base[0].decoded
+                checked += 1
+        assert checked == (360 if prune else 320)
+
     @pytest.mark.parametrize("shape", [(3, 2, 1), (3, 2, 2)])
     def test_no_stale_table_across_block_reentry(self, rng, shape):
         # Gamma = 3 re-enters block 1 once per symbol combination of block
-        # 2; validate_cache raises if a hit replays an old conditioning
+        # 2; a hit that replays an old conditioning moves a partial metric
+        # or an order off the baseline walk's
         prof = BlockOrthogonalProfile(*shape)
         cons = PamConstellation(2)
         r = patterned_r(rng, prof)
         y = rng.standard_normal(prof.total)
-        _, stats = sphere_decode(r, y, cons, prof, prune=False,
-                                 validate_cache=True)
+        stats, trace = walk_trace(r, y, cons, prof, memoize=True, prune=False)
+        assert trace == walk_trace(r, y, cons, prof, memoize=False,
+                                   prune=False)[1]
         bounds = em_count_bounds(prof, 2)
         assert stats.cache_hits > 0
         assert stats.em_evaluations == bounds.o_bostbc
@@ -638,8 +663,8 @@ class TestFullTreeCounts:
         cons = PamConstellation(m)
         r = patterned_r(rng, prof)
         y = rng.standard_normal(prof.total)
-        base = force_full_tree_decode(r, y, cons, prof, memoize=False)
-        memo = force_full_tree_decode(r, y, cons, prof, memoize=True)
+        base = sphere_decode(r, y, cons, prof, memoize=False, prune=False)[1]
+        memo = sphere_decode(r, y, cons, prof, memoize=True, prune=False)[1]
         bounds = em_count_bounds(prof, m)
         assert base.em_evaluations == bounds.o_stbc
         assert memo.em_evaluations == bounds.o_bostbc
@@ -653,8 +678,8 @@ class TestFullTreeCounts:
         cons = PamConstellation(2)
         r = patterned_r(rng, prof)
         y = rng.standard_normal(6)
-        base = force_full_tree_decode(r, y, cons, prof, memoize=False)
-        memo = force_full_tree_decode(r, y, cons, prof, memoize=True)
+        base = sphere_decode(r, y, cons, prof, memoize=False, prune=False)[1]
+        memo = sphere_decode(r, y, cons, prof, memoize=True, prune=False)[1]
         bounds = em_count_bounds(prof, 2)
         assert base.em_evaluations == bounds.o_stbc
         assert memo.em_evaluations == bounds.o_bostbc
@@ -662,9 +687,14 @@ class TestFullTreeCounts:
         assert base.decoded == memo.decoded
 
     def test_guard(self):
+        # plain decoding of 16 symbols would walk 8^15 leaves; the guard
+        # runs before set-up, so it refuses even an r set-up would reject
         cons = PamConstellation(8)
-        with pytest.raises(TooLarge):
-            force_full_tree_decode(np.eye(8), np.zeros(8), cons)
+        with pytest.raises(TooLarge, match=r"^full tree has 8\^15 leaves$"):
+            sphere_decode(np.eye(16), np.zeros(16), cons, prune=False)
+        with pytest.raises(TooLarge, match=r"^full tree has 8\^7 leaves$"):
+            sphere_decode(np.full((8, 8), np.nan), np.zeros(8), cons,
+                          prune=False)
 
     @pytest.mark.parametrize("shape, flops, nodes", [
         # a singleton: slice 3, residual 2, square 1, add to the sum 1
