@@ -38,6 +38,7 @@ from .decoder import (
     TooLarge,
     em_count_bounds,
     exhaustive_ml,
+    prepare,
     qrdm_bound,
     sphere_decode,
 )

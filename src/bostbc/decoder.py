@@ -2,13 +2,14 @@
 
 A decode has three parts, each with one owner.
 
-*Set-up* (``_instance``): the validation of ``(R, y')`` and everything the
+*Set-up* (:func:`prepare`): the validation of ``(R, y')`` and everything the
 walk reads of them (the row, column and ``y'`` copies, ``1 / r_cc`` and the
-products ``r_cc * level``) are built once, in an immutable instance.  A
-one-slot cache keyed by the bytes of ``R`` and ``y'``, the profile and the
-constellation hands it to the next decode of the same input, so a trial's
-baseline and memoized decodes set up once.  Products are formed ahead, never
-reassociated, so every float is the same IEEE operation on the same operands.
+products ``r_cc * level``) are built once, in an immutable instance that
+remembers which ``r`` and ``y'`` objects, profile and constellation it was
+built from.  :func:`sphere_decode` builds its own unless it is handed one
+with ``prepared=``, which is how a trial's baseline and memoized decodes
+share one set-up.  Products are formed ahead, never reassociated, so every
+float is the same IEEE operation on the same operands.
 
 *Conditioned walk* (``_Walker._descend``): the conditioned blocks are
 enumerated from the last column inward, each level's candidates in
@@ -83,6 +84,7 @@ __all__ = [
     "TooLarge",
     "InvalidProfile",
     "NotUpperTriangular",
+    "prepare",
     "sphere_decode",
     "exhaustive_ml",
     "EmCountBounds",
@@ -241,8 +243,10 @@ def _layout(profile: BlockOrthogonalProfile, m: int) -> _Layout:
 
 class _Instance(NamedTuple):
     """One validated ``(R, y')`` over one profile and constellation, in the
-    forms the walk reads.  Nothing in it depends on how the walk prices or
-    caches, so the baseline and memoized decodes of a trial share it.
+    forms the walk reads, with the ``r`` and ``y'`` objects, profile and
+    constellation it was built from.  Nothing in it depends on how the walk
+    prices or caches, so the baseline and memoized decodes of a trial share
+    it.
 
     ``cols[c]`` is column ``c`` of R cut at the start of ``c``'s block: the
     rows a symbol accepted at ``c`` is cancelled from.  ``diag_levels[c][a]``
@@ -250,6 +254,10 @@ class _Instance(NamedTuple):
     leading sub-block, ``(lo, hi, triples)`` with one triple
     ``(b, r[hi,hi] * levels[b], r[lo,hi] * levels[b])`` per level ``b``."""
 
+    r: object
+    y_prime: object
+    profile: BlockOrthogonalProfile
+    cons: PamConstellation
     layout: _Layout
     rows: tuple
     cols: tuple
@@ -260,17 +268,23 @@ class _Instance(NamedTuple):
     pos_shift: float
 
 
-@functools.lru_cache(maxsize=1)
-def _instance(r_bytes: bytes, r_shape: tuple, y_bytes: bytes,
-              profile: BlockOrthogonalProfile,
-              cons: PamConstellation) -> _Instance:
-    """Validate ``r`` and ``y'`` (given as float64 bytes) against ``profile``
-    and set up what every walk over them reads.  The one slot holds the
-    last instance, so a trial's second decode reuses its first's; input
-    that fails validation is never cached and raises on every call."""
-    r = np.frombuffer(r_bytes).reshape(r_shape)
-    y = np.frombuffer(y_bytes)
+def prepare(r, y_prime, cons: PamConstellation,
+            profile: BlockOrthogonalProfile | None = None) -> _Instance:
+    """Validate ``r`` and ``y'`` against ``profile`` and set up what every
+    walk over them reads.
+
+    The result is immutable and holds copies of the values, so changing
+    ``r`` or ``y'`` in place later does not reach it.  Hand it to
+    :func:`sphere_decode` as ``prepared=`` together with the same ``r`` and
+    ``y'`` objects, profile and constellation; ``profile=None`` prepares for
+    plain decoding.  Raises what :func:`sphere_decode` raises for bad input.
+    """
+    r_in, y_in = r, y_prime
+    r = _real_array(r, "r")
+    y = _real_array(y_prime, "y_prime").ravel()
     k_total = y.size
+    if profile is None:
+        profile = BlockOrthogonalProfile(k_total, 1, 1)
     if r.shape != (k_total, k_total):
         raise ValueError("r must be square and match y'")
     if profile.total != k_total:
@@ -319,6 +333,10 @@ def _instance(r_bytes: bytes, r_shape: tuple, y_bytes: bytes,
     if diag_min * (levels[1] - levels[0]) >= _ORDER_MIN_STEP:
         pos_shift = cons.m - 1.0 + 2 * _ORDER_REACH
     return _Instance(
+        r=r_in,
+        y_prime=y_in,
+        profile=profile,
+        cons=cons,
         layout=layout,
         rows=rows,
         # the leading block's columns are never cancelled from any row
@@ -334,13 +352,11 @@ def _instance(r_bytes: bytes, r_shape: tuple, y_bytes: bytes,
 
 
 class _Walker:
-    def __init__(self, r, y, cons, profile, memoize, prune, trace=None):
-        r = _real_array(r, "r")
-        y = _real_array(y, "y_prime").ravel()
-        inst = _instance(r.tobytes(), r.shape, y.tobytes(), profile, cons)
+    def __init__(self, inst, memoize, prune, trace=None):
         layout = inst.layout
+        profile = inst.profile
         k_total = len(inst.y)
-        levels = cons.levels
+        levels = inst.cons.levels
         spacing = levels[1] - levels[0]
         self.k_total = k_total
         self.top_size = profile.block_size
@@ -351,7 +367,7 @@ class _Walker:
         self.diag_levels = inst.diag_levels
         self.pairs = inst.pairs
         self.levels = levels
-        self.m = cons.m
+        self.m = inst.cons.m
         self.prune = prune
         self.trace = trace
 
@@ -634,7 +650,8 @@ class _Walker:
 
 def sphere_decode(r, y_prime, cons: PamConstellation,
                   profile: BlockOrthogonalProfile | None = None, *,
-                  memoize: bool = True, prune: bool = True, trace=None):
+                  memoize: bool = True, prune: bool = True, trace=None,
+                  prepared: _Instance | None = None):
     """ML-decode ``argmin_x ||y' - R x||^2`` over the PAM grid.
 
     The R pattern is validated against the profile, the leading block is
@@ -652,6 +669,10 @@ def sphere_decode(r, y_prime, cons: PamConstellation,
     set-up when the tree's ``M^(K - k gamma)`` leaves, one leading-block
     solve each, exceed ``MAX_GRID``.
 
+    ``prepared``, the result of :func:`prepare` on these same ``r`` and
+    ``y'`` objects, profile and constellation, replaces the decode's own
+    set-up; one built from anything else raises ``ValueError``.
+
     Raises ``ValueError`` for complex or non-finite ``r`` or ``y'``, for
     inputs so large that the metric would overflow, and for a zero diagonal.
 
@@ -663,9 +684,14 @@ def sphere_decode(r, y_prime, cons: PamConstellation,
     depth = profile.total - profile.block_size
     if not prune and cons.m ** depth > MAX_GRID:
         raise TooLarge(f"full tree has {cons.m}^{depth} leaves")
-    walker = _Walker(r, y_prime, cons, profile, memoize, prune, trace=trace)
-    stats = walker.run()
-    symbols = tuple(cons.levels[i] for i in stats.decoded)
+    if prepared is None:
+        prepared = prepare(r, y_prime, cons, profile)
+    elif not (prepared.r is r and prepared.y_prime is y_prime
+              and prepared.profile == profile and prepared.cons == cons):
+        raise ValueError("prepared instance was built from another r, y', "
+                         "profile or constellation")
+    stats = _Walker(prepared, memoize, prune, trace=trace).run()
+    symbols = tuple(map(cons.levels.__getitem__, stats.decoded))
     return symbols, stats
 
 
@@ -684,13 +710,28 @@ def exhaustive_ml(h_eq, y, cons: PamConstellation) -> np.ndarray:
     Grid rows are ordered lexicographically by index vector, so
     ``np.argmin`` resolves exact metric ties to the lexicographically
     smallest symbol-index vector, matching the tree decoder's rule.
+
+    Raises ``ValueError`` for complex or non-finite input, an ``h_eq`` that
+    is not a non-empty 2-D matrix, a ``y`` whose length is not ``h_eq``'s
+    row count, and input so large that every metric overflows.
     """
     h_eq = _real_array(h_eq, "h_eq")
     y = _real_array(y, "y").ravel()
+    if h_eq.ndim != 2 or not h_eq.size:
+        raise ValueError(f"h_eq must be a non-empty 2-D matrix, got shape "
+                         f"{h_eq.shape}")
+    if y.size != h_eq.shape[0]:
+        raise ValueError(f"y has {y.size} entries, h_eq has "
+                         f"{h_eq.shape[0]} rows")
+    if not (np.isfinite(h_eq).all() and np.isfinite(y).all()):
+        raise ValueError("h_eq and y must be finite")
     grid = _level_grid(cons, h_eq.shape[1])
     diff = grid @ h_eq.T - y
     metrics = np.einsum("ij,ij->i", diff, diff)
-    return grid[int(np.argmin(metrics))].copy()
+    best = int(np.argmin(metrics))
+    if not math.isfinite(metrics[best]):
+        raise ValueError("h_eq and y are too large: the metric overflows")
+    return grid[best].copy()
 
 
 @dataclass(frozen=True)

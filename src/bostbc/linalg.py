@@ -14,6 +14,7 @@ what makes the real-valued equivalent channel model work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,18 +130,28 @@ def gram_schmidt_qr(h) -> QrResult:
     rows, cols = h.shape
     if rows < cols:
         raise RankDeficient(f"matrix is {rows}x{cols}; need rows >= cols")
-    if not np.isfinite(h).all():
+    # the max is NaN or inf iff some entry is
+    h_max = float(abs(h).max()) if cols else 0.0
+    if not h_max < math.inf:
         raise ValueError("matrix entries must be finite")
 
     q, r = np.linalg.qr(h)
-    diag = r.diagonal()
-    col_norm_max = np.sqrt((h * h).sum(axis=0).max()) if cols else 0.0
-    threshold = RANK_TOL * col_norm_max
-    for i, d in enumerate(diag.tolist()):
-        if abs(d) <= threshold:
-            raise RankDeficient(f"column {i} is dependent (|r_{i}| = {abs(d):.3e})")
-    sign = np.copysign(1.0, diag)
+    sign = np.copysign(1.0, r.diagonal())
     q *= sign
     r *= sign[:, None]
     r += 0.0  # turns the -0.0 a flipped zero becomes back into +0.0
+    if cols:
+        # the test runs on h / max|h|, so no square over- or underflows at
+        # any scale; no column norm of it exceeds sqrt(rows), so a larger
+        # smallest |r_ii| passes without the norms being computed
+        scale = h_max or 1.0
+        diag = r.diagonal()
+        if diag.min() / scale <= RANK_TOL * math.sqrt(rows):
+            scaled = h / scale
+            norm_max = math.sqrt((scaled * scaled).sum(axis=0).max())
+            threshold = RANK_TOL * norm_max
+            for i, d in enumerate(diag.tolist()):
+                if d / scale <= threshold:
+                    raise RankDeficient(
+                        f"column {i} is dependent (|r_{i}| = {d:.3e})")
     return QrResult(q=q, r=r)

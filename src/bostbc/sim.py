@@ -25,8 +25,8 @@ import numpy as np
 
 from . import codes as _codes
 from .codes import _json_integer
-from .decoder import DecoderStats, PamConstellation, sphere_decode
-from .linalg import cvec, gram_schmidt_qr, tilde_vec
+from .decoder import DecoderStats, PamConstellation, prepare, sphere_decode
+from .linalg import gram_schmidt_qr
 from .structure import (
     BlockOrthogonalProfile,
     _receive_antennas,
@@ -185,7 +185,7 @@ def snr_to_noise_variance(snr_db: float, code, cons: PamConstellation) -> float:
     ``ValueError``.
     """
     g = _codes.generator_matrix(code)
-    e_rx = cons.energy_per_symbol * float(np.sum(g * g)) / code.t
+    e_rx = cons.energy_per_symbol * float((g * g).sum()) / code.t
     try:
         n0 = e_rx / (10.0 ** (snr_db / 10.0))
     except (OverflowError, ZeroDivisionError):
@@ -212,28 +212,33 @@ def run_trial(code, cons: PamConstellation, snr_db: float, seed,
     """One paired trial: identical channel/codeword/noise for both decoders.
 
     Draw order is fixed (channel, then symbols, then noise) so a seed pins
-    the whole instance bit-for-bit.  ``trace``, when given, collects the
-    memoized decoder's per-node records.
+    the whole instance bit-for-bit.  ``(R, y')`` is set up once, with
+    :func:`decoder.prepare`, and both decodes share it.  ``trace``, when
+    given, collects the memoized decoder's per-node records.
     """
     n_r = _receive_antennas(n_r, code.n_t)
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
     h = random_channel(n_r, code.n_t, rng)
     sym_idx = rng.integers(0, cons.m, size=code.k_real)
     x = np.asarray(cons.levels, dtype=float)[sym_idx]
     n0 = snr_to_noise_variance(snr_db, code, cons)
-    noise = np.sqrt(n0 / 2.0) * (rng.standard_normal((n_r, code.t))
-                                 + 1j * rng.standard_normal((n_r, code.t)))
+    # the real, then the imaginary noise parts, drawn as one array and
+    # scaled in tilde_vec(cvec()) order
+    z = rng.standard_normal((2, n_r, code.t))
+    noise = math.sqrt(n0 / 2.0) * z.T.ravel()
 
     h_eq = equivalent_channel(code, h)
-    y = h_eq @ x + tilde_vec(cvec(noise))
+    y = h_eq @ x + noise
     qr = gram_schmidt_qr(h_eq)
     y_prime = qr.q.T @ y
 
-    _, base = sphere_decode(qr.r, y_prime, cons, profile, memoize=False)
+    inst = prepare(qr.r, y_prime, cons, profile)
+    _, base = sphere_decode(qr.r, y_prime, cons, profile, memoize=False,
+                            prepared=inst)
     _, memo = sphere_decode(qr.r, y_prime, cons, profile, memoize=True,
-                            trace=trace)
+                            trace=trace, prepared=inst)
     return TrialResult(stats_baseline=base, stats_memoized=memo,
-                       transmitted=tuple(int(i) for i in sym_idx))
+                       transmitted=tuple(sym_idx.tolist()))
 
 
 def run_sweep(campaign: SimulationCampaign) -> SweepResult:

@@ -9,6 +9,8 @@ luck.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,9 +126,10 @@ class StructureReport:
 
 
 def random_channel(n_r: int, n_t: int, rng) -> np.ndarray:
-    """i.i.d. unit-variance complex Gaussian channel draw."""
-    return (rng.standard_normal((n_r, n_t))
-            + 1j * rng.standard_normal((n_r, n_t))) / np.sqrt(2.0)
+    """i.i.d. unit-variance complex Gaussian channel draw: ``n_r * n_t``
+    real parts, then as many imaginary parts, from one call."""
+    re, im = rng.standard_normal((2, n_r, n_t))
+    return (re + 1j * im) / math.sqrt(2.0)
 
 
 def _receive_antennas(n_r, n_t=None):
@@ -156,14 +159,23 @@ def equivalent_channel(code, h) -> np.ndarray:
     the per-column route agree to rounding.
     """
     h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[1] != code.n_t:
+        raise ValueError(f"channel must be an n_r x {code.n_t} matrix, "
+                         f"got shape {h.shape}")
     n_r = h.shape[0]
-    if h.shape[1] != code.n_t:
-        raise ValueError(f"channel must have {code.n_t} columns")
     if 2 * n_r * code.t < code.k_real:
         raise TooFewReceiveAntennas(
             f"2*{n_r}*{code.t} < K = {code.k_real}: add receive antennas")
     g = _codes.generator_matrix(code)
-    return kron(np.eye(code.t), check_expand(h)) @ g
+    return kron(_identity(code.t), check_expand(h)) @ g
+
+
+@functools.lru_cache(maxsize=16)
+def _identity(t: int) -> np.ndarray:
+    """Read-only ``t x t`` identity, built once per size."""
+    eye = np.eye(t)
+    eye.setflags(write=False)
+    return eye
 
 
 def structural_pattern(code, *, n_r: int | None = None,

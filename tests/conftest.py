@@ -95,8 +95,8 @@ def corrupt_memo_entry(trial_number):
     memoized = itertools.count()
 
     class Walker(decoder._Walker):
-        def __init__(self, r, y, cons, profile, memoize, *args, **kwargs):
-            super().__init__(r, y, cons, profile, memoize, *args, **kwargs)
+        def __init__(self, inst, memoize, *args, **kwargs):
+            super().__init__(inst, memoize, *args, **kwargs)
             self.corrupt = memoize and next(memoized) == trial_number
 
         def _descend(self, c, partial, table):

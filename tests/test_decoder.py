@@ -18,11 +18,11 @@ from bostbc.decoder import (
     NotUpperTriangular,
     PamConstellation,
     TooLarge,
-    _instance,
     _layout,
     _Walker,
     em_count_bounds,
     exhaustive_ml,
+    prepare,
     qrdm_bound,
     sphere_decode,
 )
@@ -211,10 +211,10 @@ class TestInputValidation:
         prof = BlockOrthogonalProfile(*shape)
         k = prof.total
         cons = PamConstellation(2)
-        memo = _Walker(patterned_r(rng, prof), rng.standard_normal(k), cons,
-                       prof, True, True)
-        base = _Walker(patterned_r(rng, prof), rng.standard_normal(k), cons,
-                       prof, False, True)
+        memo = _Walker(prepare(patterned_r(rng, prof), rng.standard_normal(k),
+                               cons, prof), True, True)
+        base = _Walker(prepare(patterned_r(rng, prof), rng.standard_normal(k),
+                               cons, prof), False, True)
         layout = _layout(prof, cons.m)
         assert memo.steps is layout.steps[True]
         assert base.steps is layout.steps[False]
@@ -249,61 +249,110 @@ class TestInputValidation:
             layout.steps[True][0] = ()
 
 
-def _fresh_stats(r, y, cons, profile=None, **kwargs):
-    """Stats of a decode that finds no set-up left by an earlier one."""
-    _instance.cache_clear()
-    return sphere_decode(r, y, cons, profile, **kwargs)[1]
-
-
 class TestSharedInstance:
-    # consecutive decodes of one (R, y') share one validated set-up; any
-    # other sequence of calls must decode as if each were the first
+    # one validated set-up, built by prepare and handed to any number of
+    # decodes of the same (R, y'), must decode as each decode's own would
+
+    @pytest.mark.parametrize("shape", [(2, 2, 1), (2, 4, 2), (3, 2, 2), (1, 4, 1)])
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_shared_instance_matches_fresh_decodes(self, rng, shape, prune):
+        prof = BlockOrthogonalProfile(*shape)
+        cons = PamConstellation(4 if prof.total <= 8 else 2)
+        for _ in range(5):
+            r = patterned_r(rng, prof)
+            y = rng.standard_normal(prof.total)
+            inst = prepare(r, y, cons, prof)
+            for memoize in (False, True):
+                shared, fresh = [], []
+                got = sphere_decode(r, y, cons, prof, memoize=memoize,
+                                    prune=prune, trace=shared, prepared=inst)
+                want = sphere_decode(r, y, cons, prof, memoize=memoize,
+                                     prune=prune, trace=fresh)
+                assert got == want and shared == fresh, memoize
 
     def test_alternating_pairs(self, rng):
         prof = BlockOrthogonalProfile(2, 4, 2)
         cons = PamConstellation(4)
         pairs = [(patterned_r(rng, prof), rng.standard_normal(16))
                  for _ in range(2)]
-        want = [[_fresh_stats(r, y, cons, prof, memoize=mz)
+        want = [[sphere_decode(r, y, cons, prof, memoize=mz)[1]
                  for mz in (False, True)] for r, y in pairs]
+        insts = [prepare(r, y, cons, prof) for r, y in pairs]
         for _ in range(2):
-            for (r, y), stats in zip(pairs, want):
-                assert [sphere_decode(r, y, cons, prof, memoize=mz)[1]
+            for (r, y), inst, stats in zip(pairs, insts, want):
+                assert [sphere_decode(r, y, cons, prof, memoize=mz,
+                                      prepared=inst)[1]
                         for mz in (False, True)] == stats
-
-    def test_r_mutated_in_place(self, rng):
-        prof = BlockOrthogonalProfile(2, 2, 1)
-        cons = PamConstellation(2)
-        r = patterned_r(rng, prof)
-        y = rng.standard_normal(4)
-        before = sphere_decode(r, y, cons, prof)[1]
-        r[0, 2] += 5.0
-        after = sphere_decode(r, y, cons, prof)[1]
-        assert after != before
-        assert after == _fresh_stats(r, y, cons, prof)
 
     def test_plain_then_profiled(self, rng):
         prof = BlockOrthogonalProfile(2, 2, 2)
         cons = PamConstellation(2)
         r = patterned_r(rng, prof)
         y = rng.standard_normal(8)
-        plain = sphere_decode(r, y, cons)[1]
-        profiled = sphere_decode(r, y, cons, prof)[1]
-        assert plain == _fresh_stats(r, y, cons)
-        assert profiled == _fresh_stats(r, y, cons, prof)
+        plain = prepare(r, y, cons)
+        assert plain.profile == BlockOrthogonalProfile(8, 1, 1)
+        profiled = prepare(r, y, cons, prof)
+        assert (sphere_decode(r, y, cons, prepared=plain)
+                == sphere_decode(r, y, cons))
+        assert (sphere_decode(r, y, cons, prof, prepared=profiled)
+                == sphere_decode(r, y, cons, prof))
+
+    def test_foreign_instance_raises(self, rng):
+        prof = BlockOrthogonalProfile(2, 2, 1)
+        cons = PamConstellation(2)
+        r = patterned_r(rng, prof)
+        y = rng.standard_normal(4)
+        inst = prepare(r, y, cons, prof)
+        foreign = [
+            (r.copy(), y, cons, prof),  # equal values, another object
+            (r, y.copy(), cons, prof),
+            (r, y, PamConstellation(4), prof),
+            (r, y, cons, BlockOrthogonalProfile(1, 4, 1)),
+            (r, y, cons, None),
+        ]
+        for args in foreign:
+            with pytest.raises(ValueError, match="prepared instance was built"):
+                sphere_decode(*args, prepared=inst)
+        # an equal profile and constellation are the same ones
+        assert (sphere_decode(r, y, PamConstellation(2),
+                              BlockOrthogonalProfile(2, 2, 1), prepared=inst)
+                == sphere_decode(r, y, cons, prof))
+
+    def test_r_mutated_in_place(self, rng):
+        prof = BlockOrthogonalProfile(2, 2, 1)
+        cons = PamConstellation(2)
+        r = patterned_r(rng, prof)
+        y = rng.standard_normal(4)
+        inst = prepare(r, y, cons, prof)
+        before = sphere_decode(r, y, cons, prof)
+        with pytest.raises(AttributeError):
+            inst.rows = ()
+        assert isinstance(inst.rows[0], tuple)
+        r[0, 2] += 5.0
+        # the instance is a snapshot of the values it was built from; a
+        # decode without one sees the change
+        assert sphere_decode(r, y, cons, prof, prepared=inst) == before
+        after = sphere_decode(r, y, cons, prof)
+        assert after != before
+        assert after == sphere_decode(r, y, cons, prof,
+                                      prepared=prepare(r, y, cons, prof))
 
     @pytest.mark.parametrize("entry, error", [
         (((1, 3), np.nan), "must be finite"),
         (((0, 3), 0.5), "should be structurally zero"),
+        (((3, 0), 0.5), "below the diagonal"),
+        (((2, 2), 0.0), "nonzero diagonal"),
     ])
     def test_bad_r_raises_on_every_call(self, rng, entry, error):
         prof = BlockOrthogonalProfile(2, 2, 2)
         cons = PamConstellation(2)
         r = patterned_r(rng, prof)
         y = rng.standard_normal(8)
-        sphere_decode(r, y, cons, prof)  # a valid set-up is cached
+        sphere_decode(r, y, cons, prof)  # a valid decode leaves nothing behind
         pos, value = entry
         r[pos] = value
+        with pytest.raises(ValueError, match=error):
+            prepare(r, y, cons, prof)
         for memoize in (False, True, False):
             with pytest.raises(ValueError, match=error):
                 sphere_decode(r, y, cons, prof, memoize=memoize)
@@ -404,8 +453,8 @@ class TestCandidateOrder:
         prof = BlockOrthogonalProfile(2, 2, 1)
         cons = PamConstellation(2)
         trace = []
-        walker = _Walker(patterned_r(rng, prof), rng.standard_normal(4), cons,
-                         prof, True, False, trace=trace)
+        walker = _Walker(prepare(patterned_r(rng, prof), rng.standard_normal(4),
+                                 cons, prof), True, False, trace=trace)
         walker.orders = _OrdersThatTurn(walker.orders, 2)
         assert walker.run().cache_hits == 1
         visits = [rec["symbol_index"] for rec in trace if rec["level"] == 2]
@@ -650,6 +699,22 @@ class TestExhaustive:
         cons = PamConstellation(8)
         with pytest.raises(TooLarge):
             exhaustive_ml(np.eye(8), np.zeros(8), cons)
+
+    @pytest.mark.parametrize("h_eq, y, error", [
+        (np.eye(2), [np.nan, 1.0], "h_eq and y must be finite"),
+        (np.eye(2), [1.0, np.inf], "h_eq and y must be finite"),
+        ([[1.0, -np.inf], [0.0, 1.0]], [1.0, 1.0], "h_eq and y must be finite"),
+        (np.eye(2), [1.0, 2.0, 3.0], "y has 3 entries, h_eq has 2 rows"),
+        (np.eye(3)[:, :2], [1.0, 2.0], "y has 2 entries, h_eq has 3 rows"),
+        (np.zeros((0, 0)), [], r"non-empty 2-D matrix, got shape \(0, 0\)"),
+        (np.zeros((2, 0)), [1.0, 2.0], r"non-empty 2-D matrix, got shape \(2, 0\)"),
+        (np.ones(2), [1.0, 2.0], r"non-empty 2-D matrix, got shape \(2,\)"),
+        (1e200 * np.eye(2), [1e200, 1e200], "the metric overflows"),
+    ], ids=["nan-y", "inf-y", "inf-h_eq", "long-y", "short-y", "empty",
+            "no-columns", "1-d", "overflow"])
+    def test_bad_input_rejected(self, h_eq, y, error):
+        with pytest.raises(ValueError, match=error):
+            exhaustive_ml(h_eq, y, PamConstellation(2))
 
 
 class TestFullTreeCounts:

@@ -186,6 +186,33 @@ class TestGramSchmidtQr:
         with pytest.raises(RankDeficient, match="rows >= cols"):
             gram_schmidt_qr(rng.standard_normal((3, 5)))
 
+    @pytest.mark.parametrize("exponent", range(-200, 201, 25))
+    def test_verdict_is_scale_free(self, rng, exponent):
+        # squaring entries near 1e200 once overflowed the threshold to inf,
+        # and near 1e-200 underflowed it to 0
+        s = 10.0 ** exponent
+        full = rng.standard_normal((6, 4))
+        dependent = full.copy()
+        dependent[:, 2] = 2 * dependent[:, 0] - dependent[:, 1]
+        assert (np.diag(gram_schmidt_qr(s * full).r) > 0).all()
+        with pytest.raises(RankDeficient, match="column 2 is dependent"):
+            gram_schmidt_qr(s * dependent)
+
+    def test_dependence_is_relative_to_the_largest_column(self):
+        # |r_1| = 1 is below RANK_TOL times the largest column norm, 1e200
+        with pytest.raises(RankDeficient,
+                           match=r"column 1 is dependent \(\|r_1\| = 1\.000e\+00\)"):
+            gram_schmidt_qr([[1e200, 0.0], [0.0, 1.0]])
+        with pytest.raises(RankDeficient, match="column 0 is dependent"):
+            gram_schmidt_qr(np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, bad):
+        h = np.eye(3)
+        h[2, 1] = bad
+        with pytest.raises(ValueError, match="entries must be finite"):
+            gram_schmidt_qr(h)
+
 
 class TestQrMatchesGramSchmidt:
     @pytest.mark.parametrize("name", NAMED_CODES)

@@ -21,9 +21,11 @@ from bostbc.sim import (
     sweep_to_csv,
     write_csv,
 )
+from bostbc.linalg import cvec, gram_schmidt_qr, tilde_vec
 from bostbc.structure import (
     BlockOrthogonalProfile,
     detect_structure,
+    equivalent_channel,
     structural_pattern,
 )
 
@@ -102,7 +104,7 @@ class TestRunTrial:
         assert a == b  # bit-for-bit, dataclass equality
 
     def test_seed_forms_draw_alike(self):
-        # default_rng wraps an int or a list in the same SeedSequence
+        # PCG64 wraps an int or a list in the same SeedSequence
         code = codes.named_code("bhv")
         cons = PamConstellation(2)
         profile = BlockOrthogonalProfile(*code.declared_profile)
@@ -110,6 +112,43 @@ class TestRunTrial:
             assert (run_trial(code, cons, 6.0, seed, profile)
                     == run_trial(code, cons, 6.0, np.random.SeedSequence(seed),
                                  profile))
+
+    @pytest.mark.parametrize("name, m, n_r", [("bhv", 2, None),
+                                              ("ci-a2", 4, None),
+                                              ("golden", 8, 3)])
+    def test_front_end_draws_the_reference_instance(self, monkeypatch, name,
+                                                    m, n_r):
+        # the channel, codeword and noise, drawn as two calls each for the
+        # real and imaginary parts and the noise built as a complex matrix,
+        # give the (R, y') the trial decodes bit for bit
+        code = codes.named_code(name)
+        cons = PamConstellation(m)
+        profile = resolve_profile(code)
+        seen = []
+
+        def spy_prepare(*args):
+            seen.append(args[:2])
+            return decoder.prepare(*args)
+
+        monkeypatch.setattr(sim, "prepare", spy_prepare)
+        rows = n_r or code.n_t
+        for ti in range(4):
+            seed = np.random.SeedSequence([3, 1, ti])
+            trial = run_trial(code, cons, 9.0, seed, profile, n_r=n_r)
+            rng = np.random.default_rng(seed)
+            h = (rng.standard_normal((rows, code.n_t))
+                 + 1j * rng.standard_normal((rows, code.n_t))) / np.sqrt(2.0)
+            idx = rng.integers(0, m, size=code.k_real)
+            n0 = snr_to_noise_variance(9.0, code, cons)
+            noise = np.sqrt(n0 / 2.0) * (rng.standard_normal((rows, code.t))
+                                         + 1j * rng.standard_normal((rows, code.t)))
+            h_eq = equivalent_channel(code, h)
+            y = h_eq @ np.asarray(cons.levels)[idx] + tilde_vec(cvec(noise))
+            qr = gram_schmidt_qr(h_eq)
+            r, y_prime = seen[-1]
+            assert trial.transmitted == tuple(int(i) for i in idx)
+            assert r.tobytes() == qr.r.tobytes()
+            assert y_prime.tobytes() == (qr.q.T @ y).tobytes()
 
     def test_paired_instances_share_randomness(self):
         code = codes.named_code("bhv")
@@ -337,11 +376,32 @@ class TestRunSweep:
         with pytest.raises(AssertionError, match=re.escape("trial (9, 1, 1)")):
             run_sweep(camp)
 
-    def test_sweep_leaves_at_most_one_instance_cached(self):
+    def test_sweep_prepares_each_trial_once(self, monkeypatch):
+        # one set-up per trial, handed to both decodes with the R and y'
+        # objects it was built from, baseline first
+        prepared, decodes = [], []
+
+        def spy_prepare(*args):
+            prepared.append(decoder.prepare(*args))
+            return prepared[-1]
+
+        def spy_decode(*args, **kwargs):
+            decodes.append((args, kwargs))
+            return decoder.sphere_decode(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "prepare", spy_prepare)
+        monkeypatch.setattr(sim, "sphere_decode", spy_decode)
         camp = SimulationCampaign(code="ci-a2", m=2, snr_grid_db=(0.0, 6.0),
                                   trials_per_point=3, master_seed=5)
         run_sweep(camp)
-        assert decoder._instance.cache_info().currsize <= 1
+        assert len(prepared) == 6 and len(decodes) == 12
+        for i, inst in enumerate(prepared):
+            for memoize, (args, kwargs) in zip((False, True),
+                                               decodes[2 * i:2 * i + 2]):
+                assert kwargs["prepared"] is inst
+                assert kwargs["memoize"] is memoize
+                assert args[0] is inst.r and args[1] is inst.y_prime
+                assert args[3] == inst.profile
 
     def test_unstructured_code_rejected(self):
         camp = SimulationCampaign(code="golden", m=2, snr_grid_db=(6.0,),
@@ -386,3 +446,34 @@ class TestReceiveAntennas:
         # a falsy n_r must not fall back to n_t receive antennas
         with pytest.raises(ValueError, match=f"^n_r = {n_r} must be"):
             entry(codes.named_code("bhv"), n_r)
+
+
+class TestSweepFingerprint:
+    # integer (EM baseline, EM memoized, FLOPs baseline, FLOPs memoized)
+    # sums per SNR point of small seeded campaigns: a change to the draws,
+    # the channel, the QR, the set-up or the walk moves at least one
+    EXPECTED = {
+        ("bhv", 2, (0.0, 10.0, 20.0), 50): (
+            (1014, 400, 18121, 14163),
+            (634, 400, 9711, 7865),
+            (408, 400, 5335, 4691)),
+        ("golden", 8, (15.0, 20.0), 20): (
+            (2984, 2576, 14129, 12509),
+            (17648, 15128, 85633, 76145)),
+        ("ci-a2", 4, (8.0, 20.0), 20): (
+            (7844, 1052, 154608, 113752),
+            (648, 648, 10236, 9264)),
+    }
+
+    @pytest.mark.parametrize("campaign", sorted(EXPECTED), ids=lambda c: c[0])
+    def test_sums_are_pinned(self, campaign):
+        code, m, grid, n = campaign
+        result = run_sweep(SimulationCampaign(
+            code=code, m=m, snr_grid_db=grid, trials_per_point=n,
+            master_seed=3))
+        sums = tuple(
+            tuple(round(mean * row.trials) for mean in (
+                row.mean_em_baseline, row.mean_em_memoized,
+                row.mean_flops_baseline, row.mean_flops_memoized))
+            for row in result.rows)
+        assert sums == self.EXPECTED[campaign]

@@ -1,5 +1,7 @@
 """Tests for equivalent-channel factorization and structure detection."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,12 @@ class TestEquivalentChannel:
     def test_too_few_receive_antennas(self):
         with pytest.raises(TooFewReceiveAntennas):
             equivalent_channel(golden_code(), np.ones((1, 2), dtype=complex))
+
+    @pytest.mark.parametrize("shape", [(2,), (), (2, 2, 1), (2, 3)])
+    def test_channel_not_n_r_by_n_t_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"channel must be an n_r x 2 matrix, got shape {shape}")):
+            equivalent_channel(golden_code(), np.ones(shape, dtype=complex))
 
 
 class TestPatterns:
