@@ -83,9 +83,9 @@ def cmd_construct(args) -> int:
 
 def cmd_analyze(args) -> int:
     code = _load_code_arg(args.code, args.ordering)
-    print(f"config: channels={args.channels} seed={args.seed} tol_rel={args.tol}")
     pattern = structure.structural_pattern(
         code, n_channels=args.channels, tol_rel=args.tol, seed=args.seed)
+    print(f"config: channels={args.channels} seed={args.seed} tol_rel={args.tol}")
     report = structure.classify(pattern)
     profile = report.profile.as_tuple() if report.profile else None
     text = _pattern_grid(pattern)
@@ -143,12 +143,12 @@ def cmd_decode(args) -> int:
     code = _load_code_arg(args.code)
     cons = PamConstellation(args.m)
     profile = sim.resolve_profile(code)
-    print(f"config: code={args.code} m={args.m} snr={args.snr} seed={args.seed} "
-          f"profile={profile.as_tuple()}")
     trace = [] if args.trace else None
     trial = sim.run_trial(code, cons, args.snr,
                           np.random.SeedSequence(args.seed), profile,
                           trace=trace)
+    print(f"config: code={args.code} m={args.m} snr={args.snr} seed={args.seed} "
+          f"profile={profile.as_tuple()}")
     if args.trace:
         with open(args.trace, "w") as f:
             for record in trace:

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import RankDeficient, check_expand, kron
+from .linalg import RANK_TOL, RankDeficient, check_expand, kron
 
 __all__ = [
     "LinearSTBC",
@@ -70,7 +70,13 @@ class PremiseViolated(ValueError):
     """Input code does not satisfy the construction's premise."""
 
 
-_RANK_TOL = 1e-10
+#: tolerance for numerically-exact weight-matrix identities
+_EXACT_TOL = 1e-12
+
+
+def _is_integer(value) -> bool:
+    """True for an ``int`` or a numpy integer; ``bool`` is not one here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _frozen(a) -> np.ndarray:
@@ -153,7 +159,7 @@ def _make_code(weights, labels, declared_profile=None, *, check_rank=True) -> Li
     )
     if check_rank:
         g = generator_matrix(code)
-        rank = np.linalg.matrix_rank(g, tol=_RANK_TOL * np.abs(g).max())
+        rank = np.linalg.matrix_rank(g, tol=RANK_TOL * np.abs(g).max())
         if rank < code.k_real:
             raise RankDeficient(f"generator matrix rank {rank} < K = {code.k_real}")
     return code
@@ -390,7 +396,7 @@ def hr_orthogonal(weights, groups) -> bool:
     """True iff every cross-group weight pair is Hurwitz-Radon orthogonal.
 
     A pair ``(A, B)`` from different groups passes when
-    ``A B^H + B A^H = 0`` to ``1e-12``; all pairs are checked at once.
+    ``A B^H + B A^H = 0`` to ``_EXACT_TOL``; all pairs are checked at once.
     """
     groups = [tuple(g) for g in groups]
     pairs = [(i, j) for gi, first in enumerate(groups)
@@ -402,7 +408,7 @@ def hr_orthogonal(weights, groups) -> bool:
     a, b = stack[list(left)], stack[list(right)]
     a_h, b_h = a.conj().transpose(0, 2, 1), b.conj().transpose(0, 2, 1)
     defects = np.abs(a @ b_h + b @ a_h).max(axis=(1, 2))
-    return not (defects > 1e-12).any()
+    return not (defects > _EXACT_TOL).any()
 
 
 def _sum_code(x1, m, labels, declared_profile) -> LinearSTBC:
@@ -472,7 +478,7 @@ def construction_iii(x1: LinearSTBC, m) -> LinearSTBC:
     if x1.k_real % 2:
         raise PremiseViolated("two-group premise needs an even symbol count")
     half = x1.k_real // 2
-    if np.abs(x1.weights[half:] - 1j * x1.weights[:half]).max() > 1e-12:
+    if np.abs(x1.weights[half:] - 1j * x1.weights[:half]).max() > _EXACT_TOL:
         raise PremiseViolated("second half must equal j times the first half")
     if not hr_orthogonal(x1.weights, (range(half), range(half, 2 * half))):
         raise PremiseViolated("halves are not two-group decodable")
@@ -501,8 +507,7 @@ def reorder(code: LinearSTBC, perm) -> LinearSTBC:
     orthogonality depends on the ordering.
     """
     perm = tuple(perm)
-    if not all(isinstance(p, (int, np.integer)) and not isinstance(p, bool)
-               for p in perm):
+    if not all(map(_is_integer, perm)):
         raise InvalidPermutation(f"permutation entries must be integers: {perm}")
     if sorted(perm) != list(range(code.k_real)):
         raise InvalidPermutation(f"not a permutation of 0..{code.k_real - 1}")

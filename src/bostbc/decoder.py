@@ -75,6 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .codes import _is_integer
 from .linalg import _real_array
 from .structure import DEFAULT_TOL_REL, BlockOrthogonalProfile
 
@@ -122,13 +123,17 @@ class PamConstellation:
     levels: tuple
 
     def __init__(self, m: int, scale: float | None = None):
-        if m not in (2, 4, 8):
+        if not _is_integer(m) or m not in (2, 4, 8):
             raise ValueError("points per real dimension must be 2, 4 or 8")
+        m = int(m)
         if scale is None:
             scale = math.sqrt(3.0 / (2.0 * (m * m - 1)))
+        scale = float(scale)
+        if not math.isfinite(scale) or scale == 0.0:
+            raise ValueError(f"scale = {scale!r} must be finite and nonzero")
         levels = tuple(scale * (2 * i - m + 1) for i in range(m))
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "scale", float(scale))
+        object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "levels", levels)
 
     @property
@@ -752,6 +757,9 @@ def em_count_bounds(profile: BlockOrthogonalProfile, m: int) -> EmCountBounds:
     memoized one.  Integer arithmetic throughout, so arbitrarily large
     constellations do not overflow.
     """
+    if not _is_integer(m):
+        raise ValueError(f"m = {m!r} must be an integer")
+    m = int(m)
     if m < 2:
         raise ValueError("need at least two points per real dimension")
     g, k, gam = profile.gamma_blocks, profile.k, profile.gamma
@@ -772,6 +780,9 @@ def em_count_bounds(profile: BlockOrthogonalProfile, m: int) -> EmCountBounds:
 def qrdm_bound(k: int, gamma: int, m: int) -> Fraction:
     """Best-case metric-count ratio for a breadth-first M-path decoder:
     ``M^gamma / (k (M^gamma - 1))``."""
+    if not all(map(_is_integer, (k, gamma, m))):
+        raise ValueError(f"k, gamma, m = {k!r}, {gamma!r}, {m!r} must be integers")
+    k, gamma, m = int(k), int(gamma), int(m)
     if min(k, gamma) < 1 or m < 2:
         raise ValueError("parameters must satisfy k, gamma >= 1 and m >= 2")
     return Fraction(m ** gamma, k * (m ** gamma - 1))

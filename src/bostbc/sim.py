@@ -133,16 +133,10 @@ class SimulationCampaign:
                       if f.name in data or f.default is MISSING})
 
     def to_json(self) -> dict:
-        return {
-            "code": self.code,
-            "m": self.m,
-            "snr_grid_db": list(self.snr_grid_db),
-            "trials_per_point": self.trials_per_point,
-            "master_seed": self.master_seed,
-            "ordering": None if self.ordering is None else list(self.ordering),
-            "n_r": self.n_r,
-            "rng": RNG_ALGORITHM,
-        }
+        """The JSON object :meth:`from_json` reads back, with its ``rng``."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: list(v) if type(v) is tuple else v
+                for name, v in values.items()} | {"rng": RNG_ALGORITHM}
 
 
 @dataclass(frozen=True)

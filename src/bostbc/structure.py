@@ -42,8 +42,6 @@ DEFAULT_TOL_REL = 1e-9
 DEFAULT_PATTERN_CHANNELS = 20
 DEFAULT_SEED = 20230
 
-# tolerance for numerically-exact weight-matrix identities
-_EXACT_TOL = 1e-12
 # largest relative residual a sampled premise or sum-structure fact may show
 _PREMISE_TOL = 1e-9
 
@@ -65,6 +63,11 @@ class BlockOrthogonalProfile:
     gamma: int
 
     def __post_init__(self):
+        for name in ("gamma_blocks", "k", "gamma"):
+            value = getattr(self, name)
+            if not _codes._is_integer(value):
+                raise ValueError(f"{name} = {value!r} must be an integer")
+            object.__setattr__(self, name, int(value))
         if min(self.gamma_blocks, self.k, self.gamma) < 1:
             raise ValueError("profile parameters must be >= 1")
 
@@ -470,7 +473,7 @@ def _quadrature_pairs(code):
                 continue
             d = code.weights[j] - 1j * code.weights[i]
             s = code.weights[j] + 1j * code.weights[i]
-            if np.abs(d).max() < _EXACT_TOL or np.abs(s).max() < _EXACT_TOL:
+            if min(np.abs(d).max(), np.abs(s).max()) < _codes._EXACT_TOL:
                 pairs.append((i, j))
                 used.update((i, j))
                 break

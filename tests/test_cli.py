@@ -209,8 +209,9 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "1", "2"])
     def test_tol_outside_unit_interval_exits_2(self, capsys, tol):
-        rc, _, err = run_cli(capsys, "analyze", "bhv", f"--tol={tol}")
+        rc, out, err = run_cli(capsys, "analyze", "bhv", f"--tol={tol}")
         assert rc == 2
+        assert out == ""  # rejected before the config line
         assert "tol_rel" in err
 
     def test_zero_tol_runs(self, capsys):
@@ -300,6 +301,13 @@ def test_channels_below_one_exit_2(capsys, argv, channels):
             in out.err)
 
 
+@pytest.mark.parametrize("argv", [("analyze", "bhv"), ("verify", "bhv")])
+def test_channels_count_is_used(capsys, argv):
+    rc, out, _ = run_cli(capsys, *argv, "--channels", "5")
+    assert rc == 0
+    assert out.startswith("config: channels=5 seed=")
+
+
 class TestBounds:
     def test_values(self, capsys):
         rc, out, _ = run_cli(capsys, "bounds", "--profile", "2,4,1", "--m", "4")
@@ -364,9 +372,10 @@ class TestDecode:
 
     @pytest.mark.parametrize("snr", ["-1e308", "1e308", "-inf", "nan"])
     def test_snr_without_finite_noise_exits_2(self, capsys, snr):
-        rc, _, err = run_cli(capsys, "decode", "bhv", "--m", "2",
+        rc, out, err = run_cli(capsys, "decode", "bhv", "--m", "2",
                              f"--snr={snr}")
         assert rc == 2
+        assert out == ""  # rejected before the config line
         assert "snr_db" in err
 
 

@@ -79,6 +79,10 @@ class TestGoldenCode:
         expected = np.diag([ALPHA, ALPHA_BAR]) / SQRT5
         assert np.abs(code.codeword(x) - expected).max() < 1e-15
 
+    def test_codeword_needs_k_symbols(self):
+        with pytest.raises(ValueError, match="^expected 8 real symbols, got 7$"):
+            golden_code().codeword(np.zeros(7))
+
     def test_zero_symbols_give_zero_matrix(self):
         assert np.abs(golden_code().codeword(np.zeros(8))).max() == 0.0
 
@@ -309,6 +313,29 @@ class TestConstructionI:
 def test_sum_constructions_check_m_shape(build, n_t):
     with pytest.raises(ValueError, match=f"^m must be {n_t}x{n_t}$"):
         build(np.eye(n_t + 1))
+
+
+_NILPOTENT = np.array([[0, 1], [0, 0]], dtype=complex)
+
+
+@pytest.mark.parametrize("call, error, named", [
+    (lambda: construction_ii(()), ValueError, "need at least one linear form"),
+    (lambda: construction_iii(codes._make_code([np.eye(2)], ["x1"]), M_GOLDEN),
+     PremiseViolated, "two-group premise needs an even symbol count"),
+    # Q halves are j times the I halves, but I and j N are not HR orthogonal
+    (lambda: construction_iii(codes._make_code(
+        [np.eye(2), _NILPOTENT, 1j * np.eye(2), 1j * _NILPOTENT],
+        ["aI", "bI", "aQ", "bQ"]), M_GOLDEN),
+     PremiseViolated, "halves are not two-group decodable"),
+    (lambda: codes.ordering_from_labels(golden_code(), [f"y{i}" for i in range(8)]),
+     InvalidPermutation, "labels do not match the code's symbols"),
+    (lambda: codes.named_m_matrix("nosuch"),
+     ValueError, "unknown m matrix 'nosuch'"),
+], ids=["construction_ii", "construction_iii-odd-K",
+        "construction_iii-halves", "ordering_from_labels", "named_m_matrix"])
+def test_malformed_request_rejected(call, error, named):
+    with pytest.raises(error, match=f"^{named}$"):
+        call()
 
 
 class TestHrOrthogonal:
@@ -583,6 +610,23 @@ class TestSerialization:
         data["weights"][1] = weight
         with pytest.raises(ValueError, match=f"^{named}"):
             code_from_json(data)
+
+    @pytest.mark.parametrize("edit, named", [
+        ({"n_t": 3}, "declared dimensions do not match the weights"),
+        ({"t": 1}, "declared dimensions do not match the weights"),
+        ({"labels": ["s1I", "s1Q", "s2I"]}, "need one label per weight matrix"),
+        ({"weights": [[[[1, 0]]]] + code_to_json(alamouti_code())["weights"][1:]},
+         "all weight matrices must share one shape"),
+    ])
+    def test_inconsistent_fields_rejected(self, edit, named):
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            code_from_json(code_to_json(alamouti_code()) | edit)
+
+    def test_overflowing_weight_rejected(self):
+        # JSON reads 1e400 as inf
+        text = json.dumps(code_to_json(alamouti_code())).replace("1.0", "1e400", 1)
+        with pytest.raises(ValueError, match="^weight entries must be finite$"):
+            code_from_json(text)
 
     def test_dimension_mismatch_rejected(self):
         data = code_to_json(alamouti_code())

@@ -78,6 +78,39 @@ class TestPamConstellation:
         with pytest.raises(ValueError):
             PamConstellation(3)
 
+    @pytest.mark.parametrize("m, scale, named", [
+        (4.0, None, "points per real dimension must be 2, 4 or 8"),
+        (True, None, "points per real dimension must be 2, 4 or 8"),
+        (2, 0.0, "scale = 0.0 must be finite and nonzero"),
+        (2, np.nan, "scale = nan must be finite and nonzero"),
+        (2, np.inf, "scale = inf must be finite and nonzero"),
+        (2, -np.inf, "scale = -inf must be finite and nonzero"),
+    ])
+    def test_rejects_bad_size_or_scale(self, m, scale, named):
+        # each used to fail later: a float size in range(), a zero scale in
+        # the decoder's division, a non-finite one as a metric overflow
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            PamConstellation(m, scale)
+
+    def test_numpy_integer_size(self):
+        cons = PamConstellation(np.int64(4))
+        assert type(cons.m) is int
+        assert cons == PamConstellation(4)
+
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_negative_scale_decodes_like_the_oracle(self, rng, m):
+        # levels run downwards; the decoders still return the ML point
+        cons = PamConstellation(m, scale=-0.5)
+        prof = BlockOrthogonalProfile(2, 2, 1)
+        for _ in range(25):
+            r = patterned_r(rng, prof)
+            y = r @ np.asarray(cons.levels)[rng.integers(0, m, 4)]
+            y += 0.5 * rng.standard_normal(4)
+            oracle = exhaustive_ml(r, y, cons)
+            for memoize in (False, True):
+                symbols, _ = sphere_decode(r, y, cons, prof, memoize=memoize)
+                assert np.array_equal(symbols, oracle)
+
 
 class TestSphereDecodeBasics:
     def test_diagonal_slicing(self):
@@ -146,6 +179,11 @@ class TestInputValidation:
             with pytest.raises(ValueError,
                                match=f"^{named} must be real, got a complex"):
                 decode(r, y, PamConstellation(2), BlockOrthogonalProfile(2, 2, 1))
+
+    @pytest.mark.parametrize("shape, k", [((4, 3), 4), ((3, 3), 4)])
+    def test_r_not_square_or_not_matching_y_rejected(self, shape, k):
+        with pytest.raises(ValueError, match="^r must be square and match y'$"):
+            prepare(np.eye(*shape), np.zeros(k), PamConstellation(2), None)
 
     @pytest.mark.parametrize("profile", [None, BlockOrthogonalProfile(2, 1, 1)])
     @pytest.mark.parametrize("r_scale, y", [
@@ -829,6 +867,26 @@ class TestBoundCalculators:
     def test_qrdm_bound_validation(self):
         with pytest.raises(ValueError):
             qrdm_bound(0, 1, 2)
+
+    @pytest.mark.parametrize("m, named", [
+        (1, "need at least two points per real dimension"),
+        (2.5, "m = 2.5 must be an integer"),
+        (True, "m = True must be an integer"),
+    ])
+    def test_em_count_bounds_rejects_bad_m(self, m, named):
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            em_count_bounds(BlockOrthogonalProfile(2, 2, 1), m)
+
+    @pytest.mark.parametrize("args", [(2, 1, 2.5), (2.0, 1, 2), (2, True, 2)])
+    def test_qrdm_bound_rejects_non_integers(self, args):
+        with pytest.raises(ValueError, match="must be integers$"):
+            qrdm_bound(*args)
+
+    def test_numpy_integers_count_exactly(self):
+        # numpy's int64 would wrap at 64^11; the bounds compute in Python ints
+        prof = BlockOrthogonalProfile(4, 4, 1)
+        assert em_count_bounds(prof, np.int64(64)) == em_count_bounds(prof, 64)
+        assert qrdm_bound(*np.array([4, 2, 64])) == qrdm_bound(4, 2, 64)
 
 
 class TestNamedCodeDecodes:

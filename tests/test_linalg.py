@@ -186,6 +186,11 @@ class TestGramSchmidtQr:
         with pytest.raises(RankDeficient, match="rows >= cols"):
             gram_schmidt_qr(rng.standard_normal((3, 5)))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_not_a_matrix_raises(self, shape):
+        with pytest.raises(ValueError, match="^expected a 2-D matrix$"):
+            gram_schmidt_qr(np.ones(shape))
+
     @pytest.mark.parametrize("exponent", range(-200, 201, 25))
     def test_verdict_is_scale_free(self, rng, exponent):
         # squaring entries near 1e200 once overflowed the threshold to inf,

@@ -277,6 +277,33 @@ class TestCampaign:
         again = SimulationCampaign.from_json(camp.to_json())
         assert again == camp
 
+    @pytest.mark.parametrize("data, text", [
+        ({"code": "bhv", "m": 2, "snr_grid_db": [0, 4, 8, 12, 16, 20],
+          "trials_per_point": 200, "master_seed": 7},
+         '{"code": "bhv", "m": 2, "snr_grid_db": [0.0, 4.0, 8.0, 12.0, 16.0, '
+         '20.0], "trials_per_point": 200, "master_seed": 7, "ordering": null, '
+         '"n_r": null'),
+        ({"code": "golden", "m": 8, "snr_grid_db": [15, 20],
+          "trials_per_point": 3500, "master_seed": 7},
+         '{"code": "golden", "m": 8, "snr_grid_db": [15.0, 20.0], '
+         '"trials_per_point": 3500, "master_seed": 7, "ordering": null, '
+         '"n_r": null'),
+        ({"code": "ci-a2", "m": 4, "snr_grid_db": [8, 12, 20],
+          "trials_per_point": 1000, "master_seed": 7},
+         '{"code": "ci-a2", "m": 4, "snr_grid_db": [8.0, 12.0, 20.0], '
+         '"trials_per_point": 1000, "master_seed": 7, "ordering": null, '
+         '"n_r": null'),
+        ({"code": "bhv", "m": 2, "snr_grid_db": [0.5, 3], "trials_per_point": 5,
+          "master_seed": 0, "ordering": [], "n_r": 2},
+         '{"code": "bhv", "m": 2, "snr_grid_db": [0.5, 3.0], '
+         '"trials_per_point": 5, "master_seed": 0, "ordering": [], "n_r": 2'),
+    ], ids=["bhv-4qam-sweep", "golden-64qam", "ci-a2-16qam", "empty-ordering"])
+    def test_to_json_bytes(self, data, text):
+        # the simulate config line and the benchmark manifest print these
+        campaign = SimulationCampaign.from_json(data)
+        assert json.dumps(campaign.to_json()) == (
+            text + ', "rng": "numpy-PCG64/standard_normal"}')
+
     @pytest.mark.parametrize("text, shown", [
         ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")])
     def test_non_finite_snr_rejected(self, text, shown):

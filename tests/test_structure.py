@@ -309,6 +309,41 @@ def test_channel_draws_need_at_least_one_channel(check, n_channels):
         check(n_channels)
 
 
+@pytest.mark.parametrize("call, error, named", [
+    (lambda: detect_profile(np.ones((2, 3), dtype=bool)),
+     ValueError, "pattern must be square"),
+    (lambda: verify_multi_block_premises(bhv_code(),
+                                         BlockOrthogonalProfile(2, 2, 1)),
+     ValueError, "profile size must match the code"),
+    (lambda: verify_cuwd_sum_structure(alamouti_code()),
+     ValueError, "construction-I codes have K = 8*lambda symbols"),
+    (lambda: verify_multi_block_premises(
+        bhv_code(), BlockOrthogonalProfile(2, 4, 1)).condition("nosuch"),
+     KeyError, "'nosuch'"),
+], ids=["detect_profile", "verify_multi_block_premises",
+        "verify_cuwd_sum_structure", "PremiseReport.condition"])
+def test_malformed_request_rejected(call, error, named):
+    with pytest.raises(error, match=f"^{re.escape(named)}$"):
+        call()
+
+
+class TestProfileParameters:
+    @pytest.mark.parametrize("params, named", [
+        ((0, 1, 1), "profile parameters must be >= 1"),
+        ((2.0, 2, 1), "gamma_blocks = 2.0 must be an integer"),
+        ((2, 2.5, 1), "k = 2.5 must be an integer"),
+        ((2, 2, True), "gamma = True must be an integer"),
+    ])
+    def test_rejected(self, params, named):
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            BlockOrthogonalProfile(*params)
+
+    def test_numpy_integers_stored_as_int(self):
+        profile = BlockOrthogonalProfile(*np.array([2, 4, 1]))
+        assert profile == BlockOrthogonalProfile(2, 4, 1)
+        assert [type(p) for p in profile.as_tuple()] == [int, int, int]
+
+
 class TestCuwdSumStructure:
     def test_bhv_holds(self):
         report = verify_cuwd_sum_structure(bhv_code(), n_channels=50)
