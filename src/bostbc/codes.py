@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -137,10 +137,12 @@ def generator_matrix(code: LinearSTBC) -> np.ndarray:
 
 
 def _make_code(weights, labels, declared_profile=None, *, check_rank=True) -> LinearSTBC:
-    shape = np.shape(weights[0])
-    if len(shape) != 2 or any(np.shape(w) != shape for w in weights):
+    try:
+        weights = _frozen(weights)  # a ragged stack raises here
+    except ValueError:
+        weights = None
+    if weights is None or weights.ndim != 3:
         raise ValueError("all weight matrices must share one shape")
-    weights = _frozen(weights)
     if not np.isfinite(weights).all():
         raise ValueError("weight entries must be finite")
     labels = tuple(labels)
@@ -150,16 +152,19 @@ def _make_code(weights, labels, declared_profile=None, *, check_rank=True) -> Li
         raise ValueError(f"declared_profile = {list(declared_profile)} covers "
                          f"{math.prod(declared_profile)} symbols, the code has "
                          f"{len(weights)}")
+    _, n_t, t = weights.shape
     code = LinearSTBC(
-        n_t=shape[0],
-        t=shape[1],
+        n_t=n_t,
+        t=t,
         weights=weights,
         labels=labels,
         declared_profile=tuple(declared_profile) if declared_profile else None,
     )
     if check_rank:
+        # np.linalg.matrix_rank's count, without its wrapper
         g = generator_matrix(code)
-        rank = np.linalg.matrix_rank(g, tol=RANK_TOL * np.abs(g).max())
+        singular = np.linalg.svd(g, compute_uv=False)
+        rank = np.count_nonzero(singular > RANK_TOL * np.abs(g).max())
         if rank < code.k_real:
             raise RankDeficient(f"generator matrix rank {rank} < K = {code.k_real}")
     return code
@@ -221,17 +226,21 @@ def alamouti_code() -> LinearSTBC:
     return _make_code(_ALAMOUTI_WEIGHTS, labels)
 
 
-def golden_linear_forms() -> tuple:
+def golden_linear_forms() -> np.ndarray:
     """The four complex-linear coefficient matrices of the Golden code.
 
     ``X = sum_k s_k * C_k`` with complex symbols ``s_k``; no entry involves a
-    conjugate, so the code fits construction II directly.
+    conjugate, so the code fits construction II directly.  Returned as one
+    read-only ``(4, 2, 2)`` stack ``[C_1, C_2, C_3, C_4]``.
     """
-    c1 = np.diag([_ALPHA, _ALPHA_BAR]) / _SQRT5
-    c2 = np.diag([_ALPHA * _THETA, _ALPHA_BAR * _THETA_BAR]) / _SQRT5
-    c3 = np.array([[0, 1j * _ALPHA_BAR], [_ALPHA, 0]]) / _SQRT5
-    c4 = np.array([[0, 1j * _ALPHA_BAR * _THETA_BAR], [_ALPHA * _THETA, 0]]) / _SQRT5
-    return (_frozen(c1), _frozen(c2), _frozen(c3), _frozen(c4))
+    forms = np.array([
+        [[_ALPHA, 0], [0, _ALPHA_BAR]],
+        [[_ALPHA * _THETA, 0], [0, _ALPHA_BAR * _THETA_BAR]],
+        [[0, 1j * _ALPHA_BAR], [_ALPHA, 0]],
+        [[0, 1j * _ALPHA_BAR * _THETA_BAR], [_ALPHA * _THETA, 0]],
+    ]) / _SQRT5
+    forms.setflags(write=False)
+    return forms
 
 
 def golden_code() -> LinearSTBC:
@@ -240,8 +249,8 @@ def golden_code() -> LinearSTBC:
     Default ordering interleaves I/Q per complex symbol; this is the
     construction-II ordering and already carries a (4, 2, 1) structure.
     """
-    c1, c2, c3, c4 = golden_linear_forms()
-    weights = (c1, 1j * c1, c2, 1j * c2, c3, 1j * c3, c4, 1j * c4)
+    forms = golden_linear_forms()
+    weights = np.stack((forms, 1j * forms), axis=1).reshape(8, 2, 2)
     labels = ("s1I", "s1Q", "s2I", "s2Q", "s3I", "s3Q", "s4I", "s4Q")
     return _make_code(weights, labels, declared_profile=(4, 2, 1))
 
@@ -252,8 +261,8 @@ def golden_diagonal_half() -> LinearSTBC:
     Weight order is [s1I, s2I, s1Q, s2Q]; the Q-part weights are j times the
     I-part ones, which is the premise of construction III.
     """
-    c1, c2, _, _ = golden_linear_forms()
-    weights = (c1, c2, 1j * c1, 1j * c2)
+    half = golden_linear_forms()[:2]
+    weights = np.concatenate((half, 1j * half))
     labels = ("s1I", "s2I", "s1Q", "s2Q")
     return _make_code(weights, labels)
 
@@ -268,13 +277,12 @@ def bhv_code() -> LinearSTBC:
     """
     # z-tilde = check_expand(U) @ s-tilde, so the weight of the p-th real
     # symbol in the second block is T times the matching mix of Alamouti
-    # weights.
+    # weights.  The + 0.0 gives an exact-zero sum the +0.0 that a sum
+    # started from 0 has.
     cu = check_expand(_BHV_ROTATION)
-    second = tuple(
-        _SIGMA3 @ sum(cu[q, p] * _ALAMOUTI_WEIGHTS[q] for q in range(4))
-        for p in range(4)
-    )
-    weights = _ALAMOUTI_WEIGHTS + second
+    alamouti = np.array(_ALAMOUTI_WEIGHTS)
+    mixed = (cu[:, :, None, None] * alamouti[:, None]).sum(axis=0) + 0.0
+    weights = np.concatenate((alamouti, _SIGMA3 @ mixed))
     labels = ("s1I", "s1Q", "s2I", "s2Q", "s3I", "s3Q", "s4I", "s4Q")
     return _make_code(weights, labels, declared_profile=(2, 4, 1))
 
@@ -299,16 +307,16 @@ def srinath_rajan_code() -> LinearSTBC:
 # Clifford unitary weight designs
 # ---------------------------------------------------------------------------
 
-_SIGMA1 = np.array([[0, 1], [-1, 0]], dtype=complex)
-_SIGMA2 = np.array([[0, 1j], [1j, 0]])
-_SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
+_SIGMA1 = _frozen([[0, 1], [-1, 0]])
+_SIGMA2 = _frozen([[0, 1j], [1j, 0]])
+_SIGMA3 = _frozen([[1, 0], [0, -1]])
 
 
 def _kron_chain(mats) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for m in mats:
-        out = kron(out, m)
-    return out
+    # every zero part of the sigma matrices is +0.0, so starting from the
+    # first factor gives the bytes a chain started from [[1]] gives; a
+    # single factor comes back as is, which is why the sigmas are read-only
+    return reduce(kron, mats)
 
 
 def _clifford_generators(a: int) -> dict:
@@ -404,11 +412,14 @@ def hr_orthogonal(weights, groups) -> bool:
     if not pairs:
         return True
     stack = np.asarray(weights, dtype=complex)
+    k, n_t, t = stack.shape
+    # every A_i A_j^H from one product: p[i, :, j] = A_i A_j^H, so pair
+    # (i, j) fails when |p[i, :, j] + p[j, :, i]| exceeds the tolerance
+    flat = stack.reshape(k * n_t, t)
+    p = (flat @ flat.conj().T).reshape(k, n_t, k, n_t)
+    fails = (np.abs(p + p.transpose(2, 1, 0, 3)) > _EXACT_TOL).any(axis=(1, 3))
     left, right = zip(*pairs)
-    a, b = stack[list(left)], stack[list(right)]
-    a_h, b_h = a.conj().transpose(0, 2, 1), b.conj().transpose(0, 2, 1)
-    defects = np.abs(a @ b_h + b @ a_h).max(axis=(1, 2))
-    return not (defects > _EXACT_TOL).any()
+    return not fails[left, right].any()
 
 
 def _sum_code(x1, m, labels, declared_profile) -> LinearSTBC:

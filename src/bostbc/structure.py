@@ -136,18 +136,21 @@ def random_channel(n_r: int, n_t: int, rng) -> np.ndarray:
 
 
 def _receive_antennas(n_r, n_t=None):
-    """``n_r``, or ``n_t`` when ``n_r`` is None; any other ``n_r`` that is
-    not an ``int`` >= 1 (``bool`` included) raises ``ValueError``."""
+    """``n_r`` as an ``int``, or ``n_t`` when ``n_r`` is None; any other
+    ``n_r`` that is not an integer >= 1 (``bool`` included, numpy integers
+    not) raises ``ValueError``."""
     if n_r is None:
         return n_t
-    if type(n_r) is not int or n_r < 1:
+    if not _codes._is_integer(n_r) or n_r < 1:
         raise ValueError(f"n_r = {n_r!r} must be null or an integer >= 1")
-    return n_r
+    return int(n_r)
 
 
 def _channels(code, n_channels: int, seed: int, n_r: int | None = None) -> list:
     """The ``n_channels`` seeded channel draws every structural check uses,
     with ``n_t`` receive antennas unless ``n_r`` is given."""
+    if not _codes._is_integer(n_channels):
+        raise ValueError(f"n_channels = {n_channels!r} must be an integer")
     if n_channels < 1:
         raise ValueError("n_channels must be >= 1")
     n_r = _receive_antennas(n_r, code.n_t)

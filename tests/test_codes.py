@@ -1,6 +1,7 @@
 """Tests for the code constructors, sum constructions and serialization."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -413,6 +414,16 @@ class TestConstructionII:
         assert built.k_real == 2
         assert built.declared_profile == (1, 2, 1)
 
+    @pytest.mark.parametrize("forms", [
+        [np.eye(2), np.eye(3)],      # ragged stack
+        [np.ones(2)],                # vectors, not matrices
+        [np.ones((1, 2, 2))],        # a stack of stacks
+    ], ids=["ragged", "vectors", "stacks"])
+    def test_forms_not_one_matrix_shape_rejected(self, forms):
+        with pytest.raises(ValueError,
+                           match="^all weight matrices must share one shape$"):
+            construction_ii(forms)
+
     def test_cda_instance(self):
         built = cda_2x2()
         assert built.declared_profile == (2, 2, 1)
@@ -568,6 +579,125 @@ class TestGeneratorMatrix:
         loaded = code_from_json(json.dumps(data))
         assert code_to_json(loaded) == data
         assert np.array_equal(generator_matrix(loaded), generator_matrix(code))
+
+
+#: The base designs of the sum codes (and the a = 3 CUWD), by name.
+BASE_DESIGNS = {
+    "cuwd-a1": lambda: cuwd_rate1_4group(1),
+    "cuwd-a2": lambda: cuwd_rate1_4group(2),
+    "cuwd-a3": lambda: cuwd_rate1_4group(3),
+    "golden-diagonal-half": golden_diagonal_half,
+    "ciod-a1": lambda: ciod(1),
+    "ciod-a2": lambda: ciod(2),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def code_digests(code):
+    """sha256 of the weight stack's, the generator matrix's and the code
+    JSON's bytes; a flipped signed zero changes all three."""
+    return (_sha256(code.weights.tobytes()),
+            _sha256(generator_matrix(code).tobytes()),
+            _sha256(json.dumps(code_to_json(code)).encode()))
+
+
+class TestShippedCodeBytes:
+    # digests of every shipped code and base design as first built; a
+    # change to how a construction is computed must keep every byte
+    EXPECTED = {
+        "alamouti": (
+            "5cd2e8cc4d757cd90ef309e43e9eb62f8fea4d038569f2660fdf4f2eed0dbc7c",
+            "8bf46e5032a3da1ae5cecefd4de9e2d30423e83584e3b59a909ea05fc4ed0095",
+            "a0e6d9c54bc1821f4bc6d8cc83be7fc94efe5fe8ce668dbcfdfea8a4bb407b71"),
+        "golden": (
+            "4ebeaf462cbf0d497dcf7e8966238e41bb2179fc0812cc6f36270cdde1ee8d6b",
+            "e19cadcda21d611ca027730125a7b7200f909fe3e18593fd845820a8e1289f76",
+            "592f573365a08c4395de86d501b70a24be40c8097a26b0dbe4b39c55eeab4c7a"),
+        "golden-222": (
+            "6c9351e5890313a5f6089e8d583c63dcf1864b21936b3d449d19ae277d47818e",
+            "9f06538d85e31e81ecd8df888a0d1c279520d5c0f822bc1220fbd2221bafecd1",
+            "3098fb7335302e4014f639520620ab8f3df8a0b4277fe215937bf4c5e9ac68a8"),
+        "bhv": (
+            "ac3301a4804d2ccc9819cb1ff1e294fb06ee4a97f66c9de33e066c7dce547c92",
+            "acb59ed5dd0cb062a318615b89c00e059d6327e5ca1fa898b93175e2a155fda3",
+            "520531280f75fd856cb8e27d5717d6f2b028eea2e91f0d798de94adcc216d4d0"),
+        "srinath-rajan": (
+            "429eb8817a87bf4aa09aea69afdf887b436b063111a7df52741e36c70611179b",
+            "6ee77c789c145c36d3dcfff534768c459310950e5b2f136be75997b25dc494b2",
+            "e80c8d9752b50864b36a07e22921fe754bdfb3c5fef25417a7b075716d6f7da5"),
+        "cda-2x2": (
+            "4aa151c230928dee72142cd6d59da3459787f29755d285f67d21f346ecb325d2",
+            "a4e936e3f7dcf108aefbcf59644a023490def092c865ae88f05d3b992b59313b",
+            "d630e2ddeb7b15ad36bde170c33d29691789c2a0c7b0d3e8e9f39928113782ec"),
+        "cii-golden": (
+            "4ebeaf462cbf0d497dcf7e8966238e41bb2179fc0812cc6f36270cdde1ee8d6b",
+            "e19cadcda21d611ca027730125a7b7200f909fe3e18593fd845820a8e1289f76",
+            "51d3eece5b8d21d976d7547cb8bcc8908265a1d4f1c47369eaa81daf12cd4451"),
+        "ci-a1": (
+            "60926cd6513c99601bac4d55477bdf49739d480fc023bf5040972c32a980c653",
+            "10169df9b2536b298c706249a13358b5a3a5fd512fc3b66328ac1cab6785f154",
+            "cade91d7ef3ae427f557ec90caa5409683ff19e5c5e4fa2fbf98f70ed6c55481"),
+        "ci-a2": (
+            "e68d09edd72648b63ce7578666979b5a721193b59b92341690157e56f57c6484",
+            "82cde376702cd3ecb0adb497af0455704e7f8947d467e2eafe8f1e5106f01ec3",
+            "3fb93554b45ec80d6933fecebd07f7ae32babc5e8170e7f470056ed240311956"),
+        "ciii-golden": (
+            "6afbd2c83fdb3d8ffde9297d7dbce0aa0b5a1b91a55fab26058bbcc0117cd9c5",
+            "3e9eaa9e63faab0526b2644c8aceee3a31efe019283d279d6a6d4a6f385a1fb2",
+            "478407230199364188b76675fc3c42b4f9e98d216bc4b3d2676b3ef4ba7a93bb"),
+        "civ-a1": (
+            "851836654e81ec08c6c0f557622f10b50c19add43d2118aa6319ca10f3b59437",
+            "284bc4d930934b077f049d58e329ca3f70f9af88658b141d37de5b154ff333d1",
+            "a589d6ee4220bda511a27c68682a238ad1d68720a8c0c3c736f47172b9a9440d"),
+        "civ-a2": (
+            "9c36a6e14f5fd0a4b327acef0d9228f03044b4a7c4a6b7d38c831ac910ae8bba",
+            "ae866ec3d94cf73a561b4f18e5c9b263fb26409636b83cf8cce5d5e1ae423d17",
+            "7e972eb8418434e47b155c3d40e1a92d8d180d6adcc795e6a572a5a90d86290f"),
+        "cuwd-a1": (
+            "58ae0e12e8517cdd1cf12771556686ff6c2040742824305abd109054d483abe9",
+            "b01bfa12e2b4a76ca77aefa9105d17ca256edf44ee4bf1cf0306bbc2cc5a1a54",
+            "516e5ca72f442a6499329e71b5d66d1d98a68578c312de5ca69b24f5ebbbfb2b"),
+        "cuwd-a2": (
+            "6114bc65f0d8ab94a02e17ee7fe81e6d5d159d71b222b5c49a3d24dc9f7bb55e",
+            "454412d1cbb9dd5256261534e766f18adf6978ca06b23ac7c075372586c0aa74",
+            "b071c855ff1e996a36c4b83a8f851010df05bbd7314233f8161c9d273fba7186"),
+        "cuwd-a3": (
+            "1e7ee9a1b1fb587e0b612a4dcbc8d44ef4086cbc54a88593c7170b1b20294400",
+            "a4980146a9d0b4f5815f83e4a826bf602df7de0b9b7f843b3f7a896ca6114f31",
+            "0ec2afee036b7a262c5ff6c7aa96e669da446bd4ae32d31f4ec758d253577f59"),
+        "golden-diagonal-half": (
+            "b64beed02248e49e3a672b7807c592d67a4793dc2a098198b8c2f77881e4092b",
+            "8523fd22bf8e7aafe5f1dc598302844b8f136d2322a43c699139bf3bbb51e059",
+            "35d7e84ae32952485ec5dcaff785d4de3c35da984a1e641c86805fb7a015a643"),
+        "ciod-a1": (
+            "50d3a937cd847e34162b2198283c54469278f1cc437ad5c8680dd4614ba6348a",
+            "889aaa244da77237beb1b352f323e6a17df7937f262fdd877e02f37275358b27",
+            "59c260e4873aff4bd292750f9798064be0dfbe237c369507cb0e49d0862d7a73"),
+        "ciod-a2": (
+            "a8887659d12832a03c8a6432cf09da847845c576b1b40226e6b4b8cc7008bf68",
+            "dfbf19ed1eb08457f7c39564a0fc5c2682210a35898d9ede8ebf03b44d05d997",
+            "4888d4ba33bd1714cf835a579a4ad9a02ce247b510e0f7e16bbd408fc734cc43"),
+    }
+
+    def test_every_code_is_pinned(self):
+        assert set(self.EXPECTED) == set(CODE_NAMES) | set(BASE_DESIGNS)
+
+    @pytest.mark.parametrize("name", [*CODE_NAMES, *BASE_DESIGNS])
+    def test_bytes_are_pinned(self, name):
+        build = BASE_DESIGNS.get(name) or (lambda: named_code(name))
+        assert code_digests(build()) == self.EXPECTED[name]
+
+    def test_pin_sees_signed_zeros(self):
+        # bhv's stack holds -0.0 parts; clearing their sign moves every pin
+        code = bhv_code()
+        parts = code.weights.view(float)
+        assert np.signbit(parts[parts == 0]).any()
+        cleared = dataclasses.replace(code, weights=code.weights + 0.0)
+        assert all(got != want for got, want in
+                   zip(code_digests(cleared), self.EXPECTED["bhv"]))
 
 
 class TestSerialization:

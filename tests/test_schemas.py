@@ -6,7 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from bostbc.codes import code_to_json, golden_code, named_code
+from bostbc.codes import CODE_NAMES, code_to_json, golden_code, named_code
 from bostbc.sim import SimulationCampaign
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
@@ -17,10 +17,10 @@ def load_schema(name):
         return json.load(f)
 
 
-def test_code_files_validate():
-    schema = load_schema("code.schema.json")
-    for name in ("golden", "bhv", "cda-2x2", "ci-a2"):
-        jsonschema.validate(code_to_json(named_code(name)), schema)
+@pytest.mark.parametrize("name", CODE_NAMES)
+def test_code_files_validate(name):
+    jsonschema.validate(code_to_json(named_code(name)),
+                        load_schema("code.schema.json"))
 
 
 def test_campaign_round_trip_validates():

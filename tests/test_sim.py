@@ -474,6 +474,20 @@ class TestReceiveAntennas:
         with pytest.raises(ValueError, match=f"^n_r = {n_r} must be"):
             entry(codes.named_code("bhv"), n_r)
 
+    @pytest.mark.parametrize("n_r", [True, 2.0])
+    def test_non_integer_rejected(self, n_r):
+        code = codes.named_code("bhv")
+        with pytest.raises(ValueError, match=f"^n_r = {n_r} must be"):
+            run_trial(code, PamConstellation(2), 4.0, 3,
+                      BlockOrthogonalProfile(2, 4, 1), n_r=n_r)
+
+    def test_numpy_integer_accepted(self):
+        code = codes.named_code("bhv")
+        trial = [run_trial(code, PamConstellation(2), 4.0, 3,
+                           BlockOrthogonalProfile(2, 4, 1), n_r=n_r)
+                 for n_r in (np.int64(3), 3)]
+        assert trial[0] == trial[1]
+
 
 class TestSweepFingerprint:
     # integer (EM baseline, EM memoized, FLOPs baseline, FLOPs memoized)

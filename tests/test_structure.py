@@ -295,18 +295,35 @@ class TestSufficientConditionPremises:
         assert report.all_pass  # no splits to check; group conditions only
 
 
-@pytest.mark.parametrize("n_channels", [0, -3])
-@pytest.mark.parametrize("check", [
+CHANNEL_CHECKS = pytest.mark.parametrize("check", [
     lambda n: structural_pattern(bhv_code(), n_channels=n),
     lambda n: verify_multi_block_premises(
         bhv_code(), BlockOrthogonalProfile(2, 4, 1), n_channels=n),
     lambda n: verify_cuwd_sum_structure(bhv_code(), n_channels=n),
+    lambda n: ordering_search(bhv_code(), n_channels=n),
 ], ids=["structural_pattern", "verify_multi_block_premises",
-        "verify_cuwd_sum_structure"])
+        "verify_cuwd_sum_structure", "ordering_search"])
+
+
+@pytest.mark.parametrize("n_channels", [0, -3])
+@CHANNEL_CHECKS
 def test_channel_draws_need_at_least_one_channel(check, n_channels):
     # zero draws would report every entry zero and every premise as holding
     with pytest.raises(ValueError, match="n_channels must be >= 1"):
         check(n_channels)
+
+
+@pytest.mark.parametrize("n_channels", [2.5, True])
+@CHANNEL_CHECKS
+def test_channel_draws_need_an_integer_count(check, n_channels):
+    with pytest.raises(ValueError,
+                       match=f"^n_channels = {n_channels} must be an integer$"):
+        check(n_channels)
+
+
+@CHANNEL_CHECKS
+def test_channel_draws_take_a_numpy_integer(check):
+    check(np.int64(3))
 
 
 @pytest.mark.parametrize("call, error, named", [
