@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import itertools
 import re
 import warnings
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bostbc.codes import bhv_code, golden_code, named_code
+from bostbc.codes import CODE_NAMES, bhv_code, golden_code, named_code
 from bostbc.decoder import (
     InvalidProfile,
     NotUpperTriangular,
@@ -573,6 +574,108 @@ def _mode_totals(corpus):
                                  memoize=mode == "memoized", prune=prune)
             _accumulate(totals.setdefault((mode, prune), [0] * 5), s)
     return {key: tuple(acc) for key, acc in totals.items()}
+
+
+#: Full trees of more than this many leaves are left out of the digests, to
+#: keep them quick; ``MAX_GRID`` itself is far larger.
+_DIGEST_LEAVES = 4096
+
+#: Shapes built with ``patterned_r`` whose leading sub-blocks hold three or
+#: four symbols, decoded at M = 2 and 4.
+_DIGEST_SHAPES = ((2, 1, 3), (2, 2, 3), (3, 1, 3), (1, 2, 3),
+                  (2, 1, 4), (1, 2, 4), (2, 2, 4))
+
+
+def _digest_corpus(group):
+    """The seeded ``(r, y', cons, profile)`` instances of one digest group:
+    ``code:NAME`` (the code's declared profile at M = 2 and 4), ``plain:M``
+    (cda-2x2 and bhv channels decoded without a profile) or ``gamma:G``
+    (the ``_DIGEST_SHAPES`` with gamma = G)."""
+    kind, _, arg = group.partition(":")
+    rng = np.random.default_rng([20293, sum(map(ord, group))])
+    if kind == "code":
+        code = named_code(arg)
+        prof = BlockOrthogonalProfile(*code.declared_profile)
+        for m in (2, 4):
+            cons = PamConstellation(m)
+            for _ in range(3):
+                _, _, qr, y_prime, _ = decode_instance(code, cons, 0.3, rng)
+                yield qr.r, y_prime, cons, prof
+    elif kind == "plain":
+        cons = PamConstellation(int(arg))
+        for name in ("cda-2x2", "bhv"):
+            for _ in range(3):
+                _, _, qr, y_prime, _ = decode_instance(named_code(name), cons,
+                                                       0.3, rng)
+                yield qr.r, y_prime, cons, None
+    else:
+        for shape in _DIGEST_SHAPES:
+            if shape[2] == int(arg):
+                for m in (2, 4):
+                    yield from _patterned_instances(
+                        rng, BlockOrthogonalProfile(*shape), m, 3)
+
+
+def _walk_digest(corpus):
+    """``(decodes, digest)`` over every ``DecoderStats`` field, ``best_metric``
+    by its bits, and every trace record, key order included, of each
+    instance decoded baseline and memoized, pruned and full-tree (up to
+    ``_DIGEST_LEAVES`` leaves), untraced and traced."""
+    h = hashlib.sha256()
+    decodes = 0
+    for r, y, cons, prof in corpus:
+        k = np.size(y)
+        depth = k - (prof.block_size if prof else 1)
+        for memoize, prune, traced in itertools.product(
+                (False, True), (True, False), (False, True)):
+            if not prune and cons.m ** depth > _DIGEST_LEAVES:
+                continue
+            trace = [] if traced else None
+            _, s = sphere_decode(r, y, cons, prof, memoize=memoize,
+                                 prune=prune, trace=trace)
+            h.update(repr((memoize, prune, traced, s.em_evaluations,
+                           s.nodes_visited, s.flops, s.cache_hits,
+                           s.cache_entries_peak, s.best_metric.hex(),
+                           s.decoded)).encode())
+            for rec in trace or ():
+                h.update(repr([(key, v.hex() if type(v) is float else v)
+                               for key, v in rec.items()]).encode())
+            decodes += 1
+    return decodes, h.hexdigest()[:16]
+
+
+class TestWalkDigest:
+    # every counter, every best_metric bit, every decoded index and every
+    # trace record of the walk, per group; any change to the walk's
+    # arithmetic, order, pruning, pricing, caching or tracing moves one
+    EXPECTED = {
+        "code:bhv": (48, "ddb896832d2b243f"),
+        "code:cda-2x2": (48, "1ec51fcb2ec70c52"),
+        "code:ci-a1": (48, "2d6662f96567c8e3"),
+        "code:ci-a2": (36, "a21b218b8c4b6e39"),
+        "code:cii-golden": (48, "164953d27e6d3271"),
+        "code:ciii-golden": (48, "d2554669120e8bc5"),
+        "code:civ-a1": (48, "9c7b0c0fffb3e107"),
+        "code:civ-a2": (36, "d744fc04a9f64134"),
+        "code:golden": (48, "98c20245db9dd080"),
+        "code:golden-222": (48, "174de87ed0902e89"),
+        "code:srinath-rajan": (48, "b929c3c8916d7156"),
+        "gamma:3": (192, "178df899520dca12"),
+        "gamma:4": (132, "5bde0bd3d2b98c7f"),
+        "plain:2": (48, "2a354566f50da89e"),
+        "plain:4": (36, "77a01ba12a7f952b"),
+        "plain:8": (36, "60698bbc806e3065"),
+    }
+
+    @pytest.mark.parametrize("group", sorted(EXPECTED))
+    def test_walk_digest_is_pinned(self, group):
+        assert _walk_digest(_digest_corpus(group)) == self.EXPECTED[group]
+
+    def test_every_shipped_profile_is_pinned(self):
+        declared = {f"code:{name}" for name in CODE_NAMES
+                    if named_code(name).declared_profile is not None}
+        assert declared | {"plain:2", "plain:4", "plain:8", "gamma:3",
+                           "gamma:4"} == set(self.EXPECTED)
 
 
 class TestCounterFingerprint:
