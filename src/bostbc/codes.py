@@ -685,6 +685,9 @@ def named_code(name: str, companion: str | None = None) -> LinearSTBC:
     m-multiplied copy uses instead of its default; naming one for a code
     without a companion matrix raises ``ValueError``.
     """
+    if not isinstance(name, str):
+        raise ValueError(f"name = {name!r} must be a code name, one of "
+                         f"{sorted(CODE_NAMES)}")
     name = name.lower()
     if name in _SUM_CODES:
         construction, base, default = _SUM_CODES[name]

@@ -1,6 +1,6 @@
 """Depth-first sphere decoding with per-sub-block metric memoization.
 
-A decode has three parts, each with one owner.
+A decode has two parts, each with one owner.
 
 *Set-up* (:func:`prepare`): the validation of ``(R, y')`` and everything the
 walk reads of them (the row, column and ``y'`` copies, ``1 / r_cc`` and the
@@ -11,30 +11,44 @@ with ``prepared=``, which is how a trial's baseline and memoized decodes
 share one set-up.  Products are formed ahead, never reassociated, so every
 float is the same IEEE operation on the same operands.
 
-*Conditioned walk* (``_Walker._descend``): the conditioned blocks are
-enumerated from the last column inward, each level's candidates in
-increasing order of metric increment (Schnorr-Euchner), pruning once the
-partial metric passes the best leaf found.  For equally spaced levels that
-order depends only on where the level's conditioned offset slices between
-the levels, so it is read from a per-M table of zig-zag orders indexed by
-twice the sliced position; where float rounding or underflow could decide it
-(near a midpoint, far outside the constellation, or when ``|r_cc|`` times the
-level spacing is tiny) the increments are sorted instead, so exact ties still
-take the lower index.  Each accepted symbol's interference is propagated to
-the rows above its block, so every row's conditioned offset is ready when the
-row is reached.  The increments inside a conditioned sub-block depend only on
-the symbols of the blocks above, so the memoized decoder caches them with
-their order and replays both; a block's table lives for one visit, from the
-walk entering the block's last column to leaving the block.
+*Walk* (``_walk``): each layout, that is a profile, a constellation size
+and whether the decode memoizes, prunes and traces, has one walk function,
+generated as Python source by ``_walk_source`` and compiled on its first
+decode (a few milliseconds; at most 64 layouts are kept).  Its source holds
+only the layout's integers; every float is read from the prepared instance
+on each call, so one function serves every instance of its layout.
 
-*Leading block* (``_Walker._solve_leading``): once the conditioned symbols
-are fixed the leading block is fast-decodable: its sub-blocks share no
-columns, so each is minimized independently (its last undecided symbol is
-sliced to the nearest level) and the minima are summed.  The walk's last
-conditioned level calls it once per accepted candidate, and a single-block
-profile once with no conditioning.  A gamma = 1 block is one slicing loop, a
-gamma = 2 sub-block one loop over the M values of its trailing symbol, and a
-larger gamma enumerates the trailing gamma - 1 symbols jointly.
+The conditioned blocks are enumerated from the last column inward, each
+level a ``for`` loop over its candidates nested in the loop of the level
+above, in increasing order of metric increment (Schnorr-Euchner), pruning
+once the partial metric passes the best leaf found.  For equally spaced
+levels that order depends only on where the level's conditioned offset
+slices between the levels, so it is read from a per-M table of zig-zag
+orders indexed by twice the sliced position; where float rounding or
+underflow could decide it (near a midpoint, far outside the constellation,
+or when ``|r_cc|`` times the level spacing is tiny) the increments are
+sorted instead, so exact ties still take the lower index.  Each accepted
+symbol's interference is cancelled from the rows above its block, one local
+per row, so every row's conditioned offset is ready when the row is
+reached.  The increments inside a conditioned sub-block depend only on the
+symbols of the blocks above, so the memoized walk caches them with their
+order and replays both; a level's table lives for one visit of its block,
+from the walk entering the block's last column to leaving the block, and
+holds one entry where the level ends its sub-block, else one per value of
+the sub-block's later symbols.  CPython refuses more than 20 statically
+nested loops in one function, so a walk with more than
+``_LEVELS_PER_FUNCTION`` conditioned levels hands each further run of
+levels to a function nested in the one before.
+
+*Leading block* (part of the walk): once the conditioned symbols are fixed
+the leading block is fast-decodable: its sub-blocks share no columns, so
+each is minimized independently (its last undecided symbol is sliced to the
+nearest level) and the minima are summed.  The walk solves it, unrolled
+sub-block by sub-block, once per accepted candidate of the last conditioned
+level, and a single-block profile once with no conditioning.  A gamma = 1
+sub-block is sliced directly, a gamma = 2 sub-block loops over the M values
+of its trailing symbol, and a larger gamma enumerates the trailing
+gamma - 1 symbols jointly.
 
 A code without block-orthogonal structure is the trivial profile
 ``(K, 1, 1)``: every symbol is its own block, the walk is plain
@@ -182,18 +196,28 @@ def _zigzag_orders(m: int) -> tuple:
     return tuple(orders)
 
 
+class _Step(NamedTuple):
+    """What the walk needs to know of one conditioned level ``c``."""
+
+    src: int  # the first column of the next block, whose offsets row c reads
+    end: int  # the last column of c's sub-block
+    cacheable: bool  # the memoized walk stores and replays c's increments
+    opens: bool  # entering c enters its block, so its tables start empty
+    inc_flops: int  # FLOPs of one increment vector
+    node_flops: int  # FLOPs of one accepted candidate
+    at_top: bool  # c borders the leading block
+
+
 @dataclass(frozen=True, eq=False)
 class _Layout:
     """Per-level metadata of one profile and constellation size, shared by
-    every walker on them; the tuples and the read-only mask cannot be
+    every walk on them; the tuples and the read-only mask cannot be
     mutated.
 
-    ``steps[memoize][c]`` holds, for a conditioned level ``c``, the facts
-    ``_Walker._descend`` reads on every entry: condition source, sub-block
-    end, cacheable flag, whether entering ``c`` opens a memo table, FLOPs of
-    one increment vector, FLOPs of one accepted candidate, and whether ``c``
-    borders the leading block.  The baseline pricing (``memoize`` False)
-    caches nothing and charges interference over the whole in-block row."""
+    ``steps[memoize][c]`` is the :class:`_Step` of level ``c`` that
+    ``_walk_source`` writes into the walk.  The baseline pricing
+    (``memoize`` False) caches nothing and charges interference over the
+    whole in-block row."""
 
     steps: tuple
     tails: tuple
@@ -229,12 +253,13 @@ def _layout(profile: BlockOrthogonalProfile, m: int) -> _Layout:
         # whole in-block row (the skipped entries are structural zeros, so
         # the metric value is the same)
         return tuple(
-            (cond_source[c], sub_end[c],
-             memoize and cacheable[c],
-             memoize and profile.k > 1 and c + 1 == cond_source[c],
-             2 * ((sub_end[c] if memoize else cond_source[c] - 1) - c) + 3 * m,
-             1 + 2 * block_start[c],
-             c == blk)
+            _Step(cond_source[c], sub_end[c],
+                  memoize and cacheable[c],
+                  memoize and profile.k > 1 and c + 1 == cond_source[c],
+                  2 * ((sub_end[c] if memoize else cond_source[c] - 1) - c)
+                  + 3 * m,
+                  1 + 2 * block_start[c],
+                  c == blk)
             for c in cols)
 
     return _Layout(
@@ -356,301 +381,312 @@ def prepare(r, y_prime, cons: PamConstellation,
     )
 
 
-class _Walker:
-    def __init__(self, inst, memoize, prune, trace=None):
-        layout = inst.layout
-        profile = inst.profile
-        k_total = len(inst.y)
-        levels = inst.cons.levels
-        spacing = levels[1] - levels[0]
-        self.k_total = k_total
-        self.top_size = profile.block_size
-        self.gamma = profile.gamma
-        self.rows = inst.rows
-        self.cols = inst.cols
-        self.inv_diag = inst.inv_diag
-        self.diag_levels = inst.diag_levels
-        self.pairs = inst.pairs
-        self.levels = levels
-        self.m = inst.cons.m
-        self.prune = prune
-        self.trace = trace
+#: Conditioned levels one generated function holds.  CPython refuses more
+#: than 20 statically nested loops in one function, so a deeper walk hands
+#: each further run of levels to a function nested in the one before.
+_LEVELS_PER_FUNCTION = 16
 
-        self.steps = layout.steps[bool(memoize)]  # falsy: baseline pricing
-        self.tails = layout.tails
-        self.orders = layout.orders
-        self.inv_spacing = 1.0 / spacing
-        # g = t * inv_diag[c] * pos_scale + pos_shift maps a conditioned
-        # offset t to 2 (pos + _ORDER_REACH) (levels[0] sits (m - 1) / 2
-        # spacings below zero)
-        self.pos_scale = 2.0 / spacing
-        self.pos_shift = inst.pos_shift
-        self.order_span = float(len(self.orders))
+#: The names a generated walk reads besides its arguments.  Its source holds
+#: only integers; every float reaches it through these or the instance.
+_WALK_GLOBALS = {
+    "inf": math.inf,
+    "ceil": math.ceil,
+    "DecoderStats": DecoderStats,
+    "_HALF": 0.5,
+    "_ORDER_MARGIN": _ORDER_MARGIN,
+}
 
-        self.idx = [0] * k_total
-        self.val = [0.0] * k_total
-        # offsets[c]: y minus conditioned interference for rows above the
-        # block of level c, captured when level c was accepted
-        self.offsets = [None] * (k_total + 1)
-        self.offsets[k_total] = inst.y
-        self.cache_size = 0
-        self.cache_peak = 0
-        self.em = 0
-        self.nodes = 0
-        self.flops = 0
-        self.hits = 0
-        self.best = math.inf
-        self.best_idx = None
 
-    def run(self):
-        if self.top_size == self.k_total:
-            # no conditioned blocks: the leading block is all of R
-            self._solve_leading(0.0, self.offsets[self.k_total],
-                                (0.0,) * self.k_total, 0.0)
-        else:
-            self._descend(self.k_total - 1, 0.0, None)
-        return DecoderStats(
-            em_evaluations=self.em,
-            nodes_visited=self.nodes,
-            flops=self.flops,
-            cache_hits=self.hits,
-            cache_entries_peak=self.cache_peak,
-            best_metric=self.best,
-            decoded=self.best_idx,
-        )
+def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
+                 prune: bool, traced: bool) -> str:
+    """Python source of ``walk(inst, trace)``, the decode of one
+    :func:`prepare`d instance of ``profile`` at ``m`` levels, returning its
+    :class:`DecoderStats`.
 
-    def _offer(self, total):
-        """Keep a completed leaf if it beats the best one, exact ties going
-        to the lexicographically smaller index vector."""
-        if total < self.best or (total == self.best
-                                 and tuple(self.idx) < self.best_idx):
-            self.best = total
-            self.best_idx = tuple(self.idx)
+    Each conditioned level is a ``for`` loop over its candidate order,
+    nested in the loop of the level above, and each row offset a local;
+    names carry the row and column they stand for: ``a5`` is the index of
+    symbol 5, ``x5`` its level, ``o2_5`` row 2's offset once the symbols
+    from column 5 on are cancelled (``y2`` before any), ``r2_5`` and
+    ``iv5`` entries of R and ``1 / r[5,5]``, ``tot5`` the partial metric
+    after symbol 5, ``n5`` and ``mis5`` its accepted candidates and
+    uncached entries.  Only the layout's integers are written into the
+    source; every float is read from the instance on each call."""
+    layout = _layout(profile, m)
+    steps = layout.steps[memoize]
+    k_total, blk, gam = profile.total, profile.block_size, profile.gamma
+    conditioned = range(k_total - 1, blk - 1, -1)  # in walk order
+    chunks = [conditioned[i:i + _LEVELS_PER_FUNCTION]
+              for i in range(0, len(conditioned), _LEVELS_PER_FUNCTION)]
+    lead_prune = prune and bool(chunks)  # nothing prunes before a first leaf
+    lines = []
 
-    # -- conditioned-block enumeration ----------------------------------
+    def emit(depth, *text):
+        lines.extend("    " * depth + line for line in text)
 
-    def _descend(self, c, partial, table):
-        (src, end, cacheable, opens_table, inc_flops, node_flops,
-         at_top) = self.steps[c]
-        # the walk enters a block at its last column, after a new symbol
-        # was accepted above it: the block's conditioning is new, and so is
-        # the table keyed by (level, rest of the sub-block's assignment), or
-        # by the level alone where the sub-block ends at it
-        if opens_table:
-            table = {}
-        idx = self.idx
-        val = self.val
-        entry = None
-        if cacheable:
-            key = (c, *idx[c + 1:end + 1]) if end > c else c
-            entry = table.get(key)
-        if entry is None:
-            # conditioning offset captured when the block below was
-            # finished, minus the interference inside the sub-block
-            t = self.offsets[src][c]
-            if end > c:
-                row = self.rows[c]
-                for cc in range(c + 1, end + 1):
-                    t -= row[cc] * val[cc]
-            # candidate a adds d * d, d = t - r[c,c] * levels[a]
-            inc = [(d := t - p) * d for p in self.diag_levels[c]]
-            g = t * self.inv_diag[c] * self.pos_scale + self.pos_shift
-            order = None
-            if 0.0 < g < self.order_span:
-                j = int(g)
-                if _ORDER_MARGIN < g - j < 1.0 - _ORDER_MARGIN:
-                    order = self.orders[j]
-            if order is None:  # stable: equal increments keep index order
-                order = tuple(sorted(range(self.m), key=inc.__getitem__))
-            self.em += self.m  # every level below the leading block
-            flops = inc_flops
-            if cacheable:
-                table[key] = (inc, order)
-                self.cache_size += self.m
-                if self.cache_size > self.cache_peak:
-                    self.cache_peak = self.cache_size
-        else:
-            self.hits += 1
-            inc, order = entry
-            flops = 0
-        prune = self.prune
-        trace = self.trace
-        levels = self.levels
-        offsets = self.offsets
-        # the rows above c's block, before and after cancelling c; the
-        # column is cut at the block start, so zip drops the rest
-        parent = offsets[c + 1]
-        col = self.cols[c]
-        accepted = 0
-        for a in order:
-            total = partial + inc[a]
-            if prune and total > self.best:
-                flops += 1
-                break  # increments are in order; later candidates only grow
-            accepted += 1
-            idx[c] = a
-            x = levels[a]
-            val[c] = x
-            if trace is not None:
-                trace.append({
-                    "level": c,
-                    "partial_metric": total,
-                    "symbol_index": a,
-                    "cache_hit": entry is not None,
-                })
-            if at_top:
-                self._solve_leading(total, parent, col, x)
+    def off(i, c):
+        return f"y{i}" if c == k_total else f"o{i}_{c}"
+
+    def memo(c):
+        # where the sub-block ends at c its one entry is keyed by c alone
+        return f"slot{c}" if steps[c].end == c else f"tab{c}"
+
+    def shared(chunk):
+        names = ["best", "best_idx", "nodes", "flops", "hits", "size", "peak"]
+        for c in chunk:
+            names += [f"n{c}", f"mis{c}"]
+            if steps[c].cacheable:
+                names.append(memo(c))
+        return names
+
+    def lead_offset(i):
+        if not chunks:
+            return f"y{i}"
+        return f"{off(i, blk + 1)} - r{i}_{blk} * x{blk}"
+
+    def slice_top(depth, lo, sym):
+        # the nearest level, the lower index at a midpoint, clamped
+        emit(depth, f"pos = (t * iv{lo} - lev0) * inv_spacing",
+             "if pos <= half:", f"    {sym} = 0",
+             "elif pos > clamp:", f"    {sym} = {m - 1}",
+             "else:", f"    {sym} = ceil(pos - half)")
+
+    def leading(depth, partial):
+        # each sub-block's minimum is added to the partial metric; an early
+        # exit moves on to the last conditioned level's next candidate
+        subs = range(0, blk, gam)
+        for lo in subs:
+            acc = partial if lo == 0 else "tl"
+            prefix = f"{acc} + " if acc else ""
+            last = lo == subs[-1]
+            if gam == 1:
+                emit(depth, f"t = {lead_offset(lo)}")
+                slice_top(depth, lo, f"a{lo}")
+                emit(depth, f"res = t - dl{lo}[a{lo}]",
+                     f"tl = {prefix}res * res")
+                if lead_prune and not last:
+                    emit(depth, "if tl > best:", f"    nodes += {lo + 1}",
+                         f"    flops += {7 * (lo + 1)}", "    continue")
+                continue
+            if gam == 2:
+                emit(depth, f"tlo = {lead_offset(lo)}",
+                     f"thi = {lead_offset(lo + 1)}")
             else:
-                # cancel the symbol from the rows above its block
-                offsets[c] = [p - q * x for p, q in zip(parent, col)]
-                self._descend(c - 1, total, table)
-        self.flops += flops + accepted * node_flops
-        self.nodes += accepted
-        if opens_table:
-            self.cache_size -= self.m * len(table)
-
-    # -- leading (fast-decodable) block -----------------------------------
-
-    def _solve_leading(self, total, parent, col, x):
-        """Add each leading sub-block's minimum to ``total`` and offer the
-        leaf.  Leading row ``lo`` sees the offset ``parent[lo] - col[lo] *
-        x``; a single-block profile passes ``y'``, zero columns and ``x =
-        0.0``, which leave ``y'`` bit for bit.  Slicing (3 FLOPs) takes the
-        lower index at a midpoint and clamps beyond the outer levels; ties
-        between sub-block assignments take the lexicographically smaller."""
-        prune = self.prune
-        idx = self.idx
-        inv_diag = self.inv_diag
-        diag_levels = self.diag_levels
-        lev0 = self.levels[0]
-        inv_spacing = self.inv_spacing
-        ceil = math.ceil
-        m = self.m
-        last = m - 1
-        clamp = m - 1.5
-        gam = self.gamma
-        nodes = flops = 0
+                emit(depth, *(f"u{i} = {lead_offset(i)}"
+                               for i in range(lo, lo + gam)))
+            if lead_prune:
+                emit(depth, f"budget = best - {acc}")
+            emit(depth, "bst = inf")
+            # a partial sub-block metric past both the budget and the best
+            # of the sub-block cannot win
+            worse = "if met > budget and met > bst:"
+            if gam == 2:
+                # every value b of the trailing symbol, its row first, then
+                # the leading symbol sliced given b
+                emit(depth, f"for b, phi, plo in pair{lo}:")
+                d = depth + 1
+                emit(d, "res = thi - phi", "met = res * res")
+                if lead_prune:
+                    emit(d, worse, "    flops += 4", "    continue")
+                emit(d, "t = tlo - plo")
+                slice_top(d, lo, "a")
+                emit(d, f"res = t - dl{lo}[a]", "met = met + res * res",
+                     "flops += 13",
+                     # b only grows, so a tie is smaller iff its a is
+                     "if met < bst or (met == bst and a < ba):",
+                     "    bst = met", "    ba = a", "    bb = b")
+                emit(depth, f"nodes += {m}", "flops += 1",
+                     f"tl = {prefix}bst", f"a{lo} = ba", f"a{lo + 1} = bb")
+            else:
+                # the trailing gamma - 1 symbols jointly, their rows bottom
+                # first, and the top symbol sliced given them
+                ws = [f"w{j}" for j in range(1, gam)]
+                emit(depth, f"for {', '.join(ws)} in tails:")
+                d = depth + 1
+                for j in range(gam - 1, 0, -1):
+                    row = lo + j
+                    terms = "".join(f" - r{row}_{lo + jj} * v{jj}"
+                                    for jj in range(j + 1, gam))
+                    emit(d, f"v{j} = lev[w{j}]",
+                         f"res = u{row}{terms} - r{row}_{row} * v{j}",
+                         "met = res * res" if j == gam - 1
+                         else "met = met + res * res",
+                         f"flops += {2 * (gam - 1 - j) + 4}")
+                    if lead_prune:
+                        emit(d, worse, "    continue")
+                terms = "".join(f" - r{lo}_{lo + j} * v{j}"
+                                for j in range(1, gam))
+                emit(d, f"t = u{lo}{terms}")
+                slice_top(d, lo, "a")
+                emit(d, f"res = t - dl{lo}[a]", "met = met + res * res",
+                     f"flops += {2 * gam + 5}",
+                     # tails arrive in lexicographic order, so a tie is
+                     # smaller iff its top symbol is
+                     "if met < bst or (met == bst and a < ba):",
+                     "    bst = met", "    ba = a",
+                     *(f"    b{w} = {w}" for w in ws))
+                emit(depth, f"nodes += {m ** (gam - 1)}", "flops += 1",
+                     f"tl = {prefix}bst", f"a{lo} = ba",
+                     *(f"a{lo + j} = bw{j}" for j in range(1, gam)))
+            if lead_prune and not last:
+                emit(depth, "if tl > best:", "    continue")
         if gam == 1:
-            # singleton sub-blocks: slice each leading symbol to the
-            # nearest level, 7 FLOPs and one node each
-            for lo, q in enumerate(col):
-                t = parent[lo] - q * x
-                pos = (t * inv_diag[lo] - lev0) * inv_spacing
-                if pos <= 0.5:
-                    s = 0
-                elif pos > clamp:
-                    s = last
-                else:
-                    s = ceil(pos - 0.5)
-                d = t - diag_levels[lo][s]
-                total += d * d
-                idx[lo] = s
-                if prune and total > self.best:
-                    nodes += lo + 1
-                    flops += 7 * (lo + 1)
-                    break
+            emit(depth, f"nodes += {blk}", f"flops += {7 * blk}")
+        leaf = ", ".join(f"a{i}" for i in range(k_total))
+        emit(depth, "if tl <= best:", f"    leaf = ({leaf},)",
+             "    if tl < best or leaf < best_idx:",
+             "        best = tl", "        best_idx = leaf")
+
+    def level(ci, pos, depth):
+        c = chunks[ci][pos]
+        src, end, cacheable, opens, _, _, at_top = steps[c]
+        start = (c // blk) * blk
+        if opens:
+            # entering the block's last column: its conditioning is new,
+            # and so are its tables
+            emit(depth, f"size{c} = size")
+            for cc in range(start, c):
+                if steps[cc].cacheable:
+                    emit(depth, f"{memo(cc)} = " + (
+                        "None" if steps[cc].end == cc else "{}"))
+        d = depth
+        if cacheable:
+            if end == c:
+                emit(depth, f"if slot{c} is None:")
             else:
-                nodes += len(col)
-                flops += 7 * len(col)
-                self._offer(total)
-        elif gam == 2:
-            # each sub-block (lo, lo + 1): every value b of the trailing
-            # symbol, its row first (4 FLOPs), then the leading symbol
-            # sliced given b (9 more)
-            for lo, hi, sub in self.pairs:
-                t_lo = parent[lo] - col[lo] * x
-                t_hi = parent[hi] - col[hi] * x
-                inv_lo = inv_diag[lo]
-                dl_lo = diag_levels[lo]
-                budget = self.best - total if prune else math.inf
-                best = math.inf
-                for b, p_hi, p_lo in sub:
-                    resid = t_hi - p_hi
-                    metric = resid * resid
-                    if prune and metric > budget and metric > best:
-                        flops += 4
-                        continue
-                    t = t_lo - p_lo
-                    pos = (t * inv_lo - lev0) * inv_spacing
-                    if pos <= 0.5:
-                        s = 0
-                    elif pos > clamp:
-                        s = last
-                    else:
-                        s = ceil(pos - 0.5)
-                    resid = t - dl_lo[s]
-                    metric += resid * resid
-                    flops += 13
-                    # b only grows, so a tie is smaller iff its a is
-                    if metric < best or (metric == best and s < best_a):
-                        best = metric
-                        best_a = s
-                        best_b = b
-                nodes += m
-                flops += 1
-                total += best
-                idx[lo] = best_a
-                idx[hi] = best_b
-                if prune and total > self.best:
-                    break
-            else:
-                self._offer(total)
+                key = " + ".join(
+                    [f"a{cc} * {m ** (end - cc)}" for cc in range(c + 1, end)]
+                    + [f"a{end}"])
+                emit(depth, f"k{c} = {key}", f"e{c} = tab{c}.get(k{c})",
+                     f"if e{c} is None:")
+            d = depth + 1
+        # the offset captured when the block below was finished, minus the
+        # interference inside the sub-block; candidate a adds d * d with
+        # d = t - r[c,c] * levels[a]
+        terms = "".join(f" - r{c}_{cc} * x{cc}"
+                        for cc in range(c + 1, end + 1))
+        emit(d, f"t = {off(c, src)}{terms}",
+             *(f"d{a} = t - dl{c}_{a}" for a in range(m)),
+             f"inc{c} = ({', '.join(f'd{a} * d{a}' for a in range(m))},)",
+             f"g = t * iv{c} * pos_scale + pos_shift",
+             f"if 0 < g < {len(layout.orders)} and "
+             "lo_margin < g - (j := int(g)) < hi_margin:",
+             f"    ord{c} = orders[j]",
+             "else:  # stable: equal increments keep index order",
+             f"    ord{c} = sorted(range({m}), key=inc{c}.__getitem__)",
+             f"mis{c} += 1")
+        hit = "False"
+        if cacheable:
+            hit = f"h{c}"
+            store = f"slot{c}" if end == c else f"tab{c}[k{c}]"
+            emit(d, f"{store} = (inc{c}, ord{c})", f"size += {m}",
+                 "if size > peak:", "    peak = size")
+            if traced:
+                emit(d, f"h{c} = False")
+            # a replay is the one statement `incC, ordC = entry`, which the
+            # tests rewrite to corrupt a memo entry
+            entry = f"slot{c}" if end == c else f"e{c}"
+            emit(depth, "else:", "    hits += 1",
+                 f"    inc{c}, ord{c} = {entry}")
+            if traced:
+                emit(depth, f"    h{c} = True")
+        emit(depth, f"for a{c} in ord{c}:")
+        d = depth + 1
+        partial = f"tot{c + 1} + " if c + 1 < k_total else ""
+        emit(d, f"tot{c} = {partial}inc{c}[a{c}]")
+        if prune:
+            # increments are in order; later candidates only grow
+            emit(d, f"if tot{c} > best:", "    flops += 1", "    break")
+        emit(d, f"n{c} += 1", f"x{c} = lev[a{c}]")
+        if traced:
+            emit(d, f'trace_append({{"level": {c}, "partial_metric": '
+                    f'tot{c}, "symbol_index": a{c}, "cache_hit": {hit}}})')
+        if at_top:
+            leading(d, f"tot{c}")
         else:
-            # enumerate the trailing gamma - 1 symbols jointly, their rows
-            # bottom first, and slice the top symbol given them
-            rows = self.rows
-            levels = self.levels
-            tails = self.tails
-            offs = [p - q * x for p, q in zip(parent, col)]
-            for lo in range(0, self.top_size, gam):
-                budget = self.best - total if prune else math.inf
-                best = math.inf
-                for tail in tails:
-                    metric = 0.0
-                    for d in range(gam - 1, 0, -1):
-                        r = lo + d
-                        row = rows[r]
-                        t = offs[r]
-                        for dd in range(d + 1, gam):
-                            t -= row[lo + dd] * levels[tail[dd - 1]]
-                        resid = t - row[r] * levels[tail[d - 1]]
-                        metric += resid * resid
-                        flops += 2 * (gam - 1 - d) + 4
-                        if prune and metric > budget and metric > best:
-                            break
-                    else:
-                        row = rows[lo]
-                        t = offs[lo]
-                        for dd in range(1, gam):
-                            t -= row[lo + dd] * levels[tail[dd - 1]]
-                        pos = (t * inv_diag[lo] - lev0) * inv_spacing
-                        if pos <= 0.5:
-                            s = 0
-                        elif pos > clamp:
-                            s = last
-                        else:
-                            s = ceil(pos - 0.5)
-                        resid = t - diag_levels[lo][s]
-                        # the top row's square adds to the lower rows' sum
-                        metric += resid * resid
-                        flops += 2 * gam + 5
-                        # tails arrive in lexicographic order, so a tie is
-                        # smaller iff its top symbol is
-                        if metric < best or (metric == best and s < best_a):
-                            best = metric
-                            best_a = s
-                            best_tail = tail
-                nodes += len(tails)
-                flops += 1
-                total += best
-                idx[lo] = best_a
-                idx[lo + 1:lo + gam] = best_tail
-                if prune and total > self.best:
-                    break
+            # cancel the symbol from the rows above its block
+            emit(d, *(f"o{i}_{c} = {off(i, c + 1)} - r{i}_{c} * x{c}"
+                      for i in range(start)))
+            if pos + 1 < len(chunks[ci]):
+                level(ci, pos + 1, d)
             else:
-                self._offer(total)
-        self.nodes += nodes
-        self.flops += flops
+                emit(d, f"walk{ci + 1}()")
+        if opens:
+            emit(depth, f"size = size{c}")
+
+    def body(ci, depth):
+        if ci + 1 < len(chunks):
+            emit(depth, f"def walk{ci + 1}():",
+                 "    nonlocal " + ", ".join(shared(chunks[ci + 1])))
+            body(ci + 1, depth + 1)
+        level(ci, 0, depth)
+
+    emit(0, "def walk(inst, trace):")
+    emit(1, "lev = inst.cons.levels", "lev0 = lev[0]",
+         "spacing = lev[1] - lev0", "inv_spacing = 1 / spacing",
+         "half = _HALF", f"clamp = {m - 1} - half",
+         f"[{', '.join(f'y{i}' for i in range(k_total))}] = inst.y",
+         f"[{', '.join(f'iv{i}' for i in range(k_total))}] = inst.inv_diag",
+         "dls = inst.diag_levels", "rows = inst.rows")
+    if chunks:
+        # g = t * iv * pos_scale + pos_shift maps a conditioned offset t to
+        # 2 (pos + _ORDER_REACH)
+        emit(1, "pos_scale = 2 / spacing", "pos_shift = inst.pos_shift",
+             "lo_margin = _ORDER_MARGIN", "hi_margin = 1 - _ORDER_MARGIN",
+             "orders = inst.layout.orders")
+    if gam > 2:
+        emit(1, "tails = inst.layout.tails")
+    if traced:
+        emit(1, "trace_append = trace.append")
+    for lo in range(0, blk, gam):
+        emit(1, f"dl{lo} = dls[{lo}]")
+        if gam == 2:
+            emit(1, f"pair{lo} = inst.pairs[{lo // 2}][2]")
+        elif gam > 2:
+            emit(1, *(f"r{i}_{j} = rows[{i}][{j}]" for i in range(lo, lo + gam)
+                      for j in range(i, lo + gam)))
+    for c in conditioned:
+        end, start = steps[c].end, (c // blk) * blk
+        emit(1, f"[{', '.join(f'dl{c}_{a}' for a in range(m))}] = dls[{c}]",
+             f"[{', '.join(f'r{i}_{c}' for i in range(start))}]"
+             f" = inst.cols[{c}]",
+             *(f"r{c}_{cc} = rows[{c}][{cc}]" for cc in range(c + 1, end + 1)))
+    emit(1, "best = inf", "best_idx = None",
+         "nodes = flops = hits = size = peak = 0")
+    for c in conditioned:
+        emit(1, f"n{c} = mis{c} = 0")
+        if steps[c].cacheable:
+            emit(1, f"{memo(c)} = None")
+    if chunks:
+        body(0, 1)
+    else:
+        leading(1, None)
+    em = " + ".join(f"mis{c}" for c in conditioned) or "0"
+    nodes = "".join(f" + n{c}" for c in conditioned)
+    flops = "".join(f" + {steps[c].inc_flops} * mis{c}"
+                    f" + {steps[c].node_flops} * n{c}"
+                    for c in conditioned)
+    emit(1, "return DecoderStats(",
+         f"    em_evaluations={m} * ({em}),",
+         f"    nodes_visited=nodes{nodes},",
+         f"    flops=flops{flops},",
+         "    cache_hits=hits,",
+         "    cache_entries_peak=peak,",
+         "    best_metric=best,",
+         "    decoded=best_idx,",
+         ")")
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=64)
+def _walk(profile: BlockOrthogonalProfile, m: int, memoize: bool,
+          prune: bool, traced: bool):
+    """The compiled :func:`_walk_source` of one layout, shared by every
+    decode of it."""
+    namespace = dict(_WALK_GLOBALS)
+    exec(compile(_walk_source(profile, m, memoize, prune, traced),
+                 f"<walk {profile} m={m}>", "exec"), namespace)
+    return namespace["walk"]
 
 
 def sphere_decode(r, y_prime, cons: PamConstellation,
@@ -695,7 +731,9 @@ def sphere_decode(r, y_prime, cons: PamConstellation,
               and prepared.profile == profile and prepared.cons == cons):
         raise ValueError("prepared instance was built from another r, y', "
                          "profile or constellation")
-    stats = _Walker(prepared, memoize, prune, trace=trace).run()
+    walk = _walk(profile, cons.m, bool(memoize), bool(prune),
+                 trace is not None)
+    stats = walk(prepared, trace)
     symbols = tuple(map(cons.levels.__getitem__, stats.decoded))
     return symbols, stats
 

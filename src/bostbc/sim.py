@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import MISSING, astuple, dataclass, fields
 
 import numpy as np
@@ -176,8 +177,11 @@ def snr_to_noise_variance(snr_db: float, code, cons: PamConstellation) -> float:
     dividing by the linear SNR gives N0.  A unit-energy code at 0 dB gives
     N0 = 1.  An SNR whose N0 is not a finite non-negative number (NaN, or
     so low or high that the linear SNR under- or overflows) raises
-    ``ValueError``.
+    ``ValueError``, and so does an ``snr_db`` that is not a real number
+    (a string, ``None``, a complex or a ``bool``).
     """
+    if type(snr_db) is bool or not isinstance(snr_db, numbers.Real):
+        raise ValueError(f"snr_db = {snr_db!r} must be a real number")
     g = _codes.generator_matrix(code)
     e_rx = cons.energy_per_symbol * float((g * g).sum()) / code.t
     try:

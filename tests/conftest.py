@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -88,24 +89,34 @@ def rng():
 
 
 def corrupt_memo_entry(trial_number):
-    """A ``decoder._Walker`` whose ``trial_number``-th memoized decode (from
-    0, in sweep order) overwrites the first memo entry its walk is about to
-    replay with a negative increment for every candidate, as a cache
-    returning a wrong value would."""
+    """A stand-in for ``decoder._walk`` whose ``trial_number``-th memoized
+    decode (from 0, in sweep order) runs a walk that turns the first memo
+    entry it is about to replay into a negative increment for every
+    candidate, and replays it so from then on, as a cache returning a wrong
+    value would.  That walk is the decode's own generated source with each
+    replay ``incC, ordC = entry`` read through the corruption."""
     memoized = itertools.count()
+    walk = decoder._walk
 
-    class Walker(decoder._Walker):
-        def __init__(self, inst, memoize, *args, **kwargs):
-            super().__init__(inst, memoize, *args, **kwargs)
-            self.corrupt = memoize and next(memoized) == trial_number
+    def corrupt_walk(profile, m, memoize, prune, traced):
+        if not (memoize and next(memoized) == trial_number):
+            return walk(profile, m, memoize, prune, traced)
+        first = []  # (the first entry replayed, its corrupted copy)
 
-        def _descend(self, c, partial, table):
-            end = self.steps[c][1]
-            key = (c, *self.idx[c + 1:end + 1]) if end > c else c
-            if self.corrupt and table and key in table:
-                inc, order = table[key]
-                table[key] = ([-1e3] * len(inc), order)
-                self.corrupt = False
-            super()._descend(c, partial, table)
+        def corrupt(entry):
+            if not first:
+                inc, order = entry
+                first.append((entry, ((-1e3,) * len(inc), order)))
+            original, wrong = first[0]
+            return wrong if entry is original else entry
 
-    return Walker
+        source, replays = re.subn(
+            r"^(\s*inc\d+, ord\d+) = (\w+)$", r"\1 = corrupt(\2)",
+            decoder._walk_source(profile, m, memoize, prune, traced),
+            flags=re.M)
+        assert replays, "the walk replays no memo entry"
+        namespace = dict(decoder._WALK_GLOBALS, corrupt=corrupt)
+        exec(compile(source, "<corrupted walk>", "exec"), namespace)
+        return namespace["walk"]
+
+    return corrupt_walk

@@ -363,7 +363,7 @@ class TestDecode:
         rc, out, _ = run_cli(capsys, *argv)
         report = json.loads(out[out.index("{"):])
         assert rc == 0 and report["memoized"]["cache_hits"] == 4
-        monkeypatch.setattr(decoder, "_Walker", corrupt_memo_entry(0))
+        monkeypatch.setattr(decoder, "_walk", corrupt_memo_entry(0))
         rc, out, err = run_cli(capsys, *argv)
         report = json.loads(out[out.index("{"):])
         assert rc == 1
@@ -532,7 +532,7 @@ class TestSimulate:
         assert "trial (4, 0, 1)" in err
 
     def test_corrupt_memo_entry_exits_1(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(decoder, "_Walker", corrupt_memo_entry(5))
+        monkeypatch.setattr(decoder, "_walk", corrupt_memo_entry(5))
         campaign = {
             "code": "bhv", "m": 2, "snr_grid_db": [0.0, 6.0],
             "trials_per_point": 4, "master_seed": 9,

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -774,3 +775,11 @@ def test_named_code_registry():
         assert np.linalg.matrix_rank(g, tol=1e-10) == code.k_real
     with pytest.raises(ValueError, match="unknown code"):
         named_code("silver")
+
+
+@pytest.mark.parametrize("name", [7, None])
+def test_named_code_rejects_a_non_string(name):
+    # each used to raise AttributeError from name.lower()
+    with pytest.raises(ValueError, match=f"^name = {re.escape(repr(name))} "
+                                         "must be a code name, one of"):
+        named_code(name)

@@ -3,8 +3,10 @@
 import dataclasses
 import functools
 import hashlib
+import io
 import itertools
 import re
+import tokenize
 import warnings
 from fractions import Fraction
 
@@ -13,14 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bostbc import decoder
 from bostbc.codes import CODE_NAMES, bhv_code, golden_code, named_code
 from bostbc.decoder import (
+    MAX_GRID,
     InvalidProfile,
     NotUpperTriangular,
     PamConstellation,
     TooLarge,
     _layout,
-    _Walker,
+    _walk,
+    _walk_source,
     em_count_bounds,
     exhaustive_ml,
     prepare,
@@ -250,18 +255,23 @@ class TestInputValidation:
         prof = BlockOrthogonalProfile(*shape)
         k = prof.total
         cons = PamConstellation(2)
-        memo = _Walker(prepare(patterned_r(rng, prof), rng.standard_normal(k),
-                               cons, prof), True, True)
-        base = _Walker(prepare(patterned_r(rng, prof), rng.standard_normal(k),
-                               cons, prof), False, True)
+        insts = [prepare(patterned_r(rng, prof), rng.standard_normal(k),
+                         cons, prof) for _ in range(2)]
         layout = _layout(prof, cons.m)
-        assert memo.steps is layout.steps[True]
-        assert base.steps is layout.steps[False]
+        assert all(inst.layout is layout for inst in insts)
+        # one compiled walk per layout key serves every instance of it
+        for memoize in (False, True):
+            walk = _walk(prof, cons.m, memoize, True, False)
+            assert _walk(prof, cons.m, memoize, True, False) is walk
+            for inst in insts:
+                _, stats = sphere_decode(inst.r, inst.y_prime, cons, prof,
+                                         memoize=memoize, prepared=inst)
+                assert walk(inst, None) == stats
         # reference: the per-level formulas and the structural-zero loop
         blk, gam, m = prof.block_size, prof.gamma, cons.m
         sub_end = [(c // blk) * blk + ((c % blk) // gam + 1) * gam - 1
                    for c in range(k)]
-        for memoize, steps in ((False, base.steps), (True, memo.steps)):
+        for memoize, steps in enumerate(layout.steps):
             want = []
             for c in range(k):
                 start = (c // blk) * blk
@@ -438,12 +448,12 @@ class _OrdersThatTurn:
 
 
 class TestCandidateOrder:
-    # the walker takes the Schnorr-Euchner order from a table, sorting only
+    # the walk takes the Schnorr-Euchner order from a table, sorting only
     # where rounding could decide it; the oracle is the sort it replaces
 
     @staticmethod
     def walk_and_sort(cons, rdd, pos):
-        # the walker's order at level 1 and the (inc, a) sort there: in plain
+        # the walk's order at level 1 and the (inc, a) sort there: in plain
         # decoding of two symbols level 1 is the one conditioned level, and
         # with pruning off all M candidates are visited in order
         t = rdd * (cons.levels[0] + pos * (cons.levels[1] - cons.levels[0]))
@@ -491,14 +501,18 @@ class TestCandidateOrder:
         # turns: the hit on level 2 must replay the stored order
         prof = BlockOrthogonalProfile(2, 2, 1)
         cons = PamConstellation(2)
+        r, y = patterned_r(rng, prof), rng.standard_normal(4)
+        inst = prepare(r, y, cons, prof)
+        turning = _OrdersThatTurn(inst.layout.orders, 2)
+        inst = inst._replace(
+            layout=dataclasses.replace(inst.layout, orders=turning))
         trace = []
-        walker = _Walker(prepare(patterned_r(rng, prof), rng.standard_normal(4),
-                                 cons, prof), True, False, trace=trace)
-        walker.orders = _OrdersThatTurn(walker.orders, 2)
-        assert walker.run().cache_hits == 1
+        _, stats = sphere_decode(r, y, cons, prof, prune=False, trace=trace,
+                                 prepared=inst)
+        assert stats.cache_hits == 1
         visits = [rec["symbol_index"] for rec in trace if rec["level"] == 2]
         assert len(visits) == 4 and visits[:2] == visits[2:]
-        assert walker.orders.calls == 2
+        assert turning.calls == 2
 
 
 def _patterned_instances(rng, prof, m, n):
@@ -676,6 +690,63 @@ class TestWalkDigest:
                     if named_code(name).declared_profile is not None}
         assert declared | {"plain:2", "plain:4", "plain:8", "gamma:3",
                            "gamma:4"} == set(self.EXPECTED)
+
+
+class TestGeneratedWalk:
+    # one compiled walk per layout; CPython refuses a 21st statically nested
+    # loop in one function, so a walk with more conditioned levels than one
+    # function holds chains nested functions
+
+    @pytest.mark.parametrize("shape, m, prune", [
+        ((64, 1, 1), 8, True),  # plain decoding of 64 symbols
+        ((21, 1, 1), 2, False),  # the deepest plain full tree MAX_GRID allows
+        ((2, 10, 2), 2, False),  # a full tree of depth 20 and a pair loop
+        ((2, 5, 4), 2, False),  # a full tree of depth 20 and a tail loop
+    ])
+    def test_deepest_layouts_compile(self, shape, m, prune):
+        prof = BlockOrthogonalProfile(*shape)
+        depth = prof.total - prof.block_size
+        assert prune or m ** depth == MAX_GRID
+        for memoize, traced in itertools.product((False, True), repeat=2):
+            assert callable(_walk(prof, m, memoize, prune, traced))
+
+    def test_plain_32_symbols_decode_noise_free(self, rng):
+        cons = PamConstellation(4)
+        r = np.triu(rng.standard_normal((32, 32))) + 2 * np.eye(32)
+        idx = rng.integers(0, cons.m, 32)
+        symbols, stats = sphere_decode(r, r @ np.asarray(cons.levels)[idx],
+                                       cons)
+        assert stats.decoded == tuple(idx.tolist())
+        assert symbols == tuple(np.asarray(cons.levels)[idx].tolist())
+
+    @pytest.mark.parametrize("per_function", [1, 3])
+    @pytest.mark.parametrize("group", ["code:golden", "code:ci-a2",
+                                       "plain:2", "gamma:4"])
+    def test_chained_walks_match_the_pinned_digests(self, monkeypatch,
+                                                    per_function, group):
+        # chaining after every level or every third one changes no counter,
+        # bit, decoded index or trace record
+        monkeypatch.setattr(decoder, "_LEVELS_PER_FUNCTION", per_function)
+        _walk.cache_clear()
+        try:
+            assert "nonlocal" in _walk_source(BlockOrthogonalProfile(4, 2, 1),
+                                              2, True, True, False)
+            got = _walk_digest(_digest_corpus(group))
+        finally:
+            _walk.cache_clear()
+        assert got == TestWalkDigest.EXPECTED[group]
+
+    @pytest.mark.parametrize("shape, m", [((2, 4, 2), 4), ((4, 2, 1), 8),
+                                          ((2, 2, 3), 2), ((1, 4, 1), 2),
+                                          ((40, 1, 1), 8)])
+    def test_source_holds_no_floats(self, shape, m):
+        # every float reaches the walk from the instance it decodes
+        prof = BlockOrthogonalProfile(*shape)
+        for flags in itertools.product((False, True), repeat=3):
+            source = _walk_source(prof, m, *flags)
+            numbers = [tok.string for tok in tokenize.generate_tokens(
+                io.StringIO(source).readline) if tok.type == tokenize.NUMBER]
+            assert numbers and all(map(str.isdigit, numbers)), flags
 
 
 class TestCounterFingerprint:

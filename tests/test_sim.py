@@ -85,6 +85,19 @@ class TestSnrConvention:
         assert math.isfinite(got) and got >= 0.0
         assert got == want and math.copysign(1.0, got) == 1.0
 
+    @pytest.mark.parametrize("snr_db", ["10", None, 1j, True, np.bool_(True)])
+    def test_non_real_snr_raises_value_error(self, snr_db):
+        # a string, None or a complex used to raise a stray TypeError, and
+        # True used to read as 1 dB
+        code = codes.named_code("bhv")
+        cons = PamConstellation(2)
+        named = f"^snr_db = {re.escape(repr(snr_db))} must be a real number$"
+        with pytest.raises(ValueError, match=named):
+            snr_to_noise_variance(snr_db, code, cons)
+        with pytest.raises(ValueError, match=named):
+            run_trial(code, cons, snr_db, 7,
+                      BlockOrthogonalProfile(*code.declared_profile))
+
 
 class TestRunTrial:
     def test_zero_noise_recovers_codeword(self):
@@ -395,9 +408,9 @@ class TestRunSweep:
             run_sweep(camp)
 
     def test_corrupt_memo_entry_names_the_trial(self, monkeypatch):
-        # a wrong value inside the memoized walker's own table, not a
+        # a wrong value inside the memoized walk's own table, not a
         # doctored trial result, trips the sweep's invariant check
-        monkeypatch.setattr(decoder, "_Walker", corrupt_memo_entry(5))
+        monkeypatch.setattr(decoder, "_walk", corrupt_memo_entry(5))
         camp = SimulationCampaign(code="bhv", m=2, snr_grid_db=(0.0, 6.0),
                                   trials_per_point=4, master_seed=9)
         with pytest.raises(AssertionError, match=re.escape("trial (9, 1, 1)")):
