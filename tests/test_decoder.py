@@ -594,9 +594,11 @@ def _mode_totals(corpus):
 #: keep them quick; ``MAX_GRID`` itself is far larger.
 _DIGEST_LEAVES = 4096
 
-#: Shapes built with ``patterned_r`` whose leading sub-blocks hold three or
-#: four symbols, decoded at M = 2 and 4.
-_DIGEST_SHAPES = ((2, 1, 3), (2, 2, 3), (3, 1, 3), (1, 2, 3),
+#: Shapes built with ``patterned_r`` whose leading sub-blocks hold two, three
+#: or four symbols, decoded at M = 2 and 4, and the gamma = 2 ones at M = 8
+#: too.  No shipped code has these gamma = 2 shapes.
+_DIGEST_SHAPES = ((1, 2, 2), (1, 3, 2), (2, 1, 2), (3, 2, 2),
+                  (2, 1, 3), (2, 2, 3), (3, 1, 3), (1, 2, 3),
                   (2, 1, 4), (1, 2, 4), (2, 2, 4))
 
 
@@ -625,7 +627,7 @@ def _digest_corpus(group):
     else:
         for shape in _DIGEST_SHAPES:
             if shape[2] == int(arg):
-                for m in (2, 4):
+                for m in (2, 4, 8) if shape[2] == 2 else (2, 4):
                     yield from _patterned_instances(
                         rng, BlockOrthogonalProfile(*shape), m, 3)
 
@@ -674,6 +676,7 @@ class TestWalkDigest:
         "code:golden": (48, "98c20245db9dd080"),
         "code:golden-222": (48, "174de87ed0902e89"),
         "code:srinath-rajan": (48, "b929c3c8916d7156"),
+        "gamma:2": (264, "54a2f4c9e3c1dbf0"),
         "gamma:3": (192, "178df899520dca12"),
         "gamma:4": (132, "5bde0bd3d2b98c7f"),
         "plain:2": (48, "2a354566f50da89e"),
@@ -688,8 +691,8 @@ class TestWalkDigest:
     def test_every_shipped_profile_is_pinned(self):
         declared = {f"code:{name}" for name in CODE_NAMES
                     if named_code(name).declared_profile is not None}
-        assert declared | {"plain:2", "plain:4", "plain:8", "gamma:3",
-                           "gamma:4"} == set(self.EXPECTED)
+        assert declared | {"plain:2", "plain:4", "plain:8", "gamma:2",
+                           "gamma:3", "gamma:4"} == set(self.EXPECTED)
 
 
 class TestGeneratedWalk:
