@@ -11,6 +11,7 @@ can be reproduced from the console transcript alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict
@@ -60,6 +61,12 @@ def _channel_count(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return int(text)
+
+
+def _open_out(path: str | None):
+    """``path`` opened for writing, or a stand-in yielding None without
+    one; opened before any work, so a bad path exits 2 with no output."""
+    return open(path, "w", newline="") if path else contextlib.nullcontext()
 
 
 def _pattern_grid(pattern) -> str:
@@ -143,17 +150,17 @@ def cmd_decode(args) -> int:
     code = _load_code_arg(args.code)
     cons = PamConstellation(args.m)
     profile = sim.resolve_profile(code)
-    trace = [] if args.trace else None
-    trial = sim.run_trial(code, cons, args.snr,
-                          np.random.SeedSequence(args.seed), profile,
-                          trace=trace)
-    print(f"config: code={args.code} m={args.m} snr={args.snr} seed={args.seed} "
-          f"profile={profile.as_tuple()}")
-    if args.trace:
-        with open(args.trace, "w") as f:
-            for record in trace:
-                f.write(json.dumps(record) + "\n")
-        print(f"wrote {len(trace)} trace records to {args.trace}")
+    # a trace path that cannot be written fails before the decode
+    with _open_out(args.trace) as out:
+        trace = [] if out else None
+        trial = sim.run_trial(code, cons, args.snr,
+                              np.random.SeedSequence(args.seed), profile,
+                              trace=trace)
+        print(f"config: code={args.code} m={args.m} snr={args.snr} "
+              f"seed={args.seed} profile={profile.as_tuple()}")
+        if out:
+            out.writelines(json.dumps(record) + "\n" for record in trace)
+            print(f"wrote {len(trace)} trace records to {args.trace}")
     payload = {
         "transmitted": list(trial.transmitted),
         "baseline": trial.stats_baseline.__dict__ | {
@@ -201,13 +208,13 @@ def cmd_bounds(args) -> int:
 def cmd_simulate(args) -> int:
     with open(args.campaign) as f:
         campaign = sim.SimulationCampaign.from_json(json.load(f))
-    print(f"config: {json.dumps(campaign.to_json())}")
-    result = sim.run_sweep(campaign)
+    # an --out path that cannot be written fails before the sweep
+    with _open_out(args.out) as out:
+        print(f"config: {json.dumps(campaign.to_json())}")
+        result = sim.run_sweep(campaign)
+        (out or sys.stdout).write(sim.sweep_to_csv(result))
     if args.out:
-        sim.write_csv(result, args.out)
         print(f"wrote {args.out} ({len(result.rows)} rows)")
-    else:
-        print(sim.sweep_to_csv(result), end="")
     return 0
 
 

@@ -14,9 +14,12 @@ float is the same IEEE operation on the same operands.
 *Walk* (``_walk``): each layout, that is a profile, a constellation size
 and whether the decode memoizes, prunes and traces, has one walk function,
 generated as Python source by ``_walk_source`` and compiled on its first
-decode (a few milliseconds; at most 64 layouts are kept).  Its source holds
-only the layout's integers; every float is read from the prepared instance
-on each call, so one function serves every instance of its layout.
+decode (a few milliseconds; at most 64 layouts are kept).  The generator
+alone works out what each level of a layout does: which rows it reads,
+whether it caches, where its block starts and what it costs.  Its source
+holds only the layout's integers, with the candidate orders and the leading
+block's joint tails bound as globals; every float is read from the prepared
+instance on each call, so one function serves every instance of its layout.
 
 The conditioned blocks are enumerated from the last column inward, each
 level a ``for`` loop over its candidates nested in the loop of the level
@@ -46,9 +49,9 @@ each is minimized independently (its last undecided symbol is sliced to the
 nearest level) and the minima are summed.  The walk solves it, unrolled
 sub-block by sub-block, once per accepted candidate of the last conditioned
 level, and a single-block profile once with no conditioning.  A gamma = 1
-sub-block is sliced directly, a gamma = 2 sub-block loops over the M values
-of its trailing symbol, and a larger gamma enumerates the trailing
-gamma - 1 symbols jointly.
+sub-block is sliced directly; a larger one enumerates the M^(gamma - 1)
+joint values of its trailing gamma - 1 symbols in lexicographic order and
+slices its top symbol given each.
 
 A code without block-orthogonal structure is the trivial profile
 ``(K, 1, 1)``: every symbol is its own block, the walk is plain
@@ -196,79 +199,19 @@ def _zigzag_orders(m: int) -> tuple:
     return tuple(orders)
 
 
-class _Step(NamedTuple):
-    """What the walk needs to know of one conditioned level ``c``."""
-
-    src: int  # the first column of the next block, whose offsets row c reads
-    end: int  # the last column of c's sub-block
-    cacheable: bool  # the memoized walk stores and replays c's increments
-    opens: bool  # entering c enters its block, so its tables start empty
-    inc_flops: int  # FLOPs of one increment vector
-    node_flops: int  # FLOPs of one accepted candidate
-    at_top: bool  # c borders the leading block
-
-
-@dataclass(frozen=True, eq=False)
-class _Layout:
-    """Per-level metadata of one profile and constellation size, shared by
-    every walk on them; the tuples and the read-only mask cannot be
-    mutated.
-
-    ``steps[memoize][c]`` is the :class:`_Step` of level ``c`` that
-    ``_walk_source`` writes into the walk.  The baseline pricing
-    (``memoize`` False) caches nothing and charges interference over the
-    whole in-block row."""
-
-    steps: tuple
-    tails: tuple
-    orders: tuple
-    zero_cut: np.ndarray
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(profile: BlockOrthogonalProfile, m: int) -> _Layout:
-    """Layout of ``profile`` decoded over ``m`` levels per symbol."""
-    k_total, blk, gam = profile.total, profile.block_size, profile.gamma
-    cols = range(k_total)
-    block_start = tuple((c // blk) * blk for c in cols)
-    sub_end = tuple((c // blk) * blk + ((c % blk) // gam + 1) * gam - 1
-                    for c in cols)
-    # cache all but the first-enumerated (last) sub-block per conditioned block
-    cacheable = tuple(c >= blk and (c % blk) // gam < profile.k - 1
-                      for c in cols)
-    cond_source = tuple((c // blk + 1) * blk for c in cols)
-    # |r| above zero_cut * max|r| is an error: any entry below the diagonal,
-    # a structural zero above the tolerance, and (cut 1) nothing else
+def _zero_cut(profile: BlockOrthogonalProfile) -> np.ndarray:
+    """``|r|`` above ``_zero_cut(profile) * max|r|`` is an error: any entry
+    below the diagonal (cut 0), a structural zero above the tolerance, and
+    nothing else (cut 1).  Shared and read-only."""
     zero_cut = np.where(profile.structural_zeros(), DEFAULT_TOL_REL, 1.0)
-    zero_cut[np.tri(k_total, k=-1, dtype=bool)] = 0.0
-
-    def steps(memoize):
-        # a memoized walk prices interference inside the sub-block only; a
-        # baseline one has no block-diagonal zeros to skip and prices the
-        # whole in-block row (the skipped entries are structural zeros, so
-        # the metric value is the same)
-        return tuple(
-            _Step(cond_source[c], sub_end[c],
-                  memoize and cacheable[c],
-                  memoize and profile.k > 1 and c + 1 == cond_source[c],
-                  2 * ((sub_end[c] if memoize else cond_source[c] - 1) - c)
-                  + 3 * m,
-                  1 + 2 * block_start[c],
-                  c == blk)
-            for c in cols)
-
-    return _Layout(
-        steps=(steps(False), steps(True)),
-        # joint values of a leading sub-block's trailing gamma - 1 symbols
-        tails=tuple(itertools.product(range(m), repeat=gam - 1)),
-        orders=_zigzag_orders(m),
-        zero_cut=_read_only(zero_cut),
-    )
+    zero_cut[np.tri(profile.total, k=-1, dtype=bool)] = 0.0
+    return _read_only(zero_cut)
 
 
 class _Instance(NamedTuple):
@@ -280,22 +223,24 @@ class _Instance(NamedTuple):
 
     ``cols[c]`` is column ``c`` of R cut at the start of ``c``'s block: the
     rows a symbol accepted at ``c`` is cancelled from.  ``diag_levels[c][a]``
-    is ``r[c,c] * levels[a]``, and ``pairs`` holds, for each gamma = 2
-    leading sub-block, ``(lo, hi, triples)`` with one triple
-    ``(b, r[hi,hi] * levels[b], r[lo,hi] * levels[b])`` per level ``b``."""
+    is ``r[c,c] * levels[a]``."""
 
     r: object
     y_prime: object
     profile: BlockOrthogonalProfile
     cons: PamConstellation
-    layout: _Layout
     rows: tuple
     cols: tuple
     y: tuple
     inv_diag: tuple
     diag_levels: tuple
-    pairs: tuple
     pos_shift: float
+
+
+def _check_profile(profile) -> None:
+    if not (profile is None or isinstance(profile, BlockOrthogonalProfile)):
+        raise ValueError(f"profile must be a BlockOrthogonalProfile or None, "
+                         f"got a {type(profile).__name__}")
 
 
 def prepare(r, y_prime, cons: PamConstellation,
@@ -309,6 +254,7 @@ def prepare(r, y_prime, cons: PamConstellation,
     ``y'`` objects, profile and constellation; ``profile=None`` prepares for
     plain decoding.  Raises what :func:`sphere_decode` raises for bad input.
     """
+    _check_profile(profile)
     r_in, y_in = r, y_prime
     r = _real_array(r, "r")
     y = _real_array(y_prime, "y_prime").ravel()
@@ -320,7 +266,6 @@ def prepare(r, y_prime, cons: PamConstellation,
     if profile.total != k_total:
         raise InvalidProfile(
             f"profile covers {profile.total} symbols, r has {k_total}")
-    layout = _layout(profile, cons.m)
     abs_r = np.abs(r)
     r_max = abs_r.max()  # the max is NaN or inf iff some entry is
     y_max = np.abs(y).max()
@@ -328,7 +273,7 @@ def prepare(r, y_prime, cons: PamConstellation,
         raise ValueError("r and y' must be finite")
     # one comparison finds both kinds of misplaced entry; which error
     # applies is decided only when one is found
-    misplaced = np.count_nonzero(abs_r > layout.zero_cut * r_max)
+    misplaced = np.count_nonzero(abs_r > _zero_cut(profile) * r_max)
     if misplaced and np.tril(r, -1).any():
         raise NotUpperTriangular("r has entries below the diagonal")
     diag = r.diagonal().tolist()
@@ -351,12 +296,6 @@ def prepare(r, y_prime, cons: PamConstellation,
     blk = profile.block_size
     levels = cons.levels
     diag_levels = tuple([tuple([d * lev for lev in levels]) for d in diag])
-    pairs = ()
-    if profile.gamma == 2:
-        pairs = tuple(
-            (lo, lo + 1, tuple(zip(range(cons.m), diag_levels[lo + 1],
-                                   [rows[lo][lo + 1] * lev for lev in levels])))
-            for lo in range(0, blk, 2))
     # a NaN shift, never inside the order table, sorts every level of an r
     # whose squared increments may underflow
     pos_shift = math.nan
@@ -367,7 +306,6 @@ def prepare(r, y_prime, cons: PamConstellation,
         y_prime=y_in,
         profile=profile,
         cons=cons,
-        layout=layout,
         rows=rows,
         # the leading block's columns are never cancelled from any row
         cols=((),) * blk + tuple(
@@ -376,7 +314,6 @@ def prepare(r, y_prime, cons: PamConstellation,
         y=tuple(y.tolist()),
         inv_diag=tuple([1.0 / d for d in diag]),
         diag_levels=diag_levels,
-        pairs=pairs,
         pos_shift=pos_shift,
     )
 
@@ -411,9 +348,9 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
     ``iv5`` entries of R and ``1 / r[5,5]``, ``tot5`` the partial metric
     after symbol 5, ``n5`` and ``mis5`` its accepted candidates and
     uncached entries.  Only the layout's integers are written into the
-    source; every float is read from the instance on each call."""
-    layout = _layout(profile, m)
-    steps = layout.steps[memoize]
+    source; every float is read from the instance on each call, and the
+    candidate orders and a leading sub-block's joint tails from the walk's
+    globals ``ORDERS`` and ``TAILS``."""
     k_total, blk, gam = profile.total, profile.block_size, profile.gamma
     conditioned = range(k_total - 1, blk - 1, -1)  # in walk order
     chunks = [conditioned[i:i + _LEVELS_PER_FUNCTION]
@@ -427,15 +364,24 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
     def off(i, c):
         return f"y{i}" if c == k_total else f"o{i}_{c}"
 
+    def sub_end(c):
+        # the last column of c's sub-block
+        return c - c % gam + gam - 1
+
+    def cacheable(c):
+        # the memoized walk stores and replays the increments of every
+        # sub-block of a conditioned block but its last, enumerated first
+        return memoize and c % blk < blk - gam
+
     def memo(c):
         # where the sub-block ends at c its one entry is keyed by c alone
-        return f"slot{c}" if steps[c].end == c else f"tab{c}"
+        return f"slot{c}" if sub_end(c) == c else f"tab{c}"
 
     def shared(chunk):
         names = ["best", "best_idx", "nodes", "flops", "hits", "size", "peak"]
         for c in chunk:
             names += [f"n{c}", f"mis{c}"]
-            if steps[c].cacheable:
+            if cacheable(c):
                 names.append(memo(c))
         return names
 
@@ -468,66 +414,44 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
                     emit(depth, "if tl > best:", f"    nodes += {lo + 1}",
                          f"    flops += {7 * (lo + 1)}", "    continue")
                 continue
-            if gam == 2:
-                emit(depth, f"tlo = {lead_offset(lo)}",
-                     f"thi = {lead_offset(lo + 1)}")
-            else:
-                emit(depth, *(f"u{i} = {lead_offset(i)}"
-                               for i in range(lo, lo + gam)))
+            emit(depth, *(f"u{i} = {lead_offset(i)}"
+                           for i in range(lo, lo + gam)))
             if lead_prune:
                 emit(depth, f"budget = best - {acc}")
-            emit(depth, "bst = inf")
-            # a partial sub-block metric past both the budget and the best
-            # of the sub-block cannot win
-            worse = "if met > budget and met > bst:"
-            if gam == 2:
-                # every value b of the trailing symbol, its row first, then
-                # the leading symbol sliced given b
-                emit(depth, f"for b, phi, plo in pair{lo}:")
-                d = depth + 1
-                emit(d, "res = thi - phi", "met = res * res")
+            # the trailing gamma - 1 symbols jointly, their rows bottom
+            # first, and the top symbol sliced given them
+            ws = [f"w{j}" for j in range(1, gam)]
+            emit(depth, "bst = inf",
+                 f"for {', '.join(ws)}{',' if gam == 2 else ''} in tails:")
+            d = depth + 1
+            cost = 0
+            for j in range(gam - 1, 0, -1):
+                row = lo + j
+                terms = "".join(f" - r{row}_{lo + jj} * v{jj}"
+                                for jj in range(j + 1, gam))
+                cost += 2 * (gam - 1 - j) + 4
+                emit(d, f"v{j} = lev[w{j}]",
+                     f"res = u{row}{terms} - r{row}_{row} * v{j}",
+                     "met = res * res" if j == gam - 1
+                     else "met = met + res * res")
                 if lead_prune:
-                    emit(d, worse, "    flops += 4", "    continue")
-                emit(d, "t = tlo - plo")
-                slice_top(d, lo, "a")
-                emit(d, f"res = t - dl{lo}[a]", "met = met + res * res",
-                     "flops += 13",
-                     # b only grows, so a tie is smaller iff its a is
-                     "if met < bst or (met == bst and a < ba):",
-                     "    bst = met", "    ba = a", "    bb = b")
-                emit(depth, f"nodes += {m}", "flops += 1",
-                     f"tl = {prefix}bst", f"a{lo} = ba", f"a{lo + 1} = bb")
-            else:
-                # the trailing gamma - 1 symbols jointly, their rows bottom
-                # first, and the top symbol sliced given them
-                ws = [f"w{j}" for j in range(1, gam)]
-                emit(depth, f"for {', '.join(ws)} in tails:")
-                d = depth + 1
-                for j in range(gam - 1, 0, -1):
-                    row = lo + j
-                    terms = "".join(f" - r{row}_{lo + jj} * v{jj}"
-                                    for jj in range(j + 1, gam))
-                    emit(d, f"v{j} = lev[w{j}]",
-                         f"res = u{row}{terms} - r{row}_{row} * v{j}",
-                         "met = res * res" if j == gam - 1
-                         else "met = met + res * res",
-                         f"flops += {2 * (gam - 1 - j) + 4}")
-                    if lead_prune:
-                        emit(d, worse, "    continue")
-                terms = "".join(f" - r{lo}_{lo + j} * v{j}"
-                                for j in range(1, gam))
-                emit(d, f"t = u{lo}{terms}")
-                slice_top(d, lo, "a")
-                emit(d, f"res = t - dl{lo}[a]", "met = met + res * res",
-                     f"flops += {2 * gam + 5}",
-                     # tails arrive in lexicographic order, so a tie is
-                     # smaller iff its top symbol is
-                     "if met < bst or (met == bst and a < ba):",
-                     "    bst = met", "    ba = a",
-                     *(f"    b{w} = {w}" for w in ws))
-                emit(depth, f"nodes += {m ** (gam - 1)}", "flops += 1",
-                     f"tl = {prefix}bst", f"a{lo} = ba",
-                     *(f"a{lo + j} = bw{j}" for j in range(1, gam)))
+                    # a partial sub-block metric past both the budget and
+                    # the best of the sub-block cannot win
+                    emit(d, "if met > budget and met > bst:",
+                         f"    flops += {cost}", "    continue")
+            terms = "".join(f" - r{lo}_{lo + j} * v{j}" for j in range(1, gam))
+            emit(d, f"t = u{lo}{terms}")
+            slice_top(d, lo, "a")
+            emit(d, f"res = t - dl{lo}[a]", "met = met + res * res",
+                 f"flops += {cost + 2 * gam + 5}",
+                 # tails arrive in lexicographic order, so a tie is smaller
+                 # iff its top symbol is
+                 "if met < bst or (met == bst and a < ba):",
+                 "    bst = met", "    ba = a",
+                 *(f"    b{w} = {w}" for w in ws))
+            emit(depth, f"nodes += {m ** (gam - 1)}", "flops += 1",
+                 f"tl = {prefix}bst", f"a{lo} = ba",
+                 *(f"a{lo + j} = bw{j}" for j in range(1, gam)))
             if lead_prune and not last:
                 emit(depth, "if tl > best:", "    continue")
         if gam == 1:
@@ -539,18 +463,19 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
 
     def level(ci, pos, depth):
         c = chunks[ci][pos]
-        src, end, cacheable, opens, _, _, at_top = steps[c]
-        start = (c // blk) * blk
+        start = c - c % blk
+        src, end = start + blk, sub_end(c)  # src: the next block's first column
+        # entering the block's last column: its conditioning is new, and so
+        # are its tables
+        opens = memoize and profile.k > 1 and c + 1 == src
         if opens:
-            # entering the block's last column: its conditioning is new,
-            # and so are its tables
             emit(depth, f"size{c} = size")
             for cc in range(start, c):
-                if steps[cc].cacheable:
+                if cacheable(cc):
                     emit(depth, f"{memo(cc)} = " + (
-                        "None" if steps[cc].end == cc else "{}"))
+                        "None" if sub_end(cc) == cc else "{}"))
         d = depth
-        if cacheable:
+        if cacheable(c):
             if end == c:
                 emit(depth, f"if slot{c} is None:")
             else:
@@ -569,14 +494,14 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
              *(f"d{a} = t - dl{c}_{a}" for a in range(m)),
              f"inc{c} = ({', '.join(f'd{a} * d{a}' for a in range(m))},)",
              f"g = t * iv{c} * pos_scale + pos_shift",
-             f"if 0 < g < {len(layout.orders)} and "
+             f"if 0 < g < {len(_zigzag_orders(m))} and "
              "lo_margin < g - (j := int(g)) < hi_margin:",
              f"    ord{c} = orders[j]",
              "else:  # stable: equal increments keep index order",
              f"    ord{c} = sorted(range({m}), key=inc{c}.__getitem__)",
              f"mis{c} += 1")
         hit = "False"
-        if cacheable:
+        if cacheable(c):
             hit = f"h{c}"
             store = f"slot{c}" if end == c else f"tab{c}[k{c}]"
             emit(d, f"{store} = (inc{c}, ord{c})", f"size += {m}",
@@ -601,7 +526,7 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
         if traced:
             emit(d, f'trace_append({{"level": {c}, "partial_metric": '
                     f'tot{c}, "symbol_index": a{c}, "cache_hit": {hit}}})')
-        if at_top:
+        if c == blk:
             leading(d, f"tot{c}")
         else:
             # cancel the symbol from the rows above its block
@@ -633,29 +558,27 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
         # 2 (pos + _ORDER_REACH)
         emit(1, "pos_scale = 2 / spacing", "pos_shift = inst.pos_shift",
              "lo_margin = _ORDER_MARGIN", "hi_margin = 1 - _ORDER_MARGIN",
-             "orders = inst.layout.orders")
-    if gam > 2:
-        emit(1, "tails = inst.layout.tails")
+             "orders = ORDERS")
+    if gam > 1:
+        emit(1, "tails = TAILS")
     if traced:
         emit(1, "trace_append = trace.append")
     for lo in range(0, blk, gam):
         emit(1, f"dl{lo} = dls[{lo}]")
-        if gam == 2:
-            emit(1, f"pair{lo} = inst.pairs[{lo // 2}][2]")
-        elif gam > 2:
+        if gam > 1:
             emit(1, *(f"r{i}_{j} = rows[{i}][{j}]" for i in range(lo, lo + gam)
                       for j in range(i, lo + gam)))
     for c in conditioned:
-        end, start = steps[c].end, (c // blk) * blk
         emit(1, f"[{', '.join(f'dl{c}_{a}' for a in range(m))}] = dls[{c}]",
-             f"[{', '.join(f'r{i}_{c}' for i in range(start))}]"
+             f"[{', '.join(f'r{i}_{c}' for i in range(c - c % blk))}]"
              f" = inst.cols[{c}]",
-             *(f"r{c}_{cc} = rows[{c}][{cc}]" for cc in range(c + 1, end + 1)))
+             *(f"r{c}_{cc} = rows[{c}][{cc}]"
+               for cc in range(c + 1, sub_end(c) + 1)))
     emit(1, "best = inf", "best_idx = None",
          "nodes = flops = hits = size = peak = 0")
     for c in conditioned:
         emit(1, f"n{c} = mis{c} = 0")
-        if steps[c].cacheable:
+        if cacheable(c):
             emit(1, f"{memo(c)} = None")
     if chunks:
         body(0, 1)
@@ -663,9 +586,17 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
         leading(1, None)
     em = " + ".join(f"mis{c}" for c in conditioned) or "0"
     nodes = "".join(f" + n{c}" for c in conditioned)
-    flops = "".join(f" + {steps[c].inc_flops} * mis{c}"
-                    f" + {steps[c].node_flops} * n{c}"
-                    for c in conditioned)
+    flops = ""
+    for c in conditioned:
+        start = c - c % blk
+        # an increment vector and an accepted candidate's cancellation; a
+        # memoized walk prices interference inside the sub-block only, a
+        # baseline one has no block-diagonal zeros to skip and prices the
+        # whole in-block row (the skipped entries are structural zeros, so
+        # the metric value is the same)
+        row_end = sub_end(c) if memoize else start + blk - 1
+        flops += (f" + {2 * (row_end - c) + 3 * m} * mis{c}"
+                  f" + {1 + 2 * start} * n{c}")
     emit(1, "return DecoderStats(",
          f"    em_evaluations={m} * ({em}),",
          f"    nodes_visited=nodes{nodes},",
@@ -683,7 +614,11 @@ def _walk(profile: BlockOrthogonalProfile, m: int, memoize: bool,
           prune: bool, traced: bool):
     """The compiled :func:`_walk_source` of one layout, shared by every
     decode of it."""
-    namespace = dict(_WALK_GLOBALS)
+    namespace = dict(_WALK_GLOBALS, ORDERS=_zigzag_orders(m),
+                     # a leading sub-block's trailing gamma - 1 symbols'
+                     # joint values, in lexicographic order
+                     TAILS=tuple(itertools.product(range(m),
+                                                   repeat=profile.gamma - 1)))
     exec(compile(_walk_source(profile, m, memoize, prune, traced),
                  f"<walk {profile} m={m}>", "exec"), namespace)
     return namespace["walk"]
@@ -714,12 +649,14 @@ def sphere_decode(r, y_prime, cons: PamConstellation,
     ``y'`` objects, profile and constellation, replaces the decode's own
     set-up; one built from anything else raises ``ValueError``.
 
-    Raises ``ValueError`` for complex or non-finite ``r`` or ``y'``, for
+    Raises ``ValueError`` for a profile of another type (a declared
+    profile tuple, say), for complex or non-finite ``r`` or ``y'``, for
     inputs so large that the metric would overflow, and for a zero diagonal.
 
     Returns ``(symbols, stats)`` where ``symbols`` are the decoded PAM
     levels and ``stats.decoded`` the matching level indices.
     """
+    _check_profile(profile)
     if profile is None:
         profile = BlockOrthogonalProfile(np.size(y_prime), 1, 1)
     depth = profile.total - profile.block_size

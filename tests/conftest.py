@@ -115,7 +115,8 @@ def corrupt_memo_entry(trial_number):
             decoder._walk_source(profile, m, memoize, prune, traced),
             flags=re.M)
         assert replays, "the walk replays no memo entry"
-        namespace = dict(decoder._WALK_GLOBALS, corrupt=corrupt)
+        namespace = dict(walk(profile, m, memoize, prune, traced).__globals__,
+                         corrupt=corrupt)
         exec(compile(source, "<corrupted walk>", "exec"), namespace)
         return namespace["walk"]
 

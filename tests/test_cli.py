@@ -370,6 +370,16 @@ class TestDecode:
         assert err == ""
         assert report["memoized"]["decoded"] != report["baseline"]["decoded"]
 
+    def test_unwritable_trace_exits_2_before_the_decode(self, tmp_path,
+                                                        capsys, monkeypatch):
+        monkeypatch.setattr(sim, "run_trial",
+                            lambda *args, **kwargs: pytest.fail("decoded"))
+        path = tmp_path / "missing" / "trace.jsonl"
+        rc, out, err = run_cli(capsys, "decode", "bhv", "--trace", str(path))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: [Errno 2] No such file or directory")
+
     @pytest.mark.parametrize("snr", ["-1e308", "1e308", "-inf", "nan"])
     def test_snr_without_finite_noise_exits_2(self, capsys, snr):
         rc, out, err = run_cli(capsys, "decode", "bhv", "--m", "2",
@@ -393,6 +403,21 @@ class TestSimulate:
         lines = out_csv.read_text().strip().splitlines()
         assert len(lines) == 2  # header + one row
         assert lines[0].startswith("snr_db,trials,")
+
+    def test_unwritable_out_exits_2_before_the_sweep(self, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(sim, "run_sweep",
+                            lambda *args, **kwargs: pytest.fail("swept"))
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps({
+            "code": "bhv", "m": 2, "snr_grid_db": [10.0],
+            "trials_per_point": 1, "master_seed": 4}))
+        out_csv = tmp_path / "missing" / "rows.csv"
+        rc, out, err = run_cli(capsys, "simulate", str(cfg), "--out",
+                               str(out_csv))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: [Errno 2] No such file or directory")
 
     def test_csv_to_stdout_without_out(self, tmp_path, capsys):
         campaign = {

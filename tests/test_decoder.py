@@ -1,12 +1,12 @@
 """Tests for the sphere decoder, the exhaustive oracle and the bound math."""
 
-import dataclasses
 import functools
 import hashlib
 import io
 import itertools
 import re
 import tokenize
+import types
 import warnings
 from fractions import Fraction
 
@@ -23,9 +23,9 @@ from bostbc.decoder import (
     NotUpperTriangular,
     PamConstellation,
     TooLarge,
-    _layout,
     _walk,
     _walk_source,
+    _zero_cut,
     em_count_bounds,
     exhaustive_ml,
     prepare,
@@ -250,6 +250,15 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="nonzero diagonal"):
             sphere_decode(singular, np.zeros(4), cons, profile)
 
+    @pytest.mark.parametrize("setup", [sphere_decode, prepare])
+    @pytest.mark.parametrize("profile, named", [
+        (named_code("bhv").declared_profile, "tuple"), ("2,4,1", "str")])
+    def test_profile_of_another_type_rejected(self, setup, profile, named):
+        # a declared profile is a tuple; it is refused before any set-up
+        with pytest.raises(ValueError, match="^profile must be a "
+                           f"BlockOrthogonalProfile or None, got a {named}$"):
+            setup(np.eye(8), np.zeros(8), PamConstellation(2), profile)
+
     @pytest.mark.parametrize("shape", [(2, 4, 1), (2, 2, 2), (3, 2, 2), (4, 2, 1)])
     def test_walkers_share_immutable_layout(self, rng, shape):
         prof = BlockOrthogonalProfile(*shape)
@@ -257,8 +266,6 @@ class TestInputValidation:
         cons = PamConstellation(2)
         insts = [prepare(patterned_r(rng, prof), rng.standard_normal(k),
                          cons, prof) for _ in range(2)]
-        layout = _layout(prof, cons.m)
-        assert all(inst.layout is layout for inst in insts)
         # one compiled walk per layout key serves every instance of it
         for memoize in (False, True):
             walk = _walk(prof, cons.m, memoize, True, False)
@@ -267,35 +274,21 @@ class TestInputValidation:
                 _, stats = sphere_decode(inst.r, inst.y_prime, cons, prof,
                                          memoize=memoize, prepared=inst)
                 assert walk(inst, None) == stats
-        # reference: the per-level formulas and the structural-zero loop
-        blk, gam, m = prof.block_size, prof.gamma, cons.m
+        # reference: the structural-zero loop; the per-level pricing is
+        # checked by the digest counters
+        blk, gam = prof.block_size, prof.gamma
         sub_end = [(c // blk) * blk + ((c % blk) // gam + 1) * gam - 1
                    for c in range(k)]
-        for memoize, steps in enumerate(layout.steps):
-            want = []
-            for c in range(k):
-                start = (c // blk) * blk
-                src = start + blk
-                cacheable = c >= blk and (c % blk) // gam < prof.k - 1
-                want.append((src, sub_end[c],
-                             memoize and cacheable,
-                             memoize and prof.k > 1 and c + 1 == src,
-                             2 * ((sub_end[c] if memoize else src - 1) - c) + 3 * m,
-                             1 + 2 * start, c == blk))
-            assert steps == tuple(want), memoize
         zero_cut = np.ones((k, k))
         for c in range(k):
             zero_cut[c, :c] = 0.0
             for j in range(c + 1, (c // blk + 1) * blk):
                 if j > sub_end[c]:
                     zero_cut[c, j] = DEFAULT_TOL_REL
-        assert np.array_equal(layout.zero_cut, zero_cut)
+        assert _zero_cut(prof) is _zero_cut(BlockOrthogonalProfile(*shape))
+        assert np.array_equal(_zero_cut(prof), zero_cut)
         with pytest.raises(ValueError):
-            layout.zero_cut[0, -1] = 1.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            layout.steps = ()
-        with pytest.raises(TypeError):
-            layout.steps[True][0] = ()
+            _zero_cut(prof)[0, -1] = 1.0
 
 
 class TestSharedInstance:
@@ -502,13 +495,12 @@ class TestCandidateOrder:
         prof = BlockOrthogonalProfile(2, 2, 1)
         cons = PamConstellation(2)
         r, y = patterned_r(rng, prof), rng.standard_normal(4)
-        inst = prepare(r, y, cons, prof)
-        turning = _OrdersThatTurn(inst.layout.orders, 2)
-        inst = inst._replace(
-            layout=dataclasses.replace(inst.layout, orders=turning))
+        walk = _walk(prof, cons.m, True, False, True)
+        turning = _OrdersThatTurn(walk.__globals__["ORDERS"], 2)
+        turned = types.FunctionType(walk.__code__,
+                                    dict(walk.__globals__, ORDERS=turning))
         trace = []
-        _, stats = sphere_decode(r, y, cons, prof, prune=False, trace=trace,
-                                 prepared=inst)
+        stats = turned(prepare(r, y, cons, prof), trace)
         assert stats.cache_hits == 1
         visits = [rec["symbol_index"] for rec in trace if rec["level"] == 2]
         assert len(visits) == 4 and visits[:2] == visits[2:]
@@ -703,7 +695,7 @@ class TestGeneratedWalk:
     @pytest.mark.parametrize("shape, m, prune", [
         ((64, 1, 1), 8, True),  # plain decoding of 64 symbols
         ((21, 1, 1), 2, False),  # the deepest plain full tree MAX_GRID allows
-        ((2, 10, 2), 2, False),  # a full tree of depth 20 and a pair loop
+        ((2, 10, 2), 2, False),  # a full tree of depth 20, gamma = 2 tails
         ((2, 5, 4), 2, False),  # a full tree of depth 20 and a tail loop
     ])
     def test_deepest_layouts_compile(self, shape, m, prune):

@@ -21,7 +21,7 @@ from bostbc.codes import (
     named_code,
     reorder,
 )
-from bostbc.decoder import _layout
+from bostbc.decoder import _zero_cut
 from bostbc.linalg import check_expand, cvec, gram_schmidt_qr, tilde_vec
 from bostbc.structure import (
     DEFAULT_TOL_REL,
@@ -154,7 +154,7 @@ class TestStructuralZeros:
         # the walk's misplaced-entry cut: 0 below the diagonal, the zero
         # tolerance on the profile's structural zeros, 1 elsewhere
         for profile in self.PROFILES:
-            zero_cut = _layout(profile, 2).zero_cut
+            zero_cut = _zero_cut(profile)
             below = np.tri(profile.total, k=-1, dtype=bool)
             want = np.where(profile.structural_zeros(), DEFAULT_TOL_REL,
                             np.where(below, 0.0, 1.0))
