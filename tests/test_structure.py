@@ -1,5 +1,6 @@
 """Tests for equivalent-channel factorization and structure detection."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from bostbc import codes
 from bostbc.codes import (
+    CODE_NAMES,
     GOLDEN_ORDERING_222,
     GOLDEN_ORDERING_421,
     GOLDEN_ORDERING_SCRAMBLED,
@@ -435,3 +437,78 @@ class TestOrderingSearch:
         assert profile.as_tuple() in ((4, 2, 1), (2, 2, 2))
         recovered = structural_pattern(reorder(scrambled, perm))
         assert profile_validates(recovered, profile)
+
+
+def _duplicated_alamouti():
+    """Alamouti's weights twice over: every equivalent channel of it has
+    rank 4 of 8.  Built through the JSON path, which skips the generator
+    rank gate."""
+    data = code_to_json(alamouti_code())
+    data["weights"] = data["weights"] + data["weights"]
+    data["k_real"] = 8
+    data["labels"] = [f"x{i}" for i in range(8)]
+    return code_from_json(data)
+
+
+def _structure_records():
+    """Every structural output of the sampled checks, as text: patterns by
+    their bytes, residuals by ``float.hex``."""
+    def residual(x):
+        return None if x is None else float(x).hex()
+
+    for name in CODE_NAMES:
+        code = named_code(name)
+        for n_r in (None, 3):
+            pattern = structural_pattern(code, n_r=n_r)
+            yield f"pattern {name} {n_r} {pattern.shape} {pattern.tobytes().hex()}"
+        yield f"ordering {name} {ordering_search(code)}"
+    premises = [(name, named_code(name).declared_profile) for name in CODE_NAMES
+                if named_code(name).declared_profile is not None]
+    # golden (8, 1, 1): k = 1 splits read 0.0 and its zero first coupling
+    # column inf; alamouti (2, 2, 1): a coupling zero only to rounding;
+    # cda-2x2 (2, 1, 2): k = 1; duplicated Alamouti: never full rank
+    premises += [("golden", (8, 1, 1)), ("alamouti", (2, 2, 1)),
+                 ("cda-2x2", (2, 1, 2)), ("duplicated-alamouti", (2, 2, 2))]
+    for name, shape in premises:
+        code = (_duplicated_alamouti() if name == "duplicated-alamouti"
+                else named_code(name))
+        report = verify_multi_block_premises(
+            code, BlockOrthogonalProfile(*shape))
+        yield f"premises {name} {shape} " + " ".join(
+            f"{c.name}:{c.passed}:{residual(c.residual)}"
+            for c in report.conditions)
+    for name in ("bhv", "ci-a1", "ci-a2", "golden"):
+        rep = verify_cuwd_sum_structure(named_code(name))
+        yield (f"cuwd {name} {residual(rep.r1_blocks_equal)} "
+               f"{residual(rep.r1_block_diagonal)} {residual(rep.e_structure)} "
+               f"{rep.e_structure_orientation} {residual(rep.r2_block_diagonal)}")
+
+
+class TestStructureDigest:
+    # every structural pattern, ordering, premise residual and sum-structure
+    # residual bit, as one digest; any change to the draws, the equivalent
+    # channel, the QR or the checks' arithmetic moves it
+    EXPECTED = (55, "2a4e783f3b2534ac")
+
+    def test_structure_digest_is_pinned(self):
+        h = hashlib.sha256()
+        count = 0
+        for record in _structure_records():
+            h.update(record.encode() + b"\n")
+            count += 1
+        assert (count, h.hexdigest()[:16]) == self.EXPECTED
+
+    def test_edge_profiles_read_as_before(self):
+        # the digest's edge cases, spelled out
+        def residuals(code, shape):
+            report = verify_multi_block_premises(
+                code, BlockOrthogonalProfile(*shape))
+            return [(c.passed, c.residual) for c in report.conditions
+                    if c.name.startswith("ete-")]
+
+        assert (False, float("inf")) in residuals(golden_code(), (8, 1, 1))
+        assert residuals(named_code("cda-2x2"), (2, 1, 2)) == [(True, 0.0)]
+        report = verify_multi_block_premises(_duplicated_alamouti(),
+                                             BlockOrthogonalProfile(2, 2, 2))
+        assert not report.condition("r-full-rank").passed
+        assert report.condition("ete-block-diagonal-at-4").residual == 0.0
