@@ -11,8 +11,8 @@ can be reproduced from the console transcript alone.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -63,10 +63,12 @@ def _channel_count(text: str) -> int:
     return int(text)
 
 
-def _open_out(path: str | None):
-    """``path`` opened for writing, or a stand-in yielding None without
-    one; opened before any work, so a bad path exits 2 with no output."""
-    return open(path, "w", newline="") if path else contextlib.nullcontext()
+def _check_out(path: str | None) -> None:
+    """Fail unless ``path`` (if given) can be written, before any work, so
+    a bad path exits 2 with no output.  An existing file is opened without
+    truncation: a run that fails later leaves it as it was."""
+    if path:
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
 
 
 def _pattern_grid(pattern) -> str:
@@ -150,17 +152,17 @@ def cmd_decode(args) -> int:
     code = _load_code_arg(args.code)
     cons = PamConstellation(args.m)
     profile = sim.resolve_profile(code)
-    # a trace path that cannot be written fails before the decode
-    with _open_out(args.trace) as out:
-        trace = [] if out else None
-        trial = sim.run_trial(code, cons, args.snr,
-                              np.random.SeedSequence(args.seed), profile,
-                              trace=trace)
-        print(f"config: code={args.code} m={args.m} snr={args.snr} "
-              f"seed={args.seed} profile={profile.as_tuple()}")
-        if out:
+    _check_out(args.trace)
+    trace = [] if args.trace else None
+    trial = sim.run_trial(code, cons, args.snr,
+                          np.random.SeedSequence(args.seed), profile,
+                          trace=trace)
+    print(f"config: code={args.code} m={args.m} snr={args.snr} "
+          f"seed={args.seed} profile={profile.as_tuple()}")
+    if args.trace:
+        with open(args.trace, "w") as out:
             out.writelines(json.dumps(record) + "\n" for record in trace)
-            print(f"wrote {len(trace)} trace records to {args.trace}")
+        print(f"wrote {len(trace)} trace records to {args.trace}")
     payload = {
         "transmitted": list(trial.transmitted),
         "baseline": trial.stats_baseline.__dict__ | {
@@ -208,13 +210,15 @@ def cmd_bounds(args) -> int:
 def cmd_simulate(args) -> int:
     with open(args.campaign) as f:
         campaign = sim.SimulationCampaign.from_json(json.load(f))
-    # an --out path that cannot be written fails before the sweep
-    with _open_out(args.out) as out:
-        print(f"config: {json.dumps(campaign.to_json())}")
-        result = sim.run_sweep(campaign)
-        (out or sys.stdout).write(sim.sweep_to_csv(result))
-    if args.out:
-        print(f"wrote {args.out} ({len(result.rows)} rows)")
+    _check_out(args.out)
+    print(f"config: {json.dumps(campaign.to_json())}")
+    result = sim.run_sweep(campaign)
+    if not args.out:
+        sys.stdout.write(sim.sweep_to_csv(result))
+        return 0
+    with open(args.out, "w", newline="") as out:
+        out.write(sim.sweep_to_csv(result))
+    print(f"wrote {args.out} ({len(result.rows)} rows)")
     return 0
 
 

@@ -105,53 +105,58 @@ def kron(a, b) -> np.ndarray:
 
 
 def gram_schmidt_qr(h) -> QrResult:
-    """Gram-Schmidt QR of a real matrix with ``rows >= cols``.
+    """Gram-Schmidt QR of a real matrix with ``rows >= cols``, or of each
+    matrix of a ``(..., rows, cols)`` stack.
 
     The result is the Gram-Schmidt factorization: ``r[i, i]`` is the norm of
     the i-th residual column and ``r[i, j]`` (j > i) the projection
     coefficient ``<q_i, h_j>``.  It is computed by LAPACK's Householder QR
-    (``np.linalg.qr``) with each sign-flipped row of ``r`` (and column of
-    ``q``) negated so the diagonal is positive.  For full column rank that
-    factorization is unique, so it equals the Gram-Schmidt one up to
-    rounding.
+    (``np.linalg.qr``, one call per stack) with each sign-flipped row of
+    ``r`` (and column of ``q``) negated so the diagonal is positive.  For
+    full column rank that factorization is unique, so it equals the
+    Gram-Schmidt one up to rounding.  Each matrix of a stack is judged at
+    its own scale, so its ``q``, ``r`` and verdict are those it gets alone.
 
     Raises
     ------
     ValueError
-        If ``h`` is complex, not 2-D or not finite.
+        If ``h`` is complex, has fewer than 2 dimensions or is not finite.
     RankDeficient
-        If the matrix has fewer rows than columns, or some residual column
-        norm falls below ``RANK_TOL`` times the largest input column norm;
-        the first such column is reported.
+        If the matrices have fewer rows than columns, or some residual
+        column norm falls below ``RANK_TOL`` times the largest input column
+        norm of its matrix; the first such column of the first such matrix
+        is reported.
     """
     h = _real_array(h, "h")
-    if h.ndim != 2:
+    if h.ndim < 2:
         raise ValueError("expected a 2-D matrix")
-    rows, cols = h.shape
+    rows, cols = h.shape[-2:]
     if rows < cols:
         raise RankDeficient(f"matrix is {rows}x{cols}; need rows >= cols")
     # the max is NaN or inf iff some entry is
-    h_max = float(abs(h).max()) if cols else 0.0
+    h_max = float(abs(h).max()) if h.size else 0.0
     if not h_max < math.inf:
         raise ValueError("matrix entries must be finite")
 
     q, r = np.linalg.qr(h)
-    sign = np.copysign(1.0, r.diagonal())
-    q *= sign
-    r *= sign[:, None]
+    diag = r.diagonal(0, -2, -1)
+    sign = np.copysign(1.0, diag)
+    q *= sign[..., None, :]
+    r *= sign[..., None]
     r += 0.0  # turns the -0.0 a flipped zero becomes back into +0.0
-    if cols:
-        # the test runs on h / max|h|, so no square over- or underflows at
-        # any scale; no column norm of it exceeds sqrt(rows), so a larger
-        # smallest |r_ii| passes without the norms being computed
-        scale = h_max or 1.0
-        diag = r.diagonal()
-        if diag.min() / scale <= RANK_TOL * math.sqrt(rows):
-            scaled = h / scale
-            norm_max = math.sqrt((scaled * scaled).sum(axis=0).max())
-            threshold = RANK_TOL * norm_max
-            for i, d in enumerate(diag.tolist()):
-                if d / scale <= threshold:
-                    raise RankDeficient(
-                        f"column {i} is dependent (|r_{i}| = {d:.3e})")
+    # the test runs on h / max|h| of each matrix, so no square over- or
+    # underflows at any scale; no column norm of it exceeds sqrt(rows), and
+    # the stack's max|h| bounds each matrix's, so a larger smallest
+    # |r_ii| / max|h| passes every matrix without the norms being computed
+    if h.size and diag.min() / (h_max or 1.0) <= RANK_TOL * math.sqrt(rows):
+        scale = abs(h).max(axis=(-2, -1), keepdims=True)
+        scale[scale == 0.0] = 1.0
+        scaled = h / scale
+        norm_max = np.sqrt((scaled * scaled).sum(axis=-2).max(axis=-1))
+        dependent = diag / scale[..., 0] <= RANK_TOL * norm_max[..., None]
+        if dependent.any():
+            first = tuple(np.argwhere(dependent)[0])  # first matrix, column
+            i = first[-1]
+            raise RankDeficient(
+                f"column {i} is dependent (|r_{i}| = {diag[first]:.3e})")
     return QrResult(q=q, r=r)

@@ -44,7 +44,6 @@ __all__ = [
     "snr_to_noise_variance",
     "run_trial",
     "run_sweep",
-    "write_csv",
     "sweep_to_csv",
     "CSV_HEADER",
     "resolve_profile",
@@ -293,8 +292,3 @@ def sweep_to_csv(result: SweepResult) -> str:
     writer.writerow(CSV_HEADER.split(","))
     writer.writerows(astuple(row) for row in result.rows)
     return buf.getvalue()
-
-
-def write_csv(result: SweepResult, path) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(sweep_to_csv(result))

@@ -146,16 +146,22 @@ def _receive_antennas(n_r, n_t=None):
     return int(n_r)
 
 
-def _channels(code, n_channels: int, seed: int, n_r: int | None = None) -> list:
-    """The ``n_channels`` seeded channel draws every structural check uses,
-    with ``n_t`` receive antennas unless ``n_r`` is given."""
+def _sampled_r(code, n_channels: int, seed: int,
+               n_r: int | None = None) -> np.ndarray:
+    """The ``(n_channels, K, K)`` stack of R every structural check reads:
+    the equivalent channels of ``n_channels`` seeded channel draws (``n_t``
+    receive antennas unless ``n_r`` is given), factored by one
+    ``gram_schmidt_qr`` call.  On Gaussian draws rank deficiency is a
+    property of the code, so its ``RankDeficient`` hits every draw."""
     if not _codes._is_integer(n_channels):
         raise ValueError(f"n_channels = {n_channels!r} must be an integer")
     if n_channels < 1:
         raise ValueError("n_channels must be >= 1")
     n_r = _receive_antennas(n_r, code.n_t)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return [random_channel(n_r, code.n_t, rng) for _ in range(n_channels)]
+    return gram_schmidt_qr(np.stack([
+        equivalent_channel(code, random_channel(n_r, code.n_t, rng))
+        for _ in range(n_channels)])).r
 
 
 def equivalent_channel(code, h) -> np.ndarray:
@@ -197,11 +203,8 @@ def structural_pattern(code, *, n_r: int | None = None,
     """
     if not 0.0 <= tol_rel < 1.0:
         raise ValueError(f"tol_rel = {tol_rel} must satisfy 0 <= tol_rel < 1")
-    support = np.zeros((code.k_real, code.k_real), dtype=bool)
-    for h in _channels(code, n_channels, seed, n_r):
-        abs_r = np.abs(gram_schmidt_qr(equivalent_channel(code, h)).r)
-        support |= abs_r > tol_rel * abs_r.max()
-    return support
+    abs_r = np.abs(_sampled_r(code, n_channels, seed, n_r))
+    return (abs_r > tol_rel * abs_r.max(axis=(1, 2), keepdims=True)).any(axis=0)
 
 
 def _candidate_profiles(k_total: int):
@@ -317,14 +320,6 @@ def detect_structure(code, *, n_r: int | None = None) -> StructureReport:
 # premise verifiers
 # ---------------------------------------------------------------------------
 
-def _ete_block_residual(ete, mask) -> float:
-    """Largest ``|ete|`` entry under ``mask`` relative to the largest entry."""
-    scale = np.abs(ete).max()
-    if scale == 0:
-        return float("inf")
-    return float(np.abs(ete[mask]).max() / scale) if mask.any() else 0.0
-
-
 @dataclass(frozen=True)
 class PremiseReport:
     conditions: tuple
@@ -362,21 +357,25 @@ def verify_multi_block_premises(code, profile: BlockOrthogonalProfile, *,
         cond.append(ConditionResult(f"block-{b + 1}-group-decodable", ok))
     off_block = BlockOrthogonalProfile(1, k, gamma).structural_zeros()
     off_block |= off_block.T
-    rank_ok = True
-    worst = {s: 0.0 for s in range(m, K, m)}
-    for h in _channels(code, n_channels, seed):
-        try:
-            r = gram_schmidt_qr(equivalent_channel(code, h)).r
-        except RankDeficient:
-            rank_ok = False
-            continue
-        for s in worst:
-            e = r[:s, s:s + m]
-            worst[s] = max(worst[s], _ete_block_residual(e.T @ e, off_block))
-    cond.append(ConditionResult("r-full-rank", rank_ok))
-    for s, w in worst.items():
+    try:
+        r = _sampled_r(code, n_channels, seed)
+    except RankDeficient:
+        r = None
+    cond.append(ConditionResult("r-full-rank", r is not None))
+    for s in range(m, K, m):
+        # the worst draw's max|E^T E| off the k diagonal blocks relative to
+        # max|E^T E|; a zero E couples nothing and reads inf
+        w = 0.0
+        if r is not None:
+            e = r[:, :s, s:s + m]
+            ete = np.abs(e.transpose(0, 2, 1) @ e)
+            scale = ete.max(axis=(1, 2))
+            if not scale.all():
+                w = math.inf
+            elif off_block.any():
+                w = float((ete[:, off_block].max(axis=1) / scale).max())
         cond.append(ConditionResult(f"ete-block-diagonal-at-{s}",
-                                    rank_ok and w < _PREMISE_TOL, w))
+                                    r is not None and w < _PREMISE_TOL, w))
     return PremiseReport(conditions=tuple(cond))
 
 
@@ -419,44 +418,40 @@ def verify_cuwd_sum_structure(code, *, n_channels: int = 50,
         raise ValueError("construction-I codes have K = 8*lambda symbols")
     lam = K // 8
     L = 4 * lam
-    perm = np.fliplr(np.eye(lam))
     # R1 and R2 are upper triangular, so their off-block mass lies above
     # the diagonal
     mask = BlockOrthogonalProfile(1, 4, lam).structural_zeros()
 
-    res_a = res_adiag = res_c = 0.0
-    res_first = 0.0
-    res_inner = {+1: 0.0, -1: 0.0}
-    for h in _channels(code, n_channels, seed):
-        r = gram_schmidt_qr(equivalent_channel(code, h)).r
-        scale = np.abs(r).max()
-        r1, e, r2 = r[:L, :L], r[:L, L:], r[L:, L:]
+    r = _sampled_r(code, n_channels, seed)
+    scale = np.abs(r).max(axis=(1, 2))
 
-        blocks = [r1[i * lam:(i + 1) * lam, i * lam:(i + 1) * lam] for i in range(4)]
-        res_a = max(res_a, max(np.abs(b - blocks[0]).max() for b in blocks) / scale)
-        res_adiag = max(res_adiag, np.abs(r1[mask]).max() / scale)
-        res_c = max(res_c, np.abs(r2[mask]).max() / scale)
+    def worst(*parts):
+        """Largest ``|entry|`` of the parts on any draw, relative to that
+        draw's max|R|."""
+        return float((np.max([np.abs(p).reshape(len(r), -1).max(axis=1)
+                              for p in parts], axis=0) / scale).max())
 
-        eb = [[e[i * lam:(i + 1) * lam, j * lam:(j + 1) * lam] for j in range(4)]
-              for i in range(4)]
-        e1, e2, e3, e4 = eb[0][0], eb[1][0], eb[2][0], eb[3][0]
-        first = [eb[1][1] - e1, eb[2][2] - e1, eb[3][3] - e1,
-                 eb[0][1] + e2, eb[0][2] + e3, eb[0][3] + e4]
-        res_first = max(res_first, max(np.abs(x).max() for x in first) / scale)
-        for eps in (+1, -1):
-            inner = [eb[1][2] + eps * e4 @ perm, eb[2][1] - eps * e4 @ perm,
-                     eb[1][3] - eps * e3 @ perm, eb[3][1] + eps * e3 @ perm,
-                     eb[2][3] + eps * e2 @ perm, eb[3][2] - eps * e2 @ perm]
-            res_inner[eps] = max(res_inner[eps],
-                                 max(np.abs(x).max() for x in inner) / scale)
-
+    # r1b[:, i, j] and eb[:, i, j] are the (i, j) lambda x lambda blocks of
+    # R1 and E; f2..f4 are e2..e4 @ fliplr(I), their columns reversed
+    r1b, eb = (x.reshape(-1, 4, lam, 4, lam).swapaxes(2, 3)
+               for x in (r[:, :L, :L], r[:, :L, L:]))
+    e1, e2, e3, e4 = (eb[:, i, 0] for i in range(4))
+    f2, f3, f4 = (x[..., ::-1] for x in (e2, e3, e4))
+    res_inner = {eps: worst(eb[:, 1, 2] + eps * f4, eb[:, 2, 1] - eps * f4,
+                            eb[:, 1, 3] - eps * f3, eb[:, 3, 1] + eps * f3,
+                            eb[:, 2, 3] + eps * f2, eb[:, 3, 2] - eps * f2)
+                 for eps in (+1, -1)}
     orientation = +1 if res_inner[+1] <= res_inner[-1] else -1
     return SumStructureReport(
-        r1_blocks_equal=res_a,
-        r1_block_diagonal=res_adiag,
-        e_structure=max(res_first, res_inner[orientation]),
+        r1_blocks_equal=worst(*(r1b[:, i, i] - r1b[:, 0, 0]
+                                for i in range(4))),
+        r1_block_diagonal=worst(r[:, :L, :L][:, mask]),
+        e_structure=max(worst(eb[:, 1, 1] - e1, eb[:, 2, 2] - e1,
+                              eb[:, 3, 3] - e1, eb[:, 0, 1] + e2,
+                              eb[:, 0, 2] + e3, eb[:, 0, 3] + e4),
+                        res_inner[orientation]),
         e_structure_orientation=orientation,
-        r2_block_diagonal=res_c,
+        r2_block_diagonal=worst(r[:, L:, L:][:, mask]),
     )
 
 

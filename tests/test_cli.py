@@ -380,6 +380,17 @@ class TestDecode:
         assert out == ""
         assert err.startswith("error: [Errno 2] No such file or directory")
 
+    def test_failed_decode_leaves_an_existing_trace_file(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("kept\n")
+        rc, out, err = run_cli(capsys, "decode", "bhv", "--snr", "nan",
+                               "--trace", str(path))
+        assert rc == 2
+        assert out == ""
+        assert "snr_db" in err
+        assert path.read_text() == "kept\n"
+
     @pytest.mark.parametrize("snr", ["-1e308", "1e308", "-inf", "nan"])
     def test_snr_without_finite_noise_exits_2(self, capsys, snr):
         rc, out, err = run_cli(capsys, "decode", "bhv", "--m", "2",
@@ -418,6 +429,22 @@ class TestSimulate:
         assert rc == 2
         assert out == ""
         assert err.startswith("error: [Errno 2] No such file or directory")
+
+    @pytest.mark.parametrize("code, named", [
+        ("alamouti", "no block-orthogonal"), ("nosuch", "nosuch")])
+    def test_failed_sweep_leaves_an_existing_out_file(self, tmp_path, capsys,
+                                                      code, named):
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps({
+            "code": code, "m": 2, "snr_grid_db": [10.0],
+            "trials_per_point": 1, "master_seed": 4}))
+        out_csv = tmp_path / "rows.csv"
+        out_csv.write_text("kept\n")
+        rc, _, err = run_cli(capsys, "simulate", str(cfg), "--out",
+                             str(out_csv))
+        assert rc == 2
+        assert named in err
+        assert out_csv.read_text() == "kept\n"
 
     def test_csv_to_stdout_without_out(self, tmp_path, capsys):
         campaign = {

@@ -16,7 +16,8 @@ import bostbc
 LAYERS = ["codes", "structure", "linalg", "decoder", "sim"]
 
 #: the names the package root listed by hand before it re-exported the
-#: layers' ``__all__``; none of them may disappear from the root
+#: layers' ``__all__``, less ``write_csv``, deleted once nothing in the
+#: package called it; none of them may disappear from the root
 ROOT_NAMES_BEFORE = [
     "GOLDEN_ORDERING_222", "GOLDEN_ORDERING_421", "GOLDEN_ORDERING_SCRAMBLED",
     "InvalidPermutation", "LinearSTBC", "PremiseViolated", "UnsupportedSize",
@@ -30,7 +31,7 @@ ROOT_NAMES_BEFORE = [
     "QrResult", "RankDeficient", "check_expand", "gram_schmidt_qr", "kron",
     "tilde_vec",
     "SimulationCampaign", "SweepResult", "run_sweep", "run_trial",
-    "snr_to_noise_variance", "write_csv",
+    "snr_to_noise_variance",
     "BlockOrthogonalProfile", "StructureReport", "TooFewReceiveAntennas",
     "classify", "detect_profile", "detect_structure", "equivalent_channel",
     "ordering_search", "profile_validates", "structural_pattern",
@@ -71,7 +72,7 @@ def test_root_all_lists_each_name_once():
 
 
 def test_root_keeps_the_names_it_listed_by_hand():
-    assert len(ROOT_NAMES_BEFORE) == len(set(ROOT_NAMES_BEFORE)) == 57
+    assert len(ROOT_NAMES_BEFORE) == len(set(ROOT_NAMES_BEFORE)) == 56
     owners = {name: _layer(layer) for layer in LAYERS
               for name in _layer(layer).__all__}
     assert [name for name in ROOT_NAMES_BEFORE

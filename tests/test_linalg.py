@@ -186,7 +186,7 @@ class TestGramSchmidtQr:
         with pytest.raises(RankDeficient, match="rows >= cols"):
             gram_schmidt_qr(rng.standard_normal((3, 5)))
 
-    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    @pytest.mark.parametrize("shape", [(3,), ()])
     def test_not_a_matrix_raises(self, shape):
         with pytest.raises(ValueError, match="^expected a 2-D matrix$"):
             gram_schmidt_qr(np.ones(shape))
@@ -242,3 +242,44 @@ class TestQrMatchesGramSchmidt:
             with pytest.raises(RankDeficient, match=f"column {dependent} is dependent"):
                 gram_schmidt_qr(h)
             assert f"column {dependent} " in str(ref.value)
+
+
+class TestStackedQr:
+    # a (..., rows, cols) stack is factored by one LAPACK call, and each
+    # matrix gets the q, r and verdict it gets alone
+    @pytest.mark.parametrize("name", NAMED_CODES)
+    def test_stack_equals_each_matrix_alone(self, rng, name):
+        code = named_code(name)
+        h_eq = np.stack([
+            equivalent_channel(code, random_channel(code.n_t, code.n_t, rng))
+            for _ in range(6)]).reshape(2, 3, 2 * code.n_t * code.t, -1)
+        res = gram_schmidt_qr(h_eq)
+        for index in np.ndindex(2, 3):
+            alone = gram_schmidt_qr(h_eq[index])
+            assert res.q[index].tobytes() == alone.q.tobytes()
+            assert res.r[index].tobytes() == alone.r.tobytes()
+
+    def test_each_matrix_judged_at_its_own_scale(self, rng):
+        a = rng.standard_normal((6, 4))
+        res = gram_schmidt_qr(np.stack([1e-200 * a, 1e200 * a]))
+        assert (res.r.diagonal(0, -2, -1) > 0).all()
+        assert np.array_equal(res.r[1], gram_schmidt_qr(1e200 * a).r)
+
+    def test_first_deficient_matrix_raises_its_own_message(self, rng):
+        full = rng.standard_normal((6, 4))
+        dependent = []
+        for col in (2, 1):
+            h = rng.standard_normal((6, 4))
+            h[:, col] = h[:, :col] @ rng.standard_normal(col)
+            dependent.append(h)
+        with pytest.raises(RankDeficient) as alone:
+            gram_schmidt_qr(dependent[0])
+        assert "column 2 is dependent" in str(alone.value)
+        with pytest.raises(RankDeficient) as stacked:
+            gram_schmidt_qr(np.stack([full, *dependent]))
+        assert str(stacked.value) == str(alone.value)
+
+    def test_wide_stack_raises(self, rng):
+        with pytest.raises(RankDeficient,
+                           match="^matrix is 3x5; need rows >= cols$"):
+            gram_schmidt_qr(rng.standard_normal((2, 3, 5)))
