@@ -139,7 +139,7 @@ def gram_schmidt_qr(h) -> QrResult:
         raise ValueError("matrix entries must be finite")
 
     q, r = np.linalg.qr(h)
-    diag = r.diagonal(0, -2, -1)
+    diag = r.diagonal(0, -2, -1)  # a view: after the flip it reads >= 0
     sign = np.copysign(1.0, diag)
     q *= sign[..., None, :]
     r *= sign[..., None]
