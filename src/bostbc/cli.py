@@ -56,19 +56,35 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+#: ``--channels`` ceiling: a check holds every sampled R at once, about
+#: 16 KB a channel on ci-a2.
+_MAX_CHANNELS = 10_000
+
+
 def _channel_count(text: str) -> int:
-    """``--channels``: an integer >= 1, checked before any output."""
+    """``--channels``: an integer from 1 to ``_MAX_CHANNELS``, checked before
+    any output."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    if int(text) > _MAX_CHANNELS:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {_MAX_CHANNELS}, got {text!r}")
     return int(text)
 
 
 def _check_out(path: str | None) -> None:
     """Fail unless ``path`` (if given) can be written, before any work, so
-    a bad path exits 2 with no output.  An existing file is opened without
-    truncation: a run that fails later leaves it as it was."""
+    a bad path exits 2 with no output.  The check leaves no trace: an
+    existing file is opened without truncation, and a file the probe
+    creates is removed, so a run that fails later leaves the path as it
+    was."""
     if path:
-        os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+        try:
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        except FileExistsError:
+            os.close(os.open(path, os.O_WRONLY))
+        else:
+            os.unlink(path)
 
 
 def _pattern_grid(pattern) -> str:

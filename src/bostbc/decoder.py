@@ -3,13 +3,13 @@
 A decode has two parts, each with one owner.
 
 *Set-up* (:func:`prepare`): the validation of ``(R, y')`` and everything the
-walk reads of them (the row, column and ``y'`` copies, ``1 / r_cc`` and the
-products ``r_cc * level``) are built once, in an immutable instance that
-remembers which ``r`` and ``y'`` objects, profile and constellation it was
-built from.  :func:`sphere_decode` builds its own unless it is handed one
-with ``prepared=``, which is how a trial's baseline and memoized decodes
-share one set-up.  Products are formed ahead, never reassociated, so every
-float is the same IEEE operation on the same operands.
+walk reads of them (the row and ``y'`` copies, ``1 / r_cc`` and the products
+``r_cc * level``) are built once, in an immutable instance that remembers
+which ``r`` and ``y'`` objects, profile and constellation it was built from.
+:func:`sphere_decode` builds its own unless it is handed one with
+``prepared=``, which is how a trial's baseline and memoized decodes share
+one set-up.  Products are formed ahead, never reassociated, so every float
+is the same IEEE operation on the same operands.
 
 *Walk* (``_walk``): each layout, that is a profile, a constellation size
 and whether the decode memoizes, prunes and traces, has one walk function,
@@ -221,16 +221,13 @@ class _Instance(NamedTuple):
     prices or caches, so the baseline and memoized decodes of a trial share
     it.
 
-    ``cols[c]`` is column ``c`` of R cut at the start of ``c``'s block: the
-    rows a symbol accepted at ``c`` is cancelled from.  ``diag_levels[c][a]``
-    is ``r[c,c] * levels[a]``."""
+    ``diag_levels[c][a]`` is ``r[c,c] * levels[a]``."""
 
     r: object
     y_prime: object
     profile: BlockOrthogonalProfile
     cons: PamConstellation
     rows: tuple
-    cols: tuple
     y: tuple
     inv_diag: tuple
     diag_levels: tuple
@@ -293,7 +290,6 @@ def prepare(r, y_prime, cons: PamConstellation,
         raise InvalidProfile(
             f"r[{c},{j}] = {r[c, j]:.3e} should be structurally zero")
     rows = tuple(map(tuple, r.tolist()))
-    blk = profile.block_size
     levels = cons.levels
     diag_levels = tuple([tuple([d * lev for lev in levels]) for d in diag])
     # a NaN shift, never inside the order table, sorts every level of an r
@@ -307,10 +303,6 @@ def prepare(r, y_prime, cons: PamConstellation,
         profile=profile,
         cons=cons,
         rows=rows,
-        # the leading block's columns are never cancelled from any row
-        cols=((),) * blk + tuple(
-            col for s in range(blk, k_total, blk)
-            for col in itertools.islice(zip(*rows[:s]), s, s + blk)),
         y=tuple(y.tolist()),
         inv_diag=tuple([1.0 / d for d in diag]),
         diag_levels=diag_levels,
@@ -563,17 +555,23 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
         emit(1, "tails = TAILS")
     if traced:
         emit(1, "trace_append = trace.append")
-    for lo in range(0, blk, gam):
-        emit(1, f"dl{lo} = dls[{lo}]")
-        if gam > 1:
-            emit(1, *(f"r{i}_{j} = rows[{i}][{j}]" for i in range(lo, lo + gam)
-                      for j in range(i, lo + gam)))
+    emit(1, *(f"dl{lo} = dls[{lo}]" for lo in range(0, blk, gam)))
     for c in conditioned:
-        emit(1, f"[{', '.join(f'dl{c}_{a}' for a in range(m))}] = dls[{c}]",
-             f"[{', '.join(f'r{i}_{c}' for i in range(c - c % blk))}]"
-             f" = inst.cols[{c}]",
-             *(f"r{c}_{cc} = rows[{c}][{cc}]"
-               for cc in range(c + 1, sub_end(c) + 1)))
+        emit(1, f"[{', '.join(f'dl{c}_{a}' for a in range(m))}] = dls[{c}]")
+    for i in range(k_total):
+        # the entries of row i the walk reads: right of the diagonal in i's
+        # sub-block (from the diagonal on below the top row of a leading
+        # sub-block, whose joint tails read it), and every column of the
+        # later blocks, whose symbols are cancelled from row i; each
+        # contiguous run is one slice
+        first = i if i < blk and i % gam else i + 1
+        runs = [(first, sub_end(i) + 1), (i - i % blk + blk, k_total)]
+        if runs[0][1] == runs[1][0]:
+            runs = [(first, k_total)]
+        for lo, hi in runs:
+            if lo < hi:
+                names = ", ".join(f"r{i}_{j}" for j in range(lo, hi))
+                emit(1, f"[{names}] = rows[{i}][{lo}:{hi}]")
     emit(1, "best = inf", "best_idx = None",
          "nodes = flops = hits = size = peak = 0")
     for c in conditioned:

@@ -345,6 +345,8 @@ def verify_multi_block_premises(code, profile: BlockOrthogonalProfile, *,
     channels, and at every block boundary ``s`` the coupling
     ``E = R[:s, s:s+k gamma]`` has ``E^T E`` block diagonal with k
     gamma x gamma blocks on every sample.  Gamma = 2 is the two-block case.
+    An E that is zero on some sample, exactly or to within ``_PREMISE_TOL``
+    of that sample's max|R|, fails with residual ``inf``.
     """
     K = code.k_real
     if profile.total != K:
@@ -364,16 +366,18 @@ def verify_multi_block_premises(code, profile: BlockOrthogonalProfile, *,
     cond.append(ConditionResult("r-full-rank", r is not None))
     for s in range(m, K, m):
         # the worst draw's max|E^T E| off the k diagonal blocks relative to
-        # max|E^T E|; a zero E couples nothing and reads inf
+        # max|E^T E|; an E zero to within the tolerance couples nothing and
+        # reads inf
         w = 0.0
         if r is not None:
             e = r[:, :s, s:s + m]
-            ete = np.abs(e.transpose(0, 2, 1) @ e)
-            scale = ete.max(axis=(1, 2))
-            if not scale.all():
+            cut = _PREMISE_TOL * np.abs(r).max(axis=(1, 2))
+            if (np.abs(e).max(axis=(1, 2)) <= cut).any():
                 w = math.inf
             elif off_block.any():
-                w = float((ete[:, off_block].max(axis=1) / scale).max())
+                ete = np.abs(e.transpose(0, 2, 1) @ e)
+                w = float((ete[:, off_block].max(axis=1)
+                           / ete.max(axis=(1, 2))).max())
         cond.append(ConditionResult(f"ete-block-diagonal-at-{s}",
                                     r is not None and w < _PREMISE_TOL, w))
     return PremiseReport(conditions=tuple(cond))

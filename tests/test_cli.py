@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bostbc import decoder, sim
+from bostbc import cli, decoder, sim
 from bostbc.cli import build_parser, main
 from bostbc.codes import CODE_NAMES, code_to_json, load_code, named_code, save_code
 
@@ -301,6 +301,22 @@ def test_channels_below_one_exit_2(capsys, argv, channels):
             in out.err)
 
 
+@pytest.mark.parametrize("channels", ["10001", "100000"])
+@pytest.mark.parametrize("argv", [("analyze", "bhv"), ("verify", "bhv"),
+                                  ("verify", "bhv", "--construction-i")])
+def test_channels_above_the_ceiling_exit_2(capsys, argv, channels):
+    # a check holds every sampled R at once, so its memory grows with
+    # --channels; the ceiling itself is accepted
+    assert cli._channel_count("10000") == 10000
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"--channels={channels}"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""  # rejected before the config line
+    assert (f"argument --channels: must be at most 10000, got '{channels}'"
+            in out.err)
+
+
 @pytest.mark.parametrize("argv", [("analyze", "bhv"), ("verify", "bhv")])
 def test_channels_count_is_used(capsys, argv):
     rc, out, _ = run_cli(capsys, *argv, "--channels", "5")
@@ -391,6 +407,15 @@ class TestDecode:
         assert "snr_db" in err
         assert path.read_text() == "kept\n"
 
+    def test_failed_decode_leaves_no_new_trace_file(self, tmp_path, capsys):
+        path = tmp_path / "new.jsonl"
+        rc, out, err = run_cli(capsys, "decode", "bhv", "--snr", "nan",
+                               "--trace", str(path))
+        assert rc == 2
+        assert out == ""
+        assert "snr_db" in err
+        assert not path.exists()
+
     @pytest.mark.parametrize("snr", ["-1e308", "1e308", "-inf", "nan"])
     def test_snr_without_finite_noise_exits_2(self, capsys, snr):
         rc, out, err = run_cli(capsys, "decode", "bhv", "--m", "2",
@@ -445,6 +470,18 @@ class TestSimulate:
         assert rc == 2
         assert named in err
         assert out_csv.read_text() == "kept\n"
+
+    def test_failed_sweep_leaves_no_new_out_file(self, tmp_path, capsys):
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(json.dumps({
+            "code": "alamouti", "m": 2, "snr_grid_db": [10.0],
+            "trials_per_point": 1, "master_seed": 4}))
+        out_csv = tmp_path / "new.csv"
+        rc, _, err = run_cli(capsys, "simulate", str(cfg), "--out",
+                             str(out_csv))
+        assert rc == 2
+        assert "no block-orthogonal" in err
+        assert not out_csv.exists()
 
     def test_csv_to_stdout_without_out(self, tmp_path, capsys):
         campaign = {

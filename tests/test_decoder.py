@@ -743,6 +743,36 @@ class TestGeneratedWalk:
                 io.StringIO(source).readline) if tok.type == tokenize.NUMBER]
             assert numbers and all(map(str.isdigit, numbers)), flags
 
+    def test_r_is_read_only_through_rows(self):
+        # every entry of R a walk reads, and no other, is bound once, by a
+        # slice of inst.rows, before the walk proper starts at `best = inf`;
+        # the layouts are TestWalkDigest's and test_deepest_layouts_compile's
+        layouts = {(prof or BlockOrthogonalProfile(np.size(y), 1, 1), cons.m)
+                   for group in TestWalkDigest.EXPECTED
+                   for _, y, cons, prof in _digest_corpus(group)}
+        layouts |= {(BlockOrthogonalProfile(*shape), m) for shape, m in (
+            ((64, 1, 1), 8), ((21, 1, 1), 2), ((2, 10, 2), 2), ((2, 5, 4), 2))}
+        entry = re.compile(r"\br\d+_\d+\b")
+        bind = re.compile(r"    \[(r\d+_\d+(?:, r\d+_\d+)*)\] = "
+                          r"rows\[\d+\]\[\d+:\d+\]")
+        for (prof, m), flags in itertools.product(
+                layouts, itertools.product((False, True), repeat=3)):
+            source = _walk_source(prof, m, *flags)
+            assert "cols" not in source
+            prologue, _, walk = source.partition("\n    best = inf\n")
+            assert walk, (prof, m, flags)
+            bound = []
+            for line in prologue.splitlines():
+                if entry.search(line):
+                    match = bind.fullmatch(line)
+                    assert match, (prof, m, flags, line)
+                    bound += match[1].split(", ")
+            assert len(bound) == len(set(bound)), (prof, m, flags)
+            # in the walk proper an entry is only ever read, never assigned
+            assert not any(entry.search(line.partition(" = ")[0])
+                           for line in walk.splitlines() if " = " in line)
+            assert set(entry.findall(walk)) == set(bound), (prof, m, flags)
+
 
 class TestCounterFingerprint:
     # (em, flops, nodes, hits, summed cache peak) over the whole corpus, per
