@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -199,10 +200,26 @@ def cmd_decode(args) -> int:
     return int(trial.stats_baseline.decoded != trial.stats_memoized.decoded)
 
 
+def _printable_bounds(profile: BlockOrthogonalProfile, m: int):
+    """``em_count_bounds(profile, m)``, refused with ``ValueError`` when
+    ``o_stbc``, the largest count ``bounds`` prints, has more digits than
+    Python converts to text.  ``o_stbc`` exceeds ``m ** depth``, so a depth
+    far past the limit is refused before any power is formed."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    depth = profile.total - profile.block_size
+    if not limit or depth * math.log10(m) < limit + 1:
+        b = em_count_bounds(profile, m)
+        if not limit or b.o_stbc < 10 ** limit:
+            return b
+    raise ValueError(f"o_stbc for profile {profile.as_tuple()} at m={m} has "
+                     f"more than {limit} digits, more than Python prints "
+                     f"(sys.get_int_max_str_digits)")
+
+
 def cmd_bounds(args) -> int:
     PamConstellation(args.m)  # the PAM sizes decode and campaigns take
     profile = _parse_profile(args.profile)
-    b = em_count_bounds(profile, args.m)
+    b = _printable_bounds(profile, args.m)
     q = qrdm_bound(profile.k, profile.gamma, args.m)
     payload = {
         "profile": profile.as_tuple(),

@@ -4,12 +4,12 @@ A decode has two parts, each with one owner.
 
 *Set-up* (:func:`prepare`): the validation of ``(R, y')`` and everything the
 walk reads of them (the row and ``y'`` copies, ``1 / r_cc`` and the products
-``r_cc * level``) are built once, in an immutable instance that remembers
-which ``r`` and ``y'`` objects, profile and constellation it was built from.
-:func:`sphere_decode` builds its own unless it is handed one with
-``prepared=``, which is how a trial's baseline and memoized decodes share
-one set-up.  Products are formed ahead, never reassociated, so every float
-is the same IEEE operation on the same operands.
+``r_cc * level``, its only reads of R's diagonal) are built once, in an
+immutable instance that remembers which ``r`` and ``y'`` objects, profile and
+constellation it was built from.  :func:`sphere_decode` builds its own unless
+it is handed one with ``prepared=``, which is how a trial's baseline and
+memoized decodes share one set-up.  Products are formed ahead, never
+reassociated, so every float is the same IEEE operation on the same operands.
 
 *Walk* (``_walk``): each layout, that is a profile, a constellation size
 and whether the decode memoizes, prunes and traces, has one walk function,
@@ -21,27 +21,21 @@ holds only the layout's integers, with the candidate orders and the leading
 block's joint tails bound as globals; every float is read from the prepared
 instance on each call, so one function serves every instance of its layout.
 
-The conditioned blocks are enumerated from the last column inward, each
-level a ``for`` loop over its candidates nested in the loop of the level
-above, in increasing order of metric increment (Schnorr-Euchner), pruning
-once the partial metric passes the best leaf found.  For equally spaced
-levels that order depends only on where the level's conditioned offset
-slices between the levels, so it is read from a per-M table of zig-zag
-orders indexed by twice the sliced position; where float rounding or
-underflow could decide it (near a midpoint, far outside the constellation,
-or when ``|r_cc|`` times the level spacing is tiny) the increments are
-sorted instead, so exact ties still take the lower index.  Each accepted
-symbol's interference is cancelled from the rows above its block, one local
-per row, so every row's conditioned offset is ready when the row is
-reached.  The increments inside a conditioned sub-block depend only on the
-symbols of the blocks above, so the memoized walk caches them with their
-order and replays both; a level's table lives for one visit of its block,
-from the walk entering the block's last column to leaving the block, and
-holds one entry where the level ends its sub-block, else one per value of
-the sub-block's later symbols.  CPython refuses more than 20 statically
-nested loops in one function, so a walk with more than
-``_LEVELS_PER_FUNCTION`` conditioned levels hands each further run of
-levels to a function nested in the one before.
+The conditioned blocks are enumerated from the last column inward, each level
+a ``for`` loop over its candidates nested in the loop of the level above, in
+increasing order of metric increment (Schnorr-Euchner), pruning once the
+partial metric passes the best leaf found.  That order is read from a per-M
+table of zig-zag orders (:func:`_zigzag_orders`), or the increments are
+sorted where float rounding or underflow could decide it, so exact ties still
+take the lower index.  Each accepted symbol's interference is cancelled from
+the rows above its block, one local per row, so every row's conditioned
+offset is ready when the row is reached.  The increments inside a conditioned
+sub-block depend only on the symbols of the blocks above, so the memoized
+walk caches them with their order and replays both; a level's table lives for
+one visit of its block, from the walk entering the block's last column to
+leaving the block, and holds one entry where the level ends its sub-block,
+else one per value of the sub-block's later symbols.  A walk deeper than
+``_LEVELS_PER_FUNCTION`` conditioned levels chains nested functions.
 
 *Leading block* (part of the walk): once the conditioned symbols are fixed
 the leading block is fast-decodable: its sub-blocks share no columns, so
@@ -66,9 +60,25 @@ Counting conventions
     candidates at once, so each uncached level entry adds M.
 ``flops``
     One unit per real multiply and per real add/subtract inside metric
-    computation and interference cancellation.  Comparisons, ordering
-    (table or sort), cache lookups, bookkeeping copies and control flow are
-    free.
+    computation and interference cancellation; comparisons, ordering, cache
+    lookups, bookkeeping copies and control flow are free.  The walk charges:
+
+    - ``2 (e - c) + 3 M`` per uncached entry of conditioned level ``c``:
+      two per symbol cancelled inside the row up to column ``e`` (the end
+      of ``c``'s sub-block when memoizing, of its block in the baseline),
+      and three per candidate increment;
+    - ``1 + 2 s`` per accepted candidate of a block starting at column
+      ``s``: its partial-metric add and its cancellation from the ``s``
+      rows above its block;
+    - 1 per pruning break, the add that formed the pruned partial metric;
+    - 7 per gamma = 1 leading sub-block solved before a leaf or early exit;
+    - per gamma > 1 leading sub-block, 1 for adding its minimum, and per
+      joint tail ``2 (gamma - 1 - j) + 4`` for each row ``lo + j``
+      evaluated (bottom row first, up to a pruning exit), plus
+      ``2 gamma + 5`` if the tail reaches the top symbol.
+
+    Each ``r[c,c] * level`` is priced as one multiply where the walk reads
+    it, though :func:`prepare` forms it once per instance.
 ``cache_entries_peak``
     Largest number of metric values held at any time; bounded by
     ``(Gamma - 1)(k - 1) M (M^gamma - 1) / (M - 1)``.
@@ -199,11 +209,6 @@ def _zigzag_orders(m: int) -> tuple:
     return tuple(orders)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 @functools.lru_cache(maxsize=64)
 def _zero_cut(profile: BlockOrthogonalProfile) -> np.ndarray:
     """``|r|`` above ``_zero_cut(profile) * max|r|`` is an error: any entry
@@ -211,17 +216,18 @@ def _zero_cut(profile: BlockOrthogonalProfile) -> np.ndarray:
     nothing else (cut 1).  Shared and read-only."""
     zero_cut = np.where(profile.structural_zeros(), DEFAULT_TOL_REL, 1.0)
     zero_cut[np.tri(profile.total, k=-1, dtype=bool)] = 0.0
-    return _read_only(zero_cut)
+    zero_cut.setflags(write=False)
+    return zero_cut
 
 
 class _Instance(NamedTuple):
     """One validated ``(R, y')`` over one profile and constellation, in the
     forms the walk reads, with the ``r`` and ``y'`` objects, profile and
     constellation it was built from.  Nothing in it depends on how the walk
-    prices or caches, so the baseline and memoized decodes of a trial share
-    it.
+    prices or caches, so the baseline and memoized decodes of a trial share it.
 
-    ``diag_levels[c][a]`` is ``r[c,c] * levels[a]``."""
+    ``diag_levels[c][a]`` is ``r[c,c] * levels[a]``; the walk reads R's
+    diagonal only through it and ``inv_diag``."""
 
     r: object
     y_prime: object
@@ -337,12 +343,12 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
     names carry the row and column they stand for: ``a5`` is the index of
     symbol 5, ``x5`` its level, ``o2_5`` row 2's offset once the symbols
     from column 5 on are cancelled (``y2`` before any), ``r2_5`` and
-    ``iv5`` entries of R and ``1 / r[5,5]``, ``tot5`` the partial metric
-    after symbol 5, ``n5`` and ``mis5`` its accepted candidates and
-    uncached entries.  Only the layout's integers are written into the
-    source; every float is read from the instance on each call, and the
-    candidate orders and a leading sub-block's joint tails from the walk's
-    globals ``ORDERS`` and ``TAILS``."""
+    ``iv5`` entries of R and ``1 / r[5,5]``, ``dl5`` the products
+    ``r[5,5] * level`` (``dl5_0``, ... on a conditioned level), ``tot5``
+    the partial metric after symbol 5, ``n5`` and ``mis5`` its accepted
+    candidates and uncached entries.  The candidate orders and a leading
+    sub-block's joint tails are the walk's globals ``ORDERS`` and
+    ``TAILS``."""
     k_total, blk, gam = profile.total, profile.block_size, profile.gamma
     conditioned = range(k_total - 1, blk - 1, -1)  # in walk order
     chunks = [conditioned[i:i + _LEVELS_PER_FUNCTION]
@@ -423,7 +429,7 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
                                 for jj in range(j + 1, gam))
                 cost += 2 * (gam - 1 - j) + 4
                 emit(d, f"v{j} = lev[w{j}]",
-                     f"res = u{row}{terms} - r{row}_{row} * v{j}",
+                     f"res = u{row}{terms} - dl{row}[w{j}]",
                      "met = res * res" if j == gam - 1
                      else "met = met + res * res")
                 if lead_prune:
@@ -555,19 +561,16 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
         emit(1, "tails = TAILS")
     if traced:
         emit(1, "trace_append = trace.append")
-    emit(1, *(f"dl{lo} = dls[{lo}]" for lo in range(0, blk, gam)))
+    emit(1, *(f"dl{i} = dls[{i}]" for i in range(blk)))
     for c in conditioned:
         emit(1, f"[{', '.join(f'dl{c}_{a}' for a in range(m))}] = dls[{c}]")
     for i in range(k_total):
         # the entries of row i the walk reads: right of the diagonal in i's
-        # sub-block (from the diagonal on below the top row of a leading
-        # sub-block, whose joint tails read it), and every column of the
-        # later blocks, whose symbols are cancelled from row i; each
-        # contiguous run is one slice
-        first = i if i < blk and i % gam else i + 1
-        runs = [(first, sub_end(i) + 1), (i - i % blk + blk, k_total)]
+        # sub-block, and every column of the later blocks, whose symbols are
+        # cancelled from row i; each contiguous run is one slice
+        runs = [(i + 1, sub_end(i) + 1), (i - i % blk + blk, k_total)]
         if runs[0][1] == runs[1][0]:
-            runs = [(first, k_total)]
+            runs = [(i + 1, k_total)]
         for lo, hi in runs:
             if lo < hi:
                 names = ", ".join(f"r{i}_{j}" for j in range(lo, hi))
@@ -673,15 +676,6 @@ def sphere_decode(r, y_prime, cons: PamConstellation,
     return symbols, stats
 
 
-@functools.lru_cache(maxsize=16)
-def _level_grid(cons: PamConstellation, k: int) -> np.ndarray:
-    if cons.m ** k > MAX_GRID:
-        raise TooLarge(f"grid of {cons.m}^{k} points exceeds the guard")
-    idx = np.stack(np.meshgrid(*[np.arange(cons.m)] * k, indexing="ij"),
-                   axis=-1).reshape(-1, k)
-    return _read_only(np.asarray(cons.levels, dtype=float)[idx])
-
-
 def exhaustive_ml(h_eq, y, cons: PamConstellation) -> np.ndarray:
     """Exact ML by full enumeration of the PAM grid (the reference oracle).
 
@@ -703,13 +697,16 @@ def exhaustive_ml(h_eq, y, cons: PamConstellation) -> np.ndarray:
                          f"{h_eq.shape[0]} rows")
     if not (np.isfinite(h_eq).all() and np.isfinite(y).all()):
         raise ValueError("h_eq and y must be finite")
-    grid = _level_grid(cons, h_eq.shape[1])
+    k = h_eq.shape[1]
+    if cons.m ** k > MAX_GRID:
+        raise TooLarge(f"grid of {cons.m}^{k} points exceeds the guard")
+    grid = np.asarray(cons.levels)[np.indices((cons.m,) * k).reshape(k, -1).T]
     diff = grid @ h_eq.T - y
     metrics = np.einsum("ij,ij->i", diff, diff)
     best = int(np.argmin(metrics))
     if not math.isfinite(metrics[best]):
         raise ValueError("h_eq and y are too large: the metric overflows")
-    return grid[best].copy()
+    return grid[best].copy()  # a view would keep the whole grid alive
 
 
 @dataclass(frozen=True)
@@ -727,8 +724,8 @@ def em_count_bounds(profile: BlockOrthogonalProfile, m: int) -> EmCountBounds:
 
     ``o_stbc`` counts one metric per node over the conditioned blocks of a
     plain decoder; ``o_bostbc`` counts only the cache misses of the
-    memoized one.  Integer arithmetic throughout, so arbitrarily large
-    constellations do not overflow.
+    memoized one.  Integer arithmetic in closed form throughout, so large
+    constellations and deep trees neither overflow nor take long.
     """
     if not _is_integer(m):
         raise ValueError(f"m = {m!r} must be an integer")
@@ -738,16 +735,14 @@ def em_count_bounds(profile: BlockOrthogonalProfile, m: int) -> EmCountBounds:
     g, k, gam = profile.gamma_blocks, profile.k, profile.gamma
     if g < 2:
         raise ValueError("profiles with a single block have no conditioned blocks")
-    o_stbc = sum(m ** d for d in range(1, (g - 1) * k * gam + 1))
-    per_conditioning = k * sum(m ** d for d in range(1, gam + 1))
-    o_bostbc = per_conditioning * sum(m ** ((g - i) * k * gam) for i in range(2, g + 1))
-    mem = (g - 1) * (k - 1) * sum(m ** d for d in range(1, gam + 1))
-    return EmCountBounds(
-        o_stbc=o_stbc,
-        o_bostbc=o_bostbc,
-        emrr=Fraction(o_bostbc, o_stbc),
-        mem_entries=mem,
-    )
+    # geometric sums in closed form: sum_{d=1}^{n} m^d = m (m^n - 1) / (m - 1)
+    # and sum_{i=2}^{g} q^(g-i) = (q^(g-1) - 1) / (q - 1) with q = m^(k gam)
+    deep = m ** ((g - 1) * k * gam) - 1  # q^(g-1) - 1
+    per_sub_block = m * (m ** gam - 1) // (m - 1)
+    o_stbc = m * deep // (m - 1)
+    o_bostbc = k * per_sub_block * (deep // (m ** (k * gam) - 1))
+    return EmCountBounds(o_stbc, o_bostbc, Fraction(o_bostbc, o_stbc),
+                         mem_entries=(g - 1) * (k - 1) * per_sub_block)
 
 
 def qrdm_bound(k: int, gamma: int, m: int) -> Fraction:

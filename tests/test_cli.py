@@ -349,6 +349,31 @@ class TestBounds:
         assert out == ""
         assert "error: points per real dimension must be 2, 4 or 8" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("profile", ["20,16,16", "64,64,64"])
+    def test_count_too_long_to_print_exits_2(self, capsys, profile, fmt):
+        # o_stbc has 4393 and about 233,000 digits; the second is refused
+        # before any power is formed
+        rc, out, err = run_cli(capsys, "bounds", "--profile", profile,
+                               "--m", "8", "--format", fmt)
+        assert rc == 2
+        assert out == ""
+        shape = profile.replace(",", ", ")
+        assert err.startswith(f"error: o_stbc for profile ({shape}) at m=8 "
+                              "has more than 4300 digits")
+
+    def test_longest_printable_count_prints(self, capsys):
+        # o_stbc = 2^(depth + 1) - 2 has 4300 digits at depth 14283, 4301 at
+        # 14284
+        rc, out, _ = run_cli(capsys, "bounds", "--profile", "2,1,14283",
+                             "--m", "2", "--format", "json")
+        assert rc == 0
+        assert json.loads(out)["o_stbc"] == 2 ** 14284 - 2
+        rc, out, err = run_cli(capsys, "bounds", "--profile", "2,1,14284",
+                               "--m", "2")
+        assert (rc, out) == (2, "")
+        assert "has more than 4300 digits" in err
+
 
 class TestDecode:
     def test_smoke(self, capsys):

@@ -6,6 +6,7 @@ import io
 import itertools
 import re
 import tokenize
+import tracemalloc
 import types
 import warnings
 from fractions import Fraction
@@ -768,6 +769,8 @@ class TestGeneratedWalk:
                     assert match, (prof, m, flags, line)
                     bound += match[1].split(", ")
             assert len(bound) == len(set(bound)), (prof, m, flags)
+            # r[c,c] reaches the walk only through inst.diag_levels
+            assert not re.search(r"\br(\d+)_\1\b", source), (prof, m, flags)
             # in the walk proper an entry is only ever read, never assigned
             assert not any(entry.search(line.partition(" = ")[0])
                            for line in walk.splitlines() if " = " in line)
@@ -937,6 +940,20 @@ class TestExhaustive:
         with pytest.raises(TooLarge):
             exhaustive_ml(np.eye(8), np.zeros(8), cons)
 
+    def test_grid_is_freed_on_return(self, rng):
+        # the 16384 x 14 grid (1.8 MB) is built per call and kept by no one
+        h_eq = rng.standard_normal((14, 14))
+        y = rng.standard_normal(14)
+        cons = PamConstellation(2)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            exhaustive_ml(h_eq, y, cons)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 64 * 1024
+
     @pytest.mark.parametrize("h_eq, y, error", [
         (np.eye(2), [np.nan, 1.0], "h_eq and y must be finite"),
         (np.eye(2), [1.0, np.inf], "h_eq and y must be finite"),
@@ -1053,6 +1070,18 @@ class TestBoundCalculators:
         b = em_count_bounds(BlockOrthogonalProfile(2, 4, 2), 64)
         assert b.o_stbc == sum(64 ** d for d in range(1, 9))
         assert b.emrr == Fraction(4 * (64 ** 2 - 1), 64 ** 8 - 1)
+
+    def test_closed_forms_match_the_direct_sums(self):
+        for g, k, gam, m in itertools.product(range(2, 6), range(1, 6),
+                                              range(1, 5), (2, 3, 4, 8, 16)):
+            b = em_count_bounds(BlockOrthogonalProfile(g, k, gam), m)
+            per_sub_block = sum(m ** d for d in range(1, gam + 1))
+            assert b.o_stbc == sum(m ** d
+                                   for d in range(1, (g - 1) * k * gam + 1))
+            assert b.o_bostbc == k * per_sub_block * sum(
+                m ** ((g - i) * k * gam) for i in range(2, g + 1))
+            assert b.mem_entries == (g - 1) * (k - 1) * per_sub_block
+            assert b.emrr == Fraction(b.o_bostbc, b.o_stbc)
 
     def test_single_block_profile_rejected(self):
         with pytest.raises(ValueError):
