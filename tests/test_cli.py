@@ -35,6 +35,57 @@ def test_console_script_resolves_to_main():
     assert getattr(importlib.import_module(module), name) is main
 
 
+@pytest.mark.parametrize("argv, expected", [
+    ("construct golden --out g.json",
+     {"command": "construct", "func": "cmd_construct", "m": None,
+      "name": "golden", "out": "g.json"}),
+    ("construct ci-a1 --m bhv --out ci.json",
+     {"command": "construct", "func": "cmd_construct", "m": "bhv",
+      "name": "ci-a1", "out": "ci.json"}),
+    ("analyze bhv",
+     {"channels": 20, "code": "bhv", "command": "analyze", "format": "text",
+      "func": "cmd_analyze", "ordering": None, "seed": 20230, "tol": 1e-09}),
+    ("analyze code.json --ordering 0,2,1,3 --channels 5 --seed 3 --tol 1e-6 "
+     "--format json",
+     {"channels": 5, "code": "code.json", "command": "analyze",
+      "format": "json", "func": "cmd_analyze", "ordering": "0,2,1,3",
+      "seed": 3, "tol": 1e-06}),
+    ("verify bhv",
+     {"channels": 20, "code": "bhv", "command": "verify",
+      "construction_i": False, "format": "text", "func": "cmd_verify",
+      "ordering": None, "profile": None, "seed": 20230}),
+    ("verify golden --ordering 0,1,6,3,4,5,2,7 --profile 2,2,2 "
+     "--construction-i --channels 7 --seed 11 --format json",
+     {"channels": 7, "code": "golden", "command": "verify",
+      "construction_i": True, "format": "json", "func": "cmd_verify",
+      "ordering": "0,1,6,3,4,5,2,7", "profile": "2,2,2", "seed": 11}),
+    ("decode bhv",
+     {"code": "bhv", "command": "decode", "format": "text",
+      "func": "cmd_decode", "m": 4, "seed": 0, "snr": 10.0, "trace": None}),
+    ("decode golden --m 8 --snr 15.5 --seed 4 --trace t.jsonl --format json",
+     {"code": "golden", "command": "decode", "format": "json",
+      "func": "cmd_decode", "m": 8, "seed": 4, "snr": 15.5,
+      "trace": "t.jsonl"}),
+    ("bounds --profile 2,4,1 --m 4",
+     {"command": "bounds", "format": "text", "func": "cmd_bounds", "m": 4,
+      "profile": "2,4,1"}),
+    ("bounds --profile 2,2,2 --m 8 --format json",
+     {"command": "bounds", "format": "json", "func": "cmd_bounds", "m": 8,
+      "profile": "2,2,2"}),
+    ("simulate campaign.json",
+     {"campaign": "campaign.json", "command": "simulate",
+      "func": "cmd_simulate", "out": None}),
+    ("simulate campaign.json --out sweep.csv",
+     {"campaign": "campaign.json", "command": "simulate",
+      "func": "cmd_simulate", "out": "sweep.csv"}),
+])
+def test_every_flag_parses_to_its_pinned_namespace(argv, expected):
+    # every subcommand and flag, with each default, as the parser reads it
+    parsed = vars(build_parser().parse_args(argv.split()))
+    parsed["func"] = parsed["func"].__name__
+    assert parsed == expected
+
+
 class TestConstruct:
     def test_golden(self, tmp_path, capsys):
         out_file = tmp_path / "golden.json"

@@ -252,6 +252,29 @@ class TestInputValidation:
             sphere_decode(singular, np.zeros(4), cons, profile)
 
     @pytest.mark.parametrize("setup", [sphere_decode, prepare])
+    @pytest.mark.parametrize("faults, scale, error, message", [
+        ({(3, 0): 1e-3}, 1.0, NotUpperTriangular,
+         "^r has entries below the diagonal$"),
+        ({(2, 2): 0.0}, 1.0, ValueError,
+         r"^r must have a nonzero diagonal \(full rank\)$"),
+        ({(2, 2): 1e-320}, 1.0, ValueError,
+         "^r has a diagonal entry too small to invert$"),
+        ({}, 1e200, ValueError,
+         "^r and y' are too large: the metric overflows$"),
+    ])
+    def test_second_fault_outranks_a_structural_zero(
+            self, rng, setup, faults, scale, error, message):
+        # r[0,1] is a structural zero of (2, 2, 1); every other check of R
+        # comes before the one that names it
+        prof = BlockOrthogonalProfile(2, 2, 1)
+        r = patterned_r(rng, prof, scale)
+        r[0, 1] = 0.5 * scale
+        for pos, value in faults.items():
+            r[pos] = value
+        with pytest.raises(error, match=message):
+            setup(r, np.zeros(4), PamConstellation(2), prof)
+
+    @pytest.mark.parametrize("setup", [sphere_decode, prepare])
     @pytest.mark.parametrize("profile, named", [
         (named_code("bhv").declared_profile, "tuple"), ("2,4,1", "str")])
     def test_profile_of_another_type_rejected(self, setup, profile, named):

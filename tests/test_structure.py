@@ -192,6 +192,12 @@ class TestDetectProfile:
         assert profile_validates(pattern, BlockOrthogonalProfile(2, 2, 2))
         assert detect_profile(pattern).as_tuple() == (2, 4, 1)
 
+    @pytest.mark.parametrize("shape", [(2, 2, 1), (5, 2, 1), (3, 2, 2)])
+    def test_validates_rejects_profile_of_another_size(self, shape):
+        # golden's 8 symbols against a claim over 4, 10 and 12
+        assert not profile_validates(GOLDEN_PATTERN_421,
+                                     BlockOrthogonalProfile(*shape))
+
 
 class TestClassify:
     def test_alamouti_multi_group(self):
