@@ -154,14 +154,11 @@ def cmd_verify(args) -> int:
         }
     if not results:
         raise ValueError("nothing to verify: give --profile or --construction-i")
-    if args.format == "json":
-        print(json.dumps(results, indent=1))
-    else:
-        for section, body in results.items():
-            print(f"[{section}] pass={body['pass']}")
-            for key, value in body.items():
-                if key != "pass":
-                    print(f"  {key}: {value}")
+    lines = []
+    for section, body in results.items():
+        lines.append(f"[{section}] pass={body['pass']}")
+        lines += [f"  {key}: {value}" for key, value in body.items() if key != "pass"]
+    _emit(args, results, "\n".join(lines))
     return 0 if all(body["pass"] for body in results.values()) else 1
 
 
@@ -261,6 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Block-orthogonal STBC construction, analysis and decoding",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags defined once and shared through argparse parents
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["text", "json"], default="text")
+    sampled = argparse.ArgumentParser(add_help=False)
+    sampled.add_argument("code", help="shipped code name or code JSON file")
+    sampled.add_argument("--ordering", help="comma-separated indices or labels")
+    sampled.add_argument("--channels", type=_channel_count,
+                         default=structure.DEFAULT_PATTERN_CHANNELS)
+    sampled.add_argument("--seed", type=_seed, default=structure.DEFAULT_SEED)
 
     p = sub.add_parser("construct", help="build a code and write it as JSON")
     p.add_argument("name", choices=codes.CODE_NAMES)
@@ -269,41 +275,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("analyze", help="print the structural R pattern and profile")
-    p.add_argument("code", help="shipped code name or code JSON file")
-    p.add_argument("--ordering", help="comma-separated indices or labels")
-    p.add_argument("--channels", type=_channel_count,
-                   default=structure.DEFAULT_PATTERN_CHANNELS)
-    p.add_argument("--seed", type=_seed, default=structure.DEFAULT_SEED)
+    p = sub.add_parser("analyze", parents=[sampled, fmt],
+                       help="print the structural R pattern and profile")
     p.add_argument("--tol", type=float, default=structure.DEFAULT_TOL_REL)
-    p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("verify", help="run the structural premise verifiers")
-    p.add_argument("code")
-    p.add_argument("--ordering")
+    p = sub.add_parser("verify", parents=[sampled, fmt],
+                       help="run the structural premise verifiers")
     p.add_argument("--profile", help="Gamma,k,gamma to verify (default: declared)")
     p.add_argument("--construction-i", action="store_true",
                    help="also check the sum-construction R1/E/R2 structure")
-    p.add_argument("--channels", type=_channel_count,
-                   default=structure.DEFAULT_PATTERN_CHANNELS)
-    p.add_argument("--seed", type=_seed, default=structure.DEFAULT_SEED)
-    p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("decode", help="run one paired decode trial")
+    p = sub.add_parser("decode", parents=[fmt], help="run one paired decode trial")
     p.add_argument("code")
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--snr", type=float, default=10.0)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trace", help="write per-node JSONL records here")
-    p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("bounds", help="closed-form EM/memory/QRDM bounds")
+    p = sub.add_parser("bounds", parents=[fmt],
+                       help="closed-form EM/memory/QRDM bounds")
     p.add_argument("--profile", required=True, help="Gamma,k,gamma")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("simulate", help="run a campaign JSON and emit CSV")

@@ -78,7 +78,10 @@ Counting conventions
       ``2 gamma + 5`` if the tail reaches the top symbol.
 
     Each ``r[c,c] * level`` is priced as one multiply where the walk reads
-    it, though :func:`prepare` forms it once per instance.
+    it, though :func:`prepare` forms it once per instance.  Two charges
+    count an add the walk does not do, and every pinned counter keeps them:
+    a joint tail's bottom row (``met = res * res``) and a single-block
+    profile's first leading sub-block (``tl = res * res`` or ``tl = bst``).
 ``cache_entries_peak``
     Largest number of metric values held at any time; bounded by
     ``(Gamma - 1)(k - 1) M (M^gamma - 1) / (M - 1)``.
@@ -274,10 +277,11 @@ def prepare(r, y_prime, cons: PamConstellation,
     y_max = np.abs(y).max()
     if not (math.isfinite(r_max) and math.isfinite(y_max)):
         raise ValueError("r and y' must be finite")
-    # one comparison finds both kinds of misplaced entry; which error
-    # applies is decided only when one is found
-    misplaced = np.count_nonzero(abs_r > _zero_cut(profile) * r_max)
-    if misplaced and np.tril(r, -1).any():
+    # one mask holds both kinds of misplaced entry (see _zero_cut); which
+    # error applies is decided only when one is found
+    bad = abs_r > _zero_cut(profile) * r_max
+    misplaced = bad.any()
+    if misplaced and np.tril(bad, -1).any():
         raise NotUpperTriangular("r has entries below the diagonal")
     diag = r.diagonal().tolist()
     diag_min = min(map(abs, diag))
@@ -291,7 +295,6 @@ def prepare(r, y_prime, cons: PamConstellation,
     if not math.isfinite(1.0 / diag_min):
         raise ValueError("r has a diagonal entry too small to invert")
     if misplaced:
-        bad = profile.structural_zeros() & (abs_r > DEFAULT_TOL_REL * r_max)
         c, j = divmod(int(bad.argmax()), k_total)  # row-major first
         raise InvalidProfile(
             f"r[{c},{j}] = {r[c, j]:.3e} should be structurally zero")
