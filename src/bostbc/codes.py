@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 
 import numpy as np
@@ -89,18 +89,51 @@ def _frozen(a) -> np.ndarray:
 class LinearSTBC:
     """A linear STBC: ``X(x) = sum_i x_i * weights[i]`` over real symbols.
 
-    ``weights`` is one read-only complex ``(K, n_t, t)`` array.  The
-    generator matrix is computed on first use and stored on the instance;
-    :func:`reorder` and ``dataclasses.replace`` build new instances, so they
-    never see a stale one (``replace`` keeps the weight array itself).
-    Equality is identity, so codes hash and serve as dict keys.
+    Every way to build one, :func:`reorder` and ``dataclasses.replace``
+    included, checks it and raises ``ValueError`` naming a bad field:
+    ``weights`` is one read-only complex ``(K, n_t, t)`` array of finite
+    entries whose shape gives ``n_t`` and ``t``, ``labels`` holds one string
+    per weight, and ``declared_profile`` is None or three integers >= 1
+    whose product is K.  A read-only, C-contiguous complex stack is kept as
+    is (``replace`` keeps it); anything else is copied once.  Equality is
+    identity, so codes hash and serve as dict keys.
     """
 
-    n_t: int
-    t: int
+    n_t: int = field(init=False)
+    t: int = field(init=False)
     weights: np.ndarray
     labels: tuple
     declared_profile: tuple | None = None
+
+    def __post_init__(self):
+        weights, labels, profile = self.weights, self.labels, self.declared_profile
+        if not (type(weights) is np.ndarray and weights.dtype == complex
+                and weights.flags.c_contiguous and not weights.flags.writeable):
+            try:
+                weights = _frozen(weights)  # a ragged stack raises here
+            except (TypeError, ValueError):
+                weights = None
+        if weights is None or weights.ndim != 3:
+            raise ValueError("all weight matrices must share one shape")
+        if not weights.size:
+            raise ValueError(f"weights of shape {weights.shape} hold no entry")
+        if not np.isfinite(weights).all():
+            raise ValueError("weight entries must be finite")
+        if type(labels) not in (list, tuple) or not {*map(type, labels)} <= {str}:
+            raise ValueError(f"labels = {labels!r} must be a list of strings")
+        if len(labels) != len(weights):
+            raise ValueError("need one label per weight matrix")
+        if profile is not None:
+            if not (type(profile) in (list, tuple) and len(profile) == 3
+                    and all(map(_is_integer, profile)) and min(profile) >= 1
+                    and math.prod(profile) == len(weights)):
+                raise ValueError(f"declared_profile = {profile!r} must be None "
+                                 "or three integers >= 1 with product "
+                                 f"K = {len(weights)}")
+            profile = tuple(map(int, profile))
+        _, n_t, t = weights.shape
+        vars(self).update(n_t=n_t, t=t, weights=weights, labels=tuple(labels),
+                          declared_profile=profile)  # frozen: past __setattr__
 
     @property
     def k_real(self) -> int:
@@ -136,37 +169,14 @@ def generator_matrix(code: LinearSTBC) -> np.ndarray:
     return code._generator
 
 
-def _make_code(weights, labels, declared_profile=None, *, check_rank=True) -> LinearSTBC:
-    try:
-        weights = _frozen(weights)  # a ragged stack raises here
-    except ValueError:
-        weights = None
-    if weights is None or weights.ndim != 3:
-        raise ValueError("all weight matrices must share one shape")
-    if not np.isfinite(weights).all():
-        raise ValueError("weight entries must be finite")
-    labels = tuple(labels)
-    if len(labels) != len(weights):
-        raise ValueError("need one label per weight matrix")
-    if declared_profile and math.prod(declared_profile) != len(weights):
-        raise ValueError(f"declared_profile = {list(declared_profile)} covers "
-                         f"{math.prod(declared_profile)} symbols, the code has "
-                         f"{len(weights)}")
-    _, n_t, t = weights.shape
-    code = LinearSTBC(
-        n_t=n_t,
-        t=t,
-        weights=weights,
-        labels=labels,
-        declared_profile=tuple(declared_profile) if declared_profile else None,
-    )
-    if check_rank:
-        # np.linalg.matrix_rank's count, without its wrapper
-        g = generator_matrix(code)
-        singular = np.linalg.svd(g, compute_uv=False)
-        rank = np.count_nonzero(singular > RANK_TOL * np.abs(g).max())
-        if rank < code.k_real:
-            raise RankDeficient(f"generator matrix rank {rank} < K = {code.k_real}")
+def _make_code(weights, labels, declared_profile=None) -> LinearSTBC:
+    code = LinearSTBC(weights, labels, declared_profile)
+    # the rank test: np.linalg.matrix_rank's count, without its wrapper
+    g = generator_matrix(code)
+    singular = np.linalg.svd(g, compute_uv=False)
+    rank = np.count_nonzero(singular > RANK_TOL * np.abs(g).max())
+    if rank < code.k_real:
+        raise RankDeficient(f"generator matrix rank {rank} < K = {code.k_real}")
     return code
 
 
@@ -347,7 +357,7 @@ def cuwd_rate1_4group(a: int) -> LinearSTBC:
     construction, so only the rank of each sum code built from it is
     checked.
     """
-    if a not in (1, 2, 3):
+    if not _is_integer(a) or a not in (1, 2, 3):
         raise UnsupportedSize("supported design sizes are a in {1, 2, 3}")
     lam = 2 ** (a - 1)
     reps = _clifford_generators(a)
@@ -364,7 +374,7 @@ def cuwd_rate1_4group(a: int) -> LinearSTBC:
     for head in heads:
         weights.extend(mat @ head for mat in a_k)
     labels = tuple(f"x{i+1}" for i in range(4 * lam))
-    return _make_code(weights, labels, check_rank=False)
+    return LinearSTBC(weights, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +393,7 @@ def ciod(a: int) -> LinearSTBC:
     rank by construction, so only the rank of each sum code built from it
     is checked.
     """
-    if a not in (1, 2):
+    if not _is_integer(a) or a not in (1, 2):
         raise UnsupportedSize("supported design sizes are a in {1, 2}")
     n = 2 ** (a - 1)
     design = np.reshape((1, 1j), (2, 1, 1)) if a == 1 else _ALAMOUTI_WEIGHTS
@@ -393,7 +403,7 @@ def ciod(a: int) -> LinearSTBC:
         weights[2 * n * b:2 * n * (b + 1), block, block] = design
     labels = [lab for i in range(2 * n)
               for lab in (f"x{i}I", f"x{(i + n) % (2 * n)}Q")]
-    return _make_code(weights, labels, check_rank=False)
+    return LinearSTBC(weights, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +535,8 @@ def reorder(code: LinearSTBC, perm) -> LinearSTBC:
     if perm == tuple(range(code.k_real)):
         return code
     weights = code.weights[list(perm)]
-    weights.setflags(write=False)
-    return LinearSTBC(
-        n_t=code.n_t,
-        t=code.t,
-        weights=weights,
-        labels=tuple(code.labels[p] for p in perm),
-        declared_profile=None,
-    )
+    weights.setflags(write=False)  # already a fresh copy
+    return LinearSTBC(weights, tuple(code.labels[p] for p in perm))
 
 
 def ordering_from_labels(code: LinearSTBC, labels) -> tuple:
@@ -597,25 +601,16 @@ def code_from_json(data) -> LinearSTBC:
         data = json.loads(data)
     if type(data) is not dict:
         raise ValueError(f"code = {data!r} must be a JSON object")
-    weights, labels = data["weights"], data["labels"]
+    weights, profile = data["weights"], data.get("declared_profile")
     if type(weights) is not list or not weights:
         raise ValueError(f"weights = {weights!r} must be a non-empty array")
-    if type(labels) is not list or not all(type(s) is str for s in labels):
-        raise ValueError(f"labels = {labels!r} must be an array of strings")
-    profile = data.get("declared_profile")
-    if profile is not None:
-        if type(profile) is not list or len(profile) != 3:
-            raise ValueError(f"declared_profile = {profile!r} must be null "
-                             "or an array of three integers")
+    if type(profile) is list:
         profile = [_json_integer(p, f"declared_profile[{i}]")
                    for i, p in enumerate(profile)]
-        if min(profile) < 1:
-            raise ValueError(f"declared_profile = {profile} must be >= 1")
     weights = [_json_weight(w, i) for i, w in enumerate(weights)]
     if len(weights) != data["k_real"]:
         raise ValueError("k_real does not match the number of weight matrices")
-    code = _make_code(weights, labels, declared_profile=profile,
-                      check_rank=False)
+    code = LinearSTBC(weights, data["labels"], profile)
     if (code.n_t, code.t) != (data["n_t"], data["t"]):
         raise ValueError("declared dimensions do not match the weights")
     return code

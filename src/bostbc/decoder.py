@@ -107,7 +107,8 @@ import numpy as np
 
 from .codes import _is_integer
 from .linalg import _real_array
-from .structure import DEFAULT_TOL_REL, BlockOrthogonalProfile
+from .structure import (DEFAULT_TOL_REL, BlockOrthogonalProfile,
+                        _check_profile)
 
 __all__ = [
     "PamConstellation",
@@ -243,12 +244,6 @@ class _Instance(NamedTuple):
     pos_shift: float
 
 
-def _check_profile(profile) -> None:
-    if not (profile is None or isinstance(profile, BlockOrthogonalProfile)):
-        raise ValueError(f"profile must be a BlockOrthogonalProfile or None, "
-                         f"got a {type(profile).__name__}")
-
-
 def prepare(r, y_prime, cons: PamConstellation,
             profile: BlockOrthogonalProfile | None = None) -> _Instance:
     """Validate ``r`` and ``y'`` against ``profile`` and set up what every
@@ -260,7 +255,7 @@ def prepare(r, y_prime, cons: PamConstellation,
     ``y'`` objects, profile and constellation; ``profile=None`` prepares for
     plain decoding.  Raises what :func:`sphere_decode` raises for bad input.
     """
-    _check_profile(profile)
+    _check_profile(profile, or_none=True)
     r_in, y_in = r, y_prime
     r = _real_array(r, "r")
     y = _real_array(y_prime, "y_prime").ravel()
@@ -660,7 +655,7 @@ def sphere_decode(r, y_prime, cons: PamConstellation,
     Returns ``(symbols, stats)`` where ``symbols`` are the decoded PAM
     levels and ``stats.decoded`` the matching level indices.
     """
-    _check_profile(profile)
+    _check_profile(profile, or_none=True)
     if profile is None:
         profile = BlockOrthogonalProfile(np.size(y_prime), 1, 1)
     depth = profile.total - profile.block_size
@@ -730,6 +725,7 @@ def em_count_bounds(profile: BlockOrthogonalProfile, m: int) -> EmCountBounds:
     memoized one.  Integer arithmetic in closed form throughout, so large
     constellations and deep trees neither overflow nor take long.
     """
+    _check_profile(profile)
     if not _is_integer(m):
         raise ValueError(f"m = {m!r} must be an integer")
     m = int(m)

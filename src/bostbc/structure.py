@@ -95,6 +95,17 @@ class BlockOrthogonalProfile:
                 & (idx[:, None] < idx[None, :]))
 
 
+def _check_profile(profile, *, or_none=False) -> None:
+    """Refuse with ``ValueError`` anything but a :class:`BlockOrthogonalProfile`
+    (or None, where ``or_none``: the decoders read it as plain decoding).  A
+    code's ``declared_profile`` is a tuple, so it is refused too."""
+    if not (isinstance(profile, BlockOrthogonalProfile)
+            or (or_none and profile is None)):
+        kind = "a BlockOrthogonalProfile" + (" or None" if or_none else "")
+        raise ValueError(f"profile must be {kind}, "
+                         f"got a {type(profile).__name__}")
+
+
 @dataclass(frozen=True)
 class ConditionResult:
     name: str
@@ -219,6 +230,17 @@ def _candidate_profiles(k_total: int):
             yield BlockOrthogonalProfile(gamma_blocks, k, block // k)
 
 
+def _upper_pattern(pattern) -> np.ndarray:
+    """``pattern`` as a boolean array; ``ValueError`` unless it is square
+    with upper-triangular support."""
+    pattern = np.asarray(pattern, dtype=bool)
+    if pattern.ndim != 2 or pattern.shape[0] != pattern.shape[1]:
+        raise ValueError("pattern must be square")
+    if np.tril(pattern, -1).any():
+        raise ValueError("pattern must have upper-triangular support")
+    return pattern
+
+
 def profile_validates(pattern, profile: BlockOrthogonalProfile) -> bool:
     """Check a (Gamma, k, gamma) claim against a support pattern.
 
@@ -226,7 +248,12 @@ def profile_validates(pattern, profile: BlockOrthogonalProfile) -> bool:
     diagonal sub-blocks must be structural zeros; every block above the
     diagonal must contain at least one nonzero (when Gamma > 1).
     """
-    pattern = np.asarray(pattern, dtype=bool)
+    _check_profile(profile)
+    return _fits(_upper_pattern(pattern), profile)
+
+
+def _fits(pattern, profile: BlockOrthogonalProfile) -> bool:
+    """:func:`profile_validates` on an already checked pattern and profile."""
     if profile.total != pattern.shape[0]:
         return False
     if (pattern & profile.structural_zeros()).any():
@@ -246,13 +273,9 @@ def detect_profile(pattern) -> BlockOrthogonalProfile | None:
     nothing and are never reported; a pattern admitting only those returns
     None.
     """
-    pattern = np.asarray(pattern, dtype=bool)
-    if pattern.ndim != 2 or pattern.shape[0] != pattern.shape[1]:
-        raise ValueError("pattern must be square")
-    if np.tril(pattern, -1).any():
-        raise ValueError("pattern must have upper-triangular support")
+    pattern = _upper_pattern(pattern)
     for profile in _candidate_profiles(pattern.shape[0]):
-        if profile_validates(pattern, profile):
+        if _fits(pattern, profile):
             return profile
     return None
 
@@ -281,9 +304,10 @@ def classify(pattern) -> StructureReport:
     fast-group when the groups decode fast internally); coupled patterns are
     block-orthogonal when a (Gamma >= 2, k >= 2) profile validates, else
     fast-decodable when a leading block-diagonal section exists, else
-    unstructured.  The label depends on ``pattern`` only.
+    unstructured.  The label depends on ``pattern`` only, which must be
+    square with upper-triangular support, as :func:`detect_profile` asks.
     """
-    pattern = np.asarray(pattern, dtype=bool)
+    pattern = _upper_pattern(pattern)
     k = pattern.shape[0]
     conditions = []
 
@@ -348,6 +372,7 @@ def verify_multi_block_premises(code, profile: BlockOrthogonalProfile, *,
     An E that is zero on some sample, exactly or to within ``_PREMISE_TOL``
     of that sample's max|R|, fails with residual ``inf``.
     """
+    _check_profile(profile)
     K = code.k_real
     if profile.total != K:
         raise ValueError("profile size must match the code")

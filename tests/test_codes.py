@@ -210,6 +210,16 @@ class TestCuwd:
         with pytest.raises(UnsupportedSize):
             cuwd_rate1_4group(4)
 
+    @pytest.mark.parametrize("a", [1.0, 2.0, True, "2"])
+    def test_size_must_be_an_integer(self, a):
+        # 1.0 used to pass the size check and then fail inside range()
+        with pytest.raises(UnsupportedSize, match="^supported design sizes"):
+            cuwd_rate1_4group(a)
+
+    def test_numpy_integer_size(self):
+        assert (cuwd_rate1_4group(np.int64(2)).weights.tobytes()
+                == cuwd_rate1_4group(2).weights.tobytes())
+
 
 def _ciod2_weight(block, slot, coef):
     """One weight of the 4x4 CIOD, written out: ``coef`` at slot "a" (the
@@ -271,6 +281,12 @@ class TestCiod:
     def test_unsupported_size(self):
         with pytest.raises(UnsupportedSize):
             ciod(3)
+
+    @pytest.mark.parametrize("a", [1.0, True, "1"])
+    def test_size_must_be_an_integer(self, a):
+        # True used to build ciod(1)
+        with pytest.raises(UnsupportedSize, match="^supported design sizes"):
+            ciod(a)
 
 
 class TestConstructionI:
@@ -701,7 +717,98 @@ class TestShippedCodeBytes:
                    zip(code_digests(cleared), self.EXPECTED["bhv"]))
 
 
+#: Declared profiles a code refuses: two entries, negative entries, a
+#: product other than K = 8, and entries that are not integers.
+BAD_PROFILES = [(2, 4), (2, -1, -4), (3, 3, 3), (2.0, 4, 1), (2, True, 4),
+                "241"]
+
+
+class TestCodeChecksItself:
+    """Every way to build a code runs the same checks: the constructor,
+    ``_make_code``, ``reorder`` and ``dataclasses.replace``."""
+
+    @pytest.mark.parametrize("profile", BAD_PROFILES)
+    def test_replace_refuses_a_bad_declared_profile(self, profile):
+        with pytest.raises(ValueError, match="^declared_profile = "):
+            dataclasses.replace(named_code("bhv"), declared_profile=profile)
+
+    @pytest.mark.parametrize("profile", BAD_PROFILES)
+    def test_make_code_refuses_a_bad_declared_profile(self, profile):
+        code = bhv_code()
+        with pytest.raises(ValueError, match="^declared_profile = "):
+            codes._make_code(code.weights, code.labels, profile)
+
+    def test_declared_profile_stored_as_int_tuple(self):
+        code = dataclasses.replace(named_code("bhv"),
+                                   declared_profile=[np.int64(2), 4, 1])
+        assert code.declared_profile == (2, 4, 1)
+        assert [type(p) for p in code.declared_profile] == [int, int, int]
+
+    @pytest.mark.parametrize("labels, named", [
+        (("a",), "need one label per weight matrix"),
+        (tuple(range(8)), "labels = "),
+        ("abcdefgh", "labels = "),
+    ])
+    def test_replace_refuses_bad_labels(self, labels, named):
+        with pytest.raises(ValueError, match=f"^{named}"):
+            dataclasses.replace(named_code("bhv"), labels=labels)
+
+    @pytest.mark.parametrize("field", ["n_t", "t"])
+    def test_shape_is_not_settable(self, field):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(named_code("bhv"), **{field: 3})
+
+    def test_shape_is_read_from_the_weights(self):
+        code = dataclasses.replace(alamouti_code(),
+                                   weights=ciod(2).weights[:4])
+        assert (code.n_t, code.t, code.k_real) == (4, 4, 4)
+        assert generator_matrix(code).shape == (32, 4)
+
+    @pytest.mark.parametrize("weights, named", [
+        (lambda w: w[0], "all weight matrices must share one shape"),
+        (lambda w: w[:, :, :0], r"weights of shape \(8, 2, 0\) hold no entry"),
+        (lambda w: w + np.inf, "weight entries must be finite"),
+        (lambda w: None, "all weight matrices must share one shape"),
+    ], ids=["2-d", "empty", "infinite", "none"])
+    def test_replace_refuses_bad_weights(self, weights, named):
+        code = bhv_code()
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            dataclasses.replace(code, weights=weights(code.weights))
+
+    def test_writable_weights_are_copied_once(self):
+        code = alamouti_code()
+        weights = np.array(code.weights)
+        built = codes.LinearSTBC(weights, code.labels)
+        assert built.weights is not weights and not built.weights.flags.writeable
+        weights[0, 0, 0] = 5.0
+        assert built.weights[0, 0, 0] == 1.0
+
+    def test_strided_weights_are_copied(self):
+        # a read-only view with a reversed last axis used to be kept, and
+        # the generator matrix then failed inside numpy
+        code = bhv_code()
+        flipped = dataclasses.replace(code, weights=code.weights[:, :, ::-1])
+        assert flipped.weights.flags.c_contiguous
+        assert np.array_equal(generator_matrix(flipped).reshape(2, 2, 2, 8),
+                              generator_matrix(code).reshape(2, 2, 2, 8)[::-1])
+
+    def test_reorder_runs_the_checks(self):
+        code = reorder(golden_code(), GOLDEN_ORDERING_222)
+        assert not code.weights.flags.writeable
+        assert (code.n_t, code.t, code.declared_profile) == (2, 2, None)
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("name", [*CODE_NAMES, *BASE_DESIGNS])
+    def test_every_code_reads_back(self, name):
+        code = (BASE_DESIGNS.get(name) or (lambda: named_code(name)))()
+        data = code_to_json(code)
+        loaded = code_from_json(json.dumps(data))
+        assert code_to_json(loaded) == data
+        assert loaded.weights.tobytes() == code.weights.tobytes()
+        assert (loaded.n_t, loaded.t, loaded.labels, loaded.declared_profile) \
+            == (code.n_t, code.t, code.labels, code.declared_profile)
+
     def test_round_trip_bit_exact(self, tmp_path):
         code = golden_code()
         path = tmp_path / "golden.json"

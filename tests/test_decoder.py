@@ -1128,6 +1128,15 @@ class TestBoundCalculators:
         with pytest.raises(ValueError, match=f"^{named}$"):
             em_count_bounds(BlockOrthogonalProfile(2, 2, 1), m)
 
+    @pytest.mark.parametrize("profile, named", [
+        ((2, 4, 1), "tuple"), (None, "NoneType")])
+    def test_em_count_bounds_rejects_a_profile_of_another_type(self, profile,
+                                                               named):
+        # a declared profile tuple used to raise AttributeError
+        with pytest.raises(ValueError, match="^profile must be a "
+                           f"BlockOrthogonalProfile, got a {named}$"):
+            em_count_bounds(profile, 4)
+
     @pytest.mark.parametrize("args", [(2, 1, 2.5), (2.0, 1, 2), (2, True, 2)])
     def test_qrdm_bound_rejects_non_integers(self, args):
         with pytest.raises(ValueError, match="must be integers$"):

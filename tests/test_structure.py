@@ -214,6 +214,23 @@ class TestClassify:
         report = classify(np.triu(np.ones((6, 6), dtype=bool)))
         assert report.classification == "unstructured"
 
+    @pytest.mark.parametrize("pattern, named", [
+        (np.tril(np.ones((4, 4), dtype=bool)),
+         "pattern must have upper-triangular support"),
+        (np.ones((4, 4), dtype=bool),
+         "pattern must have upper-triangular support"),
+        (np.eye(3, 2, dtype=bool), "pattern must be square"),
+        (np.ones(4, dtype=bool), "pattern must be square"),
+    ], ids=["lower-triangular", "full", "3x2", "1-d"])
+    def test_refuses_what_detect_profile_refuses(self, pattern, named):
+        # the first read "multi-group, g = 4", the third "multi-group,
+        # g = 2", and the last raised IndexError
+        for call in (classify, detect_profile,
+                     lambda p: profile_validates(
+                         p, BlockOrthogonalProfile(1, 2, 2))):
+            with pytest.raises(ValueError, match=f"^{named}$"):
+                call(pattern)
+
     def test_scrambled_golden_fast_decodable(self):
         report = classify(GOLDEN_PATTERN_SCRAMBLED)
         assert report.profile is None
@@ -250,6 +267,19 @@ class TestClassify:
         data = classify(structural_pattern(bhv_code())).to_json()
         assert data["classification"] == "block-orthogonal"
         assert data["profile"] == [2, 4, 1]
+
+
+@pytest.mark.parametrize("call", [
+    lambda profile: profile_validates(GOLDEN_PATTERN_421, profile),
+    lambda profile: verify_multi_block_premises(bhv_code(), profile),
+], ids=["profile_validates", "verify_multi_block_premises"])
+@pytest.mark.parametrize("profile, named", [
+    ((2, 4, 1), "tuple"), (None, "NoneType")])
+def test_profile_of_another_type_rejected(call, profile, named):
+    # a declared profile tuple used to raise AttributeError
+    with pytest.raises(ValueError, match="^profile must be a "
+                       f"BlockOrthogonalProfile, got a {named}$"):
+        call(profile)
 
 
 class TestSufficientConditionPremises:
