@@ -23,7 +23,7 @@ from . import codes, sim, structure
 from .decoder import PamConstellation, em_count_bounds, qrdm_bound
 from .structure import BlockOrthogonalProfile
 
-_USER_ERRORS = (ValueError, KeyError, OSError)
+_USER_ERRORS = (ValueError, OSError)
 
 
 def _load_code_arg(spec: str, ordering: str | None = None):

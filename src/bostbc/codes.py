@@ -527,7 +527,11 @@ def reorder(code: LinearSTBC, perm) -> LinearSTBC:
     kept); any other permutation drops the declared profile, since block
     orthogonality depends on the ordering.
     """
-    perm = tuple(perm)
+    try:
+        perm = tuple(perm)
+    except TypeError:
+        raise InvalidPermutation(f"perm = {perm!r} must be a sequence of "
+                                 "integers") from None
     if not all(map(_is_integer, perm)):
         raise InvalidPermutation(f"permutation entries must be integers: {perm}")
     if sorted(perm) != list(range(code.k_real)):
@@ -541,8 +545,13 @@ def reorder(code: LinearSTBC, perm) -> LinearSTBC:
 
 def ordering_from_labels(code: LinearSTBC, labels) -> tuple:
     """Translate a label sequence into a permutation for :func:`reorder`."""
-    labels = list(labels)
-    if sorted(labels) != sorted(code.labels):
+    try:
+        labels = list(labels)
+    except TypeError:
+        raise InvalidPermutation(f"labels = {labels!r} must be a sequence of "
+                                 "labels") from None
+    if (not all(isinstance(lab, str) for lab in labels)
+            or sorted(labels) != sorted(code.labels)):
         raise InvalidPermutation("labels do not match the code's symbols")
     return tuple(code.labels.index(lab) for lab in labels)
 
@@ -562,6 +571,34 @@ def code_to_json(code: LinearSTBC) -> dict:
     }
 
 
+def _json_object(data, noun, required, optional):
+    """Refuse with ``ValueError`` a ``data`` that is not a JSON object holding
+    every ``required`` key and no other key but ``optional`` ones."""
+    if type(data) is not dict:
+        raise ValueError(f"{noun} = {data!r} must be a JSON object")
+    if unknown := sorted(data.keys() - {*required, *optional}, key=str):
+        raise ValueError(f"unknown {noun} key(s) {unknown}")
+    if missing := [key for key in required if key not in data]:
+        raise ValueError(f"missing {noun} key(s) {missing}")
+
+
+def _json_array(value, name, entry, noun) -> tuple:
+    """A list or tuple, as the tuple of ``entry(v, "name[i]")`` over it."""
+    if type(value) not in (list, tuple):
+        raise ValueError(f"{name} = {value!r} must be an array of {noun}")
+    return tuple(entry(v, f"{name}[{i}]") for i, v in enumerate(value))
+
+
+def _json_number(value, name) -> float:
+    """An ``int`` or ``float`` (not ``bool``) that fits a float, as one."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} = {value!r} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a number that fits a float") from None
+
+
 def _json_integer(value, name) -> int:
     """``value`` as an ``int``: JSON integers, ``3.0`` included, pass;
     ``bool``, strings and non-integral numbers raise ``ValueError``."""
@@ -573,14 +610,14 @@ def _json_integer(value, name) -> int:
 def _json_entry(entry, i, r, c) -> complex:
     """Entry ``weights[i][r][c]``: ``[re, im]``, two numbers that fit a float
     (``bool`` is not a number here)."""
-    if (type(entry) is list and len(entry) == 2
-            and all(type(x) in (int, float) for x in entry)):
+    name = f"weights[{i}][{r}][{c}]"
+    if type(entry) is list and len(entry) == 2:
         try:
-            return complex(*entry)
-        except OverflowError:
+            return complex(*(_json_number(x, name) for x in entry))
+        except ValueError:
             pass
-    raise ValueError(f"weights[{i}][{r}][{c}] = {entry!r} must be an array "
-                     "of two numbers [re, im]")
+    raise ValueError(f"{name} = {entry!r} must be an array of two numbers "
+                     "[re, im]")
 
 
 def _json_weight(w, i) -> np.ndarray:
@@ -595,18 +632,18 @@ def _json_weight(w, i) -> np.ndarray:
 
 
 def code_from_json(data) -> LinearSTBC:
-    """The code of a ``schemas/code.schema.json`` object (or its text); a
-    malformed field raises ``ValueError`` naming it."""
+    """The code of a ``schemas/code.schema.json`` object (or its text) whose
+    ``declared_profile`` may be left out; a bad key raises ``ValueError``."""
     if isinstance(data, str):
         data = json.loads(data)
-    if type(data) is not dict:
-        raise ValueError(f"code = {data!r} must be a JSON object")
+    _json_object(data, "code", ("n_t", "t", "k_real", "labels", "weights"),
+                 ("declared_profile",))
     weights, profile = data["weights"], data.get("declared_profile")
     if type(weights) is not list or not weights:
         raise ValueError(f"weights = {weights!r} must be a non-empty array")
     if type(profile) is list:
-        profile = [_json_integer(p, f"declared_profile[{i}]")
-                   for i, p in enumerate(profile)]
+        profile = list(_json_array(profile, "declared_profile", _json_integer,
+                                   "integers"))
     weights = [_json_weight(w, i) for i, w in enumerate(weights)]
     if len(weights) != data["k_real"]:
         raise ValueError("k_real does not match the number of weight matrices")
@@ -633,6 +670,8 @@ def load_code(path) -> LinearSTBC:
 
 def named_m_matrix(name: str, n_t: int = 2) -> np.ndarray:
     """Companion matrices referred to by name on the command line."""
+    if not isinstance(name, str):
+        raise ValueError(f"m matrix name = {name!r} must be a string")
     name = name.lower()
     if name == "identity":
         return np.eye(n_t, dtype=complex)

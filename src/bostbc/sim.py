@@ -25,7 +25,7 @@ from dataclasses import MISSING, astuple, dataclass, fields
 import numpy as np
 
 from . import codes as _codes
-from .codes import _json_integer
+from .codes import _json_array, _json_integer, _json_number, _json_object
 from .decoder import DecoderStats, PamConstellation, prepare, sphere_decode
 from .linalg import gram_schmidt_qr
 from .structure import (
@@ -52,28 +52,6 @@ __all__ = [
 RNG_ALGORITHM = "numpy-PCG64/standard_normal"
 
 
-def _json_numbers(value, name) -> tuple:
-    """An array (list or tuple) of numbers as a tuple of floats; a non-array,
-    ``bool`` and string entries raise ``ValueError``."""
-    if type(value) not in (list, tuple):
-        raise ValueError(f"{name} = {value!r} must be an array of numbers")
-    for i, v in enumerate(value):
-        if type(v) not in (int, float):
-            raise ValueError(f"{name}[{i}] = {v!r} must be a number")
-    return tuple(float(v) for v in value)
-
-
-def _json_ordering(value) -> tuple | None:
-    """A campaign's ``ordering``: ``null`` or a list or tuple of integers.
-
-    ``[]`` stays an empty ordering, which :func:`codes.reorder` rejects."""
-    if value is None:
-        return None
-    if type(value) not in (list, tuple):
-        raise ValueError(f"ordering = {value!r} must be an array of integers")
-    return tuple(_json_integer(p, f"ordering[{i}]") for i, p in enumerate(value))
-
-
 @dataclass(frozen=True)
 class SimulationCampaign:
     """Config for one sweep; see ``schemas/campaign.schema.json``.  However
@@ -95,9 +73,11 @@ class SimulationCampaign:
             object.__setattr__(self, name, _json_integer(getattr(self, name), name))
         if self.n_r is not None:
             object.__setattr__(self, "n_r", _json_integer(self.n_r, "n_r"))
-        object.__setattr__(self, "snr_grid_db",
-                           _json_numbers(self.snr_grid_db, "snr_grid_db"))
-        object.__setattr__(self, "ordering", _json_ordering(self.ordering))
+        object.__setattr__(self, "snr_grid_db", _json_array(
+            self.snr_grid_db, "snr_grid_db", _json_number, "numbers"))
+        if self.ordering is not None:
+            object.__setattr__(self, "ordering", _json_array(
+                self.ordering, "ordering", _json_integer, "integers"))
         try:
             PamConstellation(self.m)
         except ValueError as exc:
@@ -119,18 +99,15 @@ class SimulationCampaign:
     @classmethod
     def from_json(cls, data) -> "SimulationCampaign":
         """The campaign of a JSON object whose keys are the field names and
-        an optional ``rng``; an unknown key raises ``ValueError``."""
-        if type(data) is not dict:
-            raise ValueError(f"campaign = {data!r} must be a JSON object")
+        an optional ``rng``; an unknown or missing key raises ``ValueError``."""
+        _json_object(data, "campaign",
+                     [f.name for f in fields(cls) if f.default is MISSING],
+                     [f.name for f in fields(cls)] + ["rng"])
         rng = data.get("rng", RNG_ALGORITHM)
         if rng != RNG_ALGORITHM:
             raise ValueError(f"rng = {rng!r} must be {RNG_ALGORITHM!r}, "
                              "the only generator the sweep runs")
-        unknown = sorted(data.keys() - {f.name for f in fields(cls)} - {"rng"})
-        if unknown:
-            raise ValueError(f"unknown campaign key(s) {unknown}")
-        return cls(**{f.name: data[f.name] for f in fields(cls)
-                      if f.name in data or f.default is MISSING})
+        return cls(**{k: v for k, v in data.items() if k != "rng"})
 
     def to_json(self) -> dict:
         """The JSON object :meth:`from_json` reads back, with its ``rng``."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,6 +169,8 @@ def _sampled_r(code, n_channels: int, seed: int,
         raise ValueError(f"n_channels = {n_channels!r} must be an integer")
     if n_channels < 1:
         raise ValueError("n_channels must be >= 1")
+    if not _codes._is_integer(seed) or seed < 0:
+        raise ValueError(f"seed = {seed!r} must be an integer >= 0")
     n_r = _receive_antennas(n_r, code.n_t)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return gram_schmidt_qr(np.stack([
@@ -212,7 +215,8 @@ def structural_pattern(code, *, n_r: int | None = None,
     with ``0 <= tol_rel < 1``.  An entry counts as structurally zero only if
     it lies outside the support on every draw.
     """
-    if not 0.0 <= tol_rel < 1.0:
+    if not (isinstance(tol_rel, numbers.Real) and type(tol_rel) is not bool
+            and 0.0 <= tol_rel < 1.0):
         raise ValueError(f"tol_rel = {tol_rel} must satisfy 0 <= tol_rel < 1")
     abs_r = np.abs(_sampled_r(code, n_channels, seed, n_r))
     return (abs_r > tol_rel * abs_r.max(axis=(1, 2), keepdims=True)).any(axis=0)

@@ -258,6 +258,25 @@ class TestAnalyze:
         rc, _, err = run_cli(capsys, "analyze", "nonexistent.json")
         assert rc == 2
 
+    @pytest.mark.parametrize("key", ["n_t", "t", "k_real", "labels", "weights"])
+    def test_missing_code_key_exits_2(self, tmp_path, capsys, key):
+        # a missing key used to print the bare KeyError text, e.g. 'k_real'
+        data = code_to_json(named_code("bhv"))
+        del data[key]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        rc, out, err = run_cli(capsys, "analyze", str(path))
+        assert (rc, out) == (2, "")
+        assert err == f"error: missing code key(s) ['{key}']\n"
+
+    def test_unknown_code_key_exits_2(self, tmp_path, capsys):
+        # the code schema has additionalProperties: false
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(code_to_json(named_code("bhv")) | {"note": "x"}))
+        rc, out, err = run_cli(capsys, "analyze", str(path))
+        assert (rc, out) == (2, "")
+        assert err == "error: unknown code key(s) ['note']\n"
+
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "1", "2"])
     def test_tol_outside_unit_interval_exits_2(self, capsys, tol):
         rc, out, err = run_cli(capsys, "analyze", "bhv", f"--tol={tol}")
@@ -625,7 +644,7 @@ class TestSimulate:
     @pytest.mark.parametrize("change, named", [
         ({"n_rr": 3}, "unknown campaign key(s) ['n_rr']"),
         ({"modes": ["baseline", "memoized"]}, "unknown campaign key(s) ['modes']"),
-        ({"master_seed": None}, "'master_seed'"),
+        ({"master_seed": None}, "missing campaign key(s) ['master_seed']"),
     ])
     def test_unknown_or_missing_key_exits_2(self, tmp_path, capsys, change,
                                             named):
@@ -639,6 +658,27 @@ class TestSimulate:
         assert rc == 2
         assert err == f"error: {named}\n"
         assert out == ""
+
+    @pytest.mark.parametrize("key", ["code", "m", "snr_grid_db",
+                                     "trials_per_point", "master_seed"])
+    def test_missing_campaign_key_exits_2(self, tmp_path, capsys, key):
+        campaign = {"code": "bhv", "m": 2, "snr_grid_db": [10.0],
+                    "trials_per_point": 1, "master_seed": 4}
+        del campaign[key]
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(campaign))
+        rc, out, err = run_cli(capsys, "simulate", str(cfg))
+        assert (rc, out) == (2, "")
+        assert err == f"error: missing campaign key(s) ['{key}']\n"
+
+    def test_snr_too_large_for_a_float_exits_2(self, tmp_path, capsys):
+        # float() of a 401-digit integer raised OverflowError: exit 1
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"code": "bhv", "m": 2, "snr_grid_db": [0, 1%s], '
+                       '"trials_per_point": 1, "master_seed": 4}' % ("0" * 400))
+        rc, out, err = run_cli(capsys, "simulate", str(cfg))
+        assert (rc, out) == (2, "")
+        assert err == "error: snr_grid_db[1] must be a number that fits a float\n"
 
     def test_fractional_trial_count_exits_2(self, tmp_path, capsys):
         campaign = {

@@ -510,6 +510,19 @@ class TestReorder:
         with pytest.raises(InvalidPermutation, match="must be integers"):
             reorder(golden_code(), perm)
 
+    def test_non_sequence_rejected(self):
+        # tuple(5) raised a stray TypeError
+        with pytest.raises(InvalidPermutation,
+                           match="^perm = 5 must be a sequence of integers$"):
+            reorder(golden_code(), 5)
+
+    @pytest.mark.parametrize("labels", [5, [0, *golden_code().labels[1:]]],
+                             ids=["non-sequence", "non-string"])
+    def test_labels_of_another_type_rejected(self, labels):
+        # list(5) and sorting an int among strings raised a stray TypeError
+        with pytest.raises(InvalidPermutation, match="^labels "):
+            codes.ordering_from_labels(golden_code(), labels)
+
     def test_numpy_integer_entries(self):
         perm = np.array(GOLDEN_ORDERING_222)
         assert reorder(golden_code(), perm).labels == reorder(
@@ -860,6 +873,26 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^{named}$"):
             code_from_json(code_to_json(alamouti_code()) | edit)
 
+    @pytest.mark.parametrize("key", ["n_t", "t", "k_real", "labels", "weights"])
+    def test_missing_key_rejected(self, key):
+        # each used to raise a bare KeyError
+        data = code_to_json(alamouti_code())
+        del data[key]
+        with pytest.raises(ValueError,
+                           match=rf"^missing code key\(s\) \['{key}'\]$"):
+            code_from_json(data)
+
+    def test_unknown_key_rejected(self):
+        # the code schema has additionalProperties: false
+        with pytest.raises(ValueError,
+                           match=r"^unknown code key\(s\) \['note'\]$"):
+            code_from_json(code_to_json(alamouti_code()) | {"note": "x"})
+
+    def test_declared_profile_may_be_left_out(self):
+        data = code_to_json(bhv_code())
+        del data["declared_profile"]
+        assert code_from_json(data).declared_profile is None
+
     def test_overflowing_weight_rejected(self):
         # JSON reads 1e400 as inf
         text = json.dumps(code_to_json(alamouti_code())).replace("1.0", "1e400", 1)
@@ -882,6 +915,16 @@ def test_named_code_registry():
         assert np.linalg.matrix_rank(g, tol=1e-10) == code.k_real
     with pytest.raises(ValueError, match="unknown code"):
         named_code("silver")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: named_code("ci-a1", companion=5),
+    lambda: codes.named_m_matrix(5),
+], ids=["named_code", "named_m_matrix"])
+def test_m_matrix_name_must_be_a_string(call):
+    # name.lower() raised a stray AttributeError
+    with pytest.raises(ValueError, match="^m matrix name = 5 must be a string$"):
+        call()
 
 
 @pytest.mark.parametrize("name", [7, None])

@@ -339,6 +339,37 @@ class TestCampaign:
         named = SimulationCampaign.from_json(dict(data, rng=sim.RNG_ALGORITHM))
         assert named == SimulationCampaign.from_json(data)
 
+    @pytest.mark.parametrize("key", ["code", "m", "snr_grid_db",
+                                     "trials_per_point", "master_seed"])
+    def test_missing_key_rejected(self, key):
+        # each used to raise a bare KeyError
+        data = {"code": "bhv", "m": 2, "snr_grid_db": [0.0],
+                "trials_per_point": 1, "master_seed": 3}
+        del data[key]
+        with pytest.raises(ValueError,
+                           match=rf"^missing campaign key\(s\) \['{key}'\]$"):
+            SimulationCampaign.from_json(data)
+
+    def test_non_string_key_rejected(self):
+        # sorting 1 with an unknown string key raised a stray TypeError
+        data = {"code": "bhv", "m": 2, "snr_grid_db": [0.0],
+                "trials_per_point": 1, "master_seed": 3, 1: "x", "note": "y"}
+        with pytest.raises(ValueError,
+                           match=r"^unknown campaign key\(s\) \[1, 'note'\]$"):
+            SimulationCampaign.from_json(data)
+
+    def test_snr_too_large_for_a_float_rejected(self):
+        # float() of a 401-digit integer raised OverflowError
+        big = 10 ** 400
+        data = {"code": "bhv", "m": 2, "snr_grid_db": [0, big],
+                "trials_per_point": 1, "master_seed": 3}
+        named = r"^snr_grid_db\[1\] must be a number that fits a float$"
+        with pytest.raises(ValueError, match=named):
+            SimulationCampaign.from_json(data)
+        with pytest.raises(ValueError, match=named):
+            SimulationCampaign(code="bhv", m=2, snr_grid_db=(0, big),
+                               trials_per_point=1, master_seed=3)
+
     @pytest.mark.parametrize("key, value", [
         ("modes", ["baseline", "memoized"]), ("n_rr", 3)])
     def test_unknown_key_rejected(self, key, value):

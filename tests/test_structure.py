@@ -364,6 +364,30 @@ def test_channel_draws_take_a_numpy_integer(check):
     check(np.int64(3))
 
 
+@pytest.mark.parametrize("check", [
+    lambda seed: structural_pattern(bhv_code(), seed=seed),
+    lambda seed: verify_multi_block_premises(
+        bhv_code(), BlockOrthogonalProfile(2, 4, 1), seed=seed),
+    lambda seed: verify_cuwd_sum_structure(bhv_code(), seed=seed),
+    lambda seed: ordering_search(bhv_code(), seed=seed),
+], ids=["structural_pattern", "verify_multi_block_premises",
+        "verify_cuwd_sum_structure", "ordering_search"])
+@pytest.mark.parametrize("seed", ["a", -1, 2.0, True])
+def test_channel_draws_need_a_non_negative_integer_seed(check, seed):
+    # numpy's SeedSequence raised a stray TypeError for "a" and 2.0
+    with pytest.raises(ValueError,
+                       match=f"^seed = {re.escape(repr(seed))} must be an "
+                             "integer >= 0$"):
+        check(seed)
+
+
+@pytest.mark.parametrize("tol_rel", ["a", None, True])
+def test_pattern_tolerance_must_be_a_number(tol_rel):
+    # 0.0 <= "a" raised a stray TypeError; True read as a tolerance of 1
+    with pytest.raises(ValueError, match=f"^tol_rel = {tol_rel} must satisfy "):
+        structural_pattern(bhv_code(), tol_rel=tol_rel)
+
+
 @pytest.mark.parametrize("call, error, named", [
     (lambda: detect_profile(np.ones((2, 3), dtype=bool)),
      ValueError, "pattern must be square"),
