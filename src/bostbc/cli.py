@@ -138,7 +138,8 @@ def cmd_verify(args) -> int:
                              f"symbols, {args.code} has {code.k_real}")
     elif code.declared_profile:
         profile = BlockOrthogonalProfile(*code.declared_profile)
-    print(f"config: channels={args.channels} seed={args.seed}")
+    if profile is None and not args.construction_i:
+        raise ValueError("nothing to verify: give --profile or --construction-i")
     results = {}
     if args.construction_i:
         rep = structure.verify_cuwd_sum_structure(
@@ -152,8 +153,8 @@ def cmd_verify(args) -> int:
             "conditions": [c.to_json() for c in rep.conditions],
             "pass": rep.all_pass,
         }
-    if not results:
-        raise ValueError("nothing to verify: give --profile or --construction-i")
+    # after the checks, so input they refuse prints nothing
+    print(f"config: channels={args.channels} seed={args.seed}")
     lines = []
     for section, body in results.items():
         lines.append(f"[{section}] pass={body['pass']}")
@@ -239,10 +240,12 @@ def cmd_bounds(args) -> int:
 
 def cmd_simulate(args) -> int:
     with open(args.campaign) as f:
-        campaign = sim.SimulationCampaign.from_json(json.load(f))
+        campaign = sim.SimulationCampaign.from_json(
+            codes._json_text(f.read(), "campaign"))
     _check_out(args.out)
-    print(f"config: {json.dumps(campaign.to_json())}")
     result = sim.run_sweep(campaign)
+    # after the sweep, so a campaign it refuses prints nothing
+    print(f"config: {json.dumps(campaign.to_json())}")
     if not args.out:
         sys.stdout.write(sim.sweep_to_csv(result))
         return 0

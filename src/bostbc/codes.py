@@ -571,6 +571,15 @@ def code_to_json(code: LinearSTBC) -> dict:
     }
 
 
+def _json_text(text, noun):
+    """The value of JSON ``text``; text the parser refuses, nesting too deep
+    for it included, raises ``ValueError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{noun} JSON is nested too deeply to parse") from None
+
+
 def _json_object(data, noun, required, optional):
     """Refuse with ``ValueError`` a ``data`` that is not a JSON object holding
     every ``required`` key and no other key but ``optional`` ones."""
@@ -635,7 +644,7 @@ def code_from_json(data) -> LinearSTBC:
     """The code of a ``schemas/code.schema.json`` object (or its text) whose
     ``declared_profile`` may be left out; a bad key raises ``ValueError``."""
     if isinstance(data, str):
-        data = json.loads(data)
+        data = _json_text(data, "code")
     _json_object(data, "code", ("n_t", "t", "k_real", "labels", "weights"),
                  ("declared_profile",))
     weights, profile = data["weights"], data.get("declared_profile")
@@ -661,7 +670,7 @@ def save_code(code: LinearSTBC, path) -> None:
 
 def load_code(path) -> LinearSTBC:
     with open(path) as f:
-        return code_from_json(json.load(f))
+        return code_from_json(f.read())
 
 
 # ---------------------------------------------------------------------------

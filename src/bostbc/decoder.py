@@ -78,10 +78,12 @@ Counting conventions
       ``2 gamma + 5`` if the tail reaches the top symbol.
 
     Each ``r[c,c] * level`` is priced as one multiply where the walk reads
-    it, though :func:`prepare` forms it once per instance.  Two charges
-    count an add the walk does not do, and every pinned counter keeps them:
-    a joint tail's bottom row (``met = res * res``) and a single-block
-    profile's first leading sub-block (``tl = res * res`` or ``tl = bst``).
+    it, though :func:`prepare` forms it once per instance.  The walk starts
+    from the empty prefix's zero partial metric, so the top conditioned
+    level and a single-block profile's first leading sub-block do the add
+    they are charged.  One charge counts an add the walk does not do, and
+    every pinned counter keeps it: a joint tail's bottom row
+    (``met = res * res``), where a real add would run once per joint tail.
 ``cache_entries_peak``
     Largest number of metric values held at any time; bounded by
     ``(Gamma - 1)(k - 1) M (M^gamma - 1) / (M - 1)``.
@@ -99,6 +101,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -146,7 +149,8 @@ class PamConstellation:
 
     The default scale makes a complex symbol (two PAM reals) average unit
     energy, i.e. ``scale = sqrt(3 / (2 (M^2 - 1)))``.  Pass ``scale=1.0``
-    for plain integer levels.
+    for plain integer levels.  A ``scale`` that is not a finite nonzero
+    real number (``bool`` included) raises ``ValueError``.
     """
 
     m: int
@@ -159,7 +163,12 @@ class PamConstellation:
         m = int(m)
         if scale is None:
             scale = math.sqrt(3.0 / (2.0 * (m * m - 1)))
-        scale = float(scale)
+        if type(scale) is bool or not isinstance(scale, numbers.Real):
+            raise ValueError(f"scale = {scale!r} must be a real number")
+        try:
+            scale = float(scale)
+        except OverflowError:  # an int past the float range
+            scale = math.inf
         if not math.isfinite(scale) or scale == 0.0:
             raise ValueError(f"scale = {scale!r} must be finite and nonzero")
         levels = tuple(scale * (2 * i - m + 1) for i in range(m))
@@ -326,6 +335,7 @@ _WALK_GLOBALS = {
     "ceil": math.ceil,
     "DecoderStats": DecoderStats,
     "_HALF": 0.5,
+    "_ZERO": 0.0,
     "_ORDER_MARGIN": _ORDER_MARGIN,
 }
 
@@ -340,13 +350,15 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
     nested in the loop of the level above, and each row offset a local;
     names carry the row and column they stand for: ``a5`` is the index of
     symbol 5, ``x5`` its level, ``o2_5`` row 2's offset once the symbols
-    from column 5 on are cancelled (``y2`` before any), ``r2_5`` and
-    ``iv5`` entries of R and ``1 / r[5,5]``, ``dl5`` the products
-    ``r[5,5] * level`` (``dl5_0``, ... on a conditioned level), ``tot5``
-    the partial metric after symbol 5, ``n5`` and ``mis5`` its accepted
-    candidates and uncached entries.  The candidate orders and a leading
-    sub-block's joint tails are the walk's globals ``ORDERS`` and
-    ``TAILS``."""
+    from column 5 on are cancelled, ``r2_5`` and ``iv5`` entries of R and
+    ``1 / r[5,5]``, ``dl5`` the products ``r[5,5] * level`` (``dl5_0``,
+    ... on a conditioned level), ``tot5`` the partial metric after symbol
+    5, ``n5`` and ``mis5`` its accepted candidates and uncached entries.
+    The prologue binds the empty prefix, K being the symbol count:
+    ``o2_K`` is ``y'[2]`` and ``totK`` a zero, so every level and the
+    leading block add to a partial metric and cancel from an offset.  The
+    candidate orders and a leading sub-block's joint tails are the walk's
+    globals ``ORDERS`` and ``TAILS``."""
     k_total, blk, gam = profile.total, profile.block_size, profile.gamma
     conditioned = range(k_total - 1, blk - 1, -1)  # in walk order
     chunks = [conditioned[i:i + _LEVELS_PER_FUNCTION]
@@ -356,9 +368,6 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
 
     def emit(depth, *text):
         lines.extend("    " * depth + line for line in text)
-
-    def off(i, c):
-        return f"y{i}" if c == k_total else f"o{i}_{c}"
 
     def sub_end(c):
         # the last column of c's sub-block
@@ -383,8 +392,8 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
 
     def lead_offset(i):
         if not chunks:
-            return f"y{i}"
-        return f"{off(i, blk + 1)} - r{i}_{blk} * x{blk}"
+            return f"o{i}_{blk}"
+        return f"o{i}_{blk + 1} - r{i}_{blk} * x{blk}"
 
     def slice_top(depth, lo, sym):
         # the nearest level, the lower index at a midpoint, clamped
@@ -393,19 +402,18 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
              "elif pos > clamp:", f"    {sym} = {m - 1}",
              "else:", f"    {sym} = ceil(pos - half)")
 
-    def leading(depth, partial):
+    def leading(depth):
         # each sub-block's minimum is added to the partial metric; an early
         # exit moves on to the last conditioned level's next candidate
         subs = range(0, blk, gam)
         for lo in subs:
-            acc = partial if lo == 0 else "tl"
-            prefix = f"{acc} + " if acc else ""
+            acc = f"tot{blk}" if lo == 0 else "tl"
             last = lo == subs[-1]
             if gam == 1:
                 emit(depth, f"t = {lead_offset(lo)}")
                 slice_top(depth, lo, f"a{lo}")
                 emit(depth, f"res = t - dl{lo}[a{lo}]",
-                     f"tl = {prefix}res * res")
+                     f"tl = {acc} + res * res")
                 if lead_prune and not last:
                     emit(depth, "if tl > best:", f"    nodes += {lo + 1}",
                          f"    flops += {7 * (lo + 1)}", "    continue")
@@ -446,7 +454,7 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
                  "    bst = met", "    ba = a",
                  *(f"    b{w} = {w}" for w in ws))
             emit(depth, f"nodes += {m ** (gam - 1)}", "flops += 1",
-                 f"tl = {prefix}bst", f"a{lo} = ba",
+                 f"tl = {acc} + bst", f"a{lo} = ba",
                  *(f"a{lo + j} = bw{j}" for j in range(1, gam)))
             if lead_prune and not last:
                 emit(depth, "if tl > best:", "    continue")
@@ -486,7 +494,7 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
         # d = t - r[c,c] * levels[a]
         terms = "".join(f" - r{c}_{cc} * x{cc}"
                         for cc in range(c + 1, end + 1))
-        emit(d, f"t = {off(c, src)}{terms}",
+        emit(d, f"t = o{c}_{src}{terms}",
              *(f"d{a} = t - dl{c}_{a}" for a in range(m)),
              f"inc{c} = ({', '.join(f'd{a} * d{a}' for a in range(m))},)",
              f"g = t * iv{c} * pos_scale + pos_shift",
@@ -513,8 +521,7 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
                 emit(depth, f"    h{c} = True")
         emit(depth, f"for a{c} in ord{c}:")
         d = depth + 1
-        partial = f"tot{c + 1} + " if c + 1 < k_total else ""
-        emit(d, f"tot{c} = {partial}inc{c}[a{c}]")
+        emit(d, f"tot{c} = tot{c + 1} + inc{c}[a{c}]")
         if prune:
             # increments are in order; later candidates only grow
             emit(d, f"if tot{c} > best:", "    flops += 1", "    break")
@@ -523,10 +530,10 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
             emit(d, f'trace_append({{"level": {c}, "partial_metric": '
                     f'tot{c}, "symbol_index": a{c}, "cache_hit": {hit}}})')
         if c == blk:
-            leading(d, f"tot{c}")
+            leading(d)
         else:
             # cancel the symbol from the rows above its block
-            emit(d, *(f"o{i}_{c} = {off(i, c + 1)} - r{i}_{c} * x{c}"
+            emit(d, *(f"o{i}_{c} = o{i}_{c + 1} - r{i}_{c} * x{c}"
                       for i in range(start)))
             if pos + 1 < len(chunks[ci]):
                 level(ci, pos + 1, d)
@@ -546,7 +553,9 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
     emit(1, "lev = inst.cons.levels", "lev0 = lev[0]",
          "spacing = lev[1] - lev0", "inv_spacing = 1 / spacing",
          "half = _HALF", f"clamp = {m - 1} - half",
-         f"[{', '.join(f'y{i}' for i in range(k_total))}] = inst.y",
+         # the empty prefix: no symbol cancelled, a zero partial metric
+         f"[{', '.join(f'o{i}_{k_total}' for i in range(k_total))}] = inst.y",
+         f"tot{k_total} = _ZERO",
          f"[{', '.join(f'iv{i}' for i in range(k_total))}] = inst.inv_diag",
          "dls = inst.diag_levels", "rows = inst.rows")
     if chunks:
@@ -582,7 +591,7 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
     if chunks:
         body(0, 1)
     else:
-        leading(1, None)
+        leading(1)
     em = " + ".join(f"mis{c}" for c in conditioned) or "0"
     nodes = "".join(f" + n{c}" for c in conditioned)
     flops = ""

@@ -25,7 +25,8 @@ from dataclasses import MISSING, astuple, dataclass, fields
 import numpy as np
 
 from . import codes as _codes
-from .codes import _json_array, _json_integer, _json_number, _json_object
+from .codes import (_is_integer, _json_array, _json_integer, _json_number,
+                    _json_object)
 from .decoder import DecoderStats, PamConstellation, prepare, sphere_decode
 from .linalg import gram_schmidt_qr
 from .structure import (
@@ -180,20 +181,42 @@ def resolve_profile(code, *, n_r=None) -> BlockOrthogonalProfile:
     return report.profile
 
 
+def _trial_seed(seed):
+    """``seed`` if it pins a trial's draws: a ``SeedSequence``, an integer
+    >= 0 (numpy integers too, ``bool`` not) or a list or tuple of them;
+    anything else, ``None`` included, raises ``ValueError``."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    entropy = seed if type(seed) in (list, tuple) else (seed,)
+    if not all(_is_integer(e) and e >= 0 for e in entropy):
+        raise ValueError(f"seed = {seed!r} must be a SeedSequence, an integer "
+                         ">= 0 or a list of them")
+    return seed
+
+
 def run_trial(code, cons: PamConstellation, snr_db: float, seed,
               profile: BlockOrthogonalProfile, n_r: int | None = None,
               trace=None) -> TrialResult:
     """One paired trial: identical channel/codeword/noise for both decoders.
 
     Draw order is fixed (channel, then symbols, then noise) so a seed pins
-    the whole instance bit-for-bit.  ``(R, y')`` is set up once, with
+    the whole instance bit-for-bit; a seed that cannot (``None``, a float,
+    a ``bool``) raises ``ValueError``.  ``(R, y')`` is set up once, with
     :func:`decoder.prepare`, and both decodes share it.  ``trace``, when
     given, collects the memoized decoder's per-node records.
+
+    The benchmark's tracer (``perfbench/tracer.py``) reads these call
+    shapes, so keep them: ``seed`` is the fourth positional argument; each
+    decode is ``sphere_decode(r, y', cons, profile, memoize=...,
+    prepared=...)``; and :func:`snr_to_noise_variance` and
+    :func:`structure.equivalent_channel` each read ``generator_matrix``
+    once a trial, the latter beside its ``linalg.kron``, as
+    ``perfbench/tests/test_smoke.py`` pins.
     """
     n_r = _receive_antennas(n_r, code.n_t)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(_trial_seed(seed)))
     h = random_channel(n_r, code.n_t, rng)
-    sym_idx = rng.integers(0, cons.m, size=code.k_real)
+    sym_idx = rng.integers(cons.m, size=code.k_real)
     x = np.asarray(cons.levels, dtype=float)[sym_idx]
     n0 = snr_to_noise_variance(snr_db, code, cons)
     # the real, then the imaginary noise parts, drawn as one array and
@@ -223,13 +246,16 @@ def run_sweep(campaign: SimulationCampaign) -> SweepResult:
     result is identical however the work is scheduled.  A trial whose
     baseline and memoized decoders disagree breaks the decoder's invariant
     and raises ``AssertionError`` naming its
-    ``(master_seed, snr_index, trial_index)``.
+    ``(master_seed, snr_index, trial_index)``.  Every point's noise variance
+    is checked before the first trial, so a bad SNR fails before any work.
     """
     code = _codes.named_code(campaign.code)
     if campaign.ordering is not None:
         code = _codes.reorder(code, campaign.ordering)
     cons = PamConstellation(campaign.m)
     profile = resolve_profile(code, n_r=campaign.n_r)
+    for snr_db in campaign.snr_grid_db:
+        snr_to_noise_variance(snr_db, code, cons)
     rows = []
     for si, snr_db in enumerate(campaign.snr_grid_db):
         em_b = em_m = flops_b = flops_m = 0

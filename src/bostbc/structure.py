@@ -142,7 +142,11 @@ class StructureReport:
 
 def random_channel(n_r: int, n_t: int, rng) -> np.ndarray:
     """i.i.d. unit-variance complex Gaussian channel draw: ``n_r * n_t``
-    real parts, then as many imaginary parts, from one call."""
+    real parts, then as many imaginary parts, from one call.  Antenna counts
+    that are not integers >= 1 (``bool`` included) raise ``ValueError``."""
+    if not (_codes._is_integer(n_r) and _codes._is_integer(n_t)
+            and min(n_r, n_t) >= 1):
+        raise ValueError(f"n_r, n_t = {n_r!r}, {n_t!r} must be integers >= 1")
     re, im = rng.standard_normal((2, n_r, n_t))
     return (re + 1j * im) / math.sqrt(2.0)
 

@@ -335,6 +335,14 @@ class TestVerify:
         else:
             assert out.count("pass=False") == 1
 
+    def test_check_refusal_prints_no_config(self, capsys):
+        # alamouti has K = 4, not a construction-I size; the config line
+        # used to print before the error
+        rc, out, err = run_cli(capsys, "verify", "alamouti", "--construction-i")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: construction-I codes have K = ")
+
     def test_nothing_to_verify(self, capsys):
         rc, _, err = run_cli(capsys, "verify", "alamouti")
         assert rc == 2
@@ -628,6 +636,37 @@ class TestSimulate:
         assert rc == 2
         assert err == f"error: snr_grid_db[2] = {shown} must be finite\n"
         assert out == ""
+
+    @pytest.mark.parametrize("change, named", [
+        ({"code": "nosuch"}, "unknown code 'nosuch'"),
+        ({"code": "alamouti"}, "code has no block-orthogonal structure"),
+        ({"snr_grid_db": [10, 4000]}, "snr_db = 4000.0 gives no finite"),
+    ])
+    def test_sweep_refusal_prints_no_config(self, tmp_path, capsys,
+                                            monkeypatch, change, named):
+        # the config line used to print before these errors; a bad SNR
+        # anywhere in the grid fails before the first trial
+        monkeypatch.setattr(sim, "run_trial",
+                            lambda *args, **kwargs: pytest.fail("ran a trial"))
+        campaign = {"code": "bhv", "m": 2, "snr_grid_db": [10.0],
+                    "trials_per_point": 1, "master_seed": 4} | change
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(campaign))
+        rc, out, err = run_cli(capsys, "simulate", str(cfg))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"error: {named}")
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_deeply_nested_file_exits_2(self, tmp_path, capsys, command):
+        # the parser's RecursionError used to exit 1 as an internal error
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        rc, out, err = run_cli(capsys, command, str(path))
+        noun = "code" if command == "analyze" else "campaign"
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {noun} JSON is nested too deeply to parse\n"
 
     def test_foreign_rng_exits_2(self, tmp_path, capsys):
         campaign = {

@@ -882,6 +882,16 @@ class TestSerialization:
                            match=rf"^missing code key\(s\) \['{key}'\]$"):
             code_from_json(data)
 
+    def test_deeply_nested_text_rejected(self, tmp_path):
+        # the parser's RecursionError used to escape both readers
+        deep = "[" * 100_000 + "]" * 100_000
+        path = tmp_path / "deep.json"
+        path.write_text(deep)
+        for read, arg in ((code_from_json, deep), (load_code, path)):
+            with pytest.raises(ValueError, match="^code JSON is nested too "
+                                                 "deeply to parse$"):
+                read(arg)
+
     def test_unknown_key_rejected(self):
         # the code schema has additionalProperties: false
         with pytest.raises(ValueError,

@@ -99,6 +99,13 @@ class TestPamConstellation:
         with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
             PamConstellation(m, scale)
 
+    @pytest.mark.parametrize("scale", [[1], "1", True, 1j])
+    def test_rejects_scale_that_is_not_a_real_number(self, scale):
+        # each used to raise TypeError from float(), or pass as 1.0
+        with pytest.raises(ValueError, match=r"^scale = .* must be a real "
+                                             r"number$"):
+            PamConstellation(2, scale=scale)
+
     def test_numpy_integer_size(self):
         cons = PamConstellation(np.int64(4))
         assert type(cons.m) is int
@@ -798,6 +805,35 @@ class TestGeneratedWalk:
             assert not any(entry.search(line.partition(" = ")[0])
                            for line in walk.splitlines() if " = " in line)
             assert set(entry.findall(walk)) == set(bound), (prof, m, flags)
+
+    def test_walk_starts_from_the_empty_prefix(self):
+        # the prologue binds the empty prefix, so every conditioned level
+        # adds to the partial metric above it, a single-block walk's leading
+        # block adds to the zero, and no level special-cases the tree's top
+        layouts = {(prof or BlockOrthogonalProfile(np.size(y), 1, 1), cons.m)
+                   for group in TestWalkDigest.EXPECTED
+                   for _, y, cons, prof in _digest_corpus(group)}
+        assert any(prof.gamma_blocks == 1 for prof, _ in layouts)
+        tot = re.compile(r" tot(\d+) = (.*)")
+        for (prof, m), flags in itertools.product(
+                layouts, itertools.product((False, True), repeat=3)):
+            source = _walk_source(prof, m, *flags)
+            k = prof.total
+            prologue, _, walk = source.partition("\n    best = inf\n")
+            offsets = ", ".join(f"o{i}_{k}" for i in range(k))
+            assert f"    [{offsets}] = inst.y\n" in prologue, (prof, m, flags)
+            assert f"    tot{k} = _ZERO\n" in prologue, (prof, m, flags)
+            assert not re.search(r"\by\d+\b", source), (prof, m, flags)
+            levels = [tot.search(line).groups() for line in walk.splitlines()
+                      if tot.search(line)]
+            assert len(levels) == k - prof.block_size, (prof, m, flags)
+            for c, value in levels:
+                assert value.startswith(f"tot{int(c) + 1} + "), (prof, m, flags)
+            if prof.gamma_blocks == 1:
+                first = next(line for line in walk.splitlines()
+                             if line.lstrip().startswith("tl = "))
+                assert first.lstrip().startswith(f"tl = tot{k} + "), (
+                    prof, m, flags)
 
 
 class TestCounterFingerprint:

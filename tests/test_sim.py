@@ -125,6 +125,27 @@ class TestRunTrial:
                     == run_trial(code, cons, 6.0, np.random.SeedSequence(seed),
                                  profile))
 
+    def test_seed_forms_that_pin_the_trial(self):
+        # numpy integers and tuples pin the draws as ints and lists do
+        code = codes.named_code("bhv")
+        cons = PamConstellation(2)
+        profile = BlockOrthogonalProfile(*code.declared_profile)
+        for seed, same in ((np.int64(7), 7), ((123, np.uint8(1), 4),
+                                              [123, 1, 4])):
+            assert (run_trial(code, cons, 6.0, seed, profile)
+                    == run_trial(code, cons, 6.0, same, profile))
+
+    @pytest.mark.parametrize("seed", [None, True, -1, "abc", 1.5, [1.5],
+                                      [7, -1], [True], np.random.PCG64(7)])
+    def test_seed_that_cannot_pin_the_trial_rejected(self, seed):
+        # None drew fresh OS entropy, True and [True] ran as 1 and [1], the
+        # rest raised numpy's TypeError or ValueError
+        code = codes.named_code("bhv")
+        profile = BlockOrthogonalProfile(*code.declared_profile)
+        with pytest.raises(ValueError, match="^seed = .* must be a "
+                                             "SeedSequence, an integer >= 0"):
+            run_trial(code, PamConstellation(2), 6.0, seed, profile)
+
     @pytest.mark.parametrize("name, m, n_r", [("bhv", 2, None),
                                               ("ci-a2", 4, None),
                                               ("golden", 8, 3)])
@@ -472,6 +493,15 @@ class TestRunSweep:
                 assert kwargs["memoize"] is memoize
                 assert args[0] is inst.r and args[1] is inst.y_prime
                 assert args[3] == inst.profile
+
+    def test_bad_snr_fails_before_the_first_trial(self, monkeypatch):
+        # the 4000 dB point used to fail only after every 10 dB trial ran
+        monkeypatch.setattr(sim, "run_trial",
+                            lambda *args, **kwargs: pytest.fail("ran a trial"))
+        camp = SimulationCampaign(code="bhv", m=2, snr_grid_db=(10, 4000),
+                                  trials_per_point=3, master_seed=5)
+        with pytest.raises(ValueError, match="^snr_db = 4000.0 gives no "):
+            run_sweep(camp)
 
     def test_unstructured_code_rejected(self):
         camp = SimulationCampaign(code="golden", m=2, snr_grid_db=(6.0,),

@@ -91,6 +91,15 @@ class TestEquivalentChannel:
                 f"channel must be an n_r x 2 matrix, got shape {shape}")):
             equivalent_channel(golden_code(), np.ones(shape, dtype=complex))
 
+    @pytest.mark.parametrize("n_r, n_t", [(2.5, 2), (2, "2"), (True, 2),
+                                          (0, 2), (2, -1)])
+    def test_random_channel_refuses_bad_antenna_counts(self, rng, n_r, n_t):
+        # a float or string used to raise numpy's TypeError, and a bool
+        # or zero drew a one-antenna or empty channel
+        with pytest.raises(ValueError, match=r"^n_r, n_t = .* must be "
+                                             r"integers >= 1$"):
+            random_channel(n_r, n_t, rng)
+
 
 class TestPatterns:
     def test_alamouti_diagonal(self, rng):
