@@ -57,19 +57,14 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-#: ``--channels`` ceiling: a check holds every sampled R at once, about
-#: 16 KB a channel on ci-a2.
-_MAX_CHANNELS = 10_000
-
-
 def _channel_count(text: str) -> int:
-    """``--channels``: an integer from 1 to ``_MAX_CHANNELS``, checked before
-    any output."""
+    """``--channels``: an integer from 1 to ``structure._MAX_CHANNELS``,
+    checked before any output."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    if int(text) > _MAX_CHANNELS:
+    if int(text) > structure._MAX_CHANNELS:
         raise argparse.ArgumentTypeError(
-            f"must be at most {_MAX_CHANNELS}, got {text!r}")
+            f"must be at most {structure._MAX_CHANNELS}, got {text!r}")
     return int(text)
 
 

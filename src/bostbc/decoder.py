@@ -27,9 +27,10 @@ increasing order of metric increment (Schnorr-Euchner), pruning once the
 partial metric passes the best leaf found.  That order is read from a per-M
 table of zig-zag orders (:func:`_zigzag_orders`), or the increments are
 sorted where float rounding or underflow could decide it, so exact ties still
-take the lower index.  Each accepted symbol's interference is cancelled from
-the rows above its block, one local per row, so every row's conditioned
-offset is ready when the row is reached.  The increments inside a conditioned
+take the lower index.  Every accepted symbol, the last conditioned one
+included, is cancelled at once from all the rows above its block, one local
+per row, as the FLOP count charges it, so every row's conditioned offset is
+ready when the row is reached.  The increments inside a conditioned
 sub-block depend only on the symbols of the blocks above, so the memoized
 walk caches them with their order and replays both; a level's table lives for
 one visit of its block, from the walk entering the block's last column to
@@ -42,10 +43,10 @@ the leading block is fast-decodable: its sub-blocks share no columns, so
 each is minimized independently (its last undecided symbol is sliced to the
 nearest level) and the minima are summed.  The walk solves it, unrolled
 sub-block by sub-block, once per accepted candidate of the last conditioned
-level, and a single-block profile once with no conditioning.  A gamma = 1
-sub-block is sliced directly; a larger one enumerates the M^(gamma - 1)
-joint values of its trailing gamma - 1 symbols in lexicographic order and
-slices its top symbol given each.
+level, reading the offsets that level wrote, and a single-block profile
+once, reading ``y'``.  A gamma = 1 sub-block is sliced directly; a larger
+one enumerates the M^(gamma - 1) joint values of its trailing gamma - 1
+symbols in lexicographic order and slices its top symbol given each.
 
 A code without block-orthogonal structure is the trivial profile
 ``(K, 1, 1)``: every symbol is its own block, the walk is plain
@@ -69,7 +70,9 @@ Counting conventions
       and three per candidate increment;
     - ``1 + 2 s`` per accepted candidate of a block starting at column
       ``s``: its partial-metric add and its cancellation from the ``s``
-      rows above its block;
+      rows above its block, all done before the level below is entered (the
+      leading block, for the last conditioned level), so an early exit
+      skips none of them;
     - 1 per pruning break, the add that formed the pruned partial metric;
     - 7 per gamma = 1 leading sub-block solved before a leaf or early exit;
     - per gamma > 1 leading sub-block, 1 for adding its minimum, and per
@@ -81,8 +84,8 @@ Counting conventions
     it, though :func:`prepare` forms it once per instance.  The walk starts
     from the empty prefix's zero partial metric, so the top conditioned
     level and a single-block profile's first leading sub-block do the add
-    they are charged.  One charge counts an add the walk does not do, and
-    every pinned counter keeps it: a joint tail's bottom row
+    they are charged.  Every charge is work the walk does but one, an add
+    that every pinned counter keeps: a joint tail's bottom row
     (``met = res * res``), where a real add would run once per joint tail.
 ``cache_entries_peak``
     Largest number of metric values held at any time; bounded by
@@ -150,7 +153,9 @@ class PamConstellation:
     The default scale makes a complex symbol (two PAM reals) average unit
     energy, i.e. ``scale = sqrt(3 / (2 (M^2 - 1)))``.  Pass ``scale=1.0``
     for plain integer levels.  A ``scale`` that is not a finite nonzero
-    real number (``bool`` included) raises ``ValueError``.
+    real number (``bool`` included) raises ``ValueError``, and so does one
+    whose levels overflow or whose energy per symbol over- or underflows
+    (a zero energy would make every trial noise-free).
     """
 
     m: int
@@ -175,6 +180,9 @@ class PamConstellation:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "levels", levels)
+        if not 0.0 < self.energy_per_symbol < math.inf:
+            raise ValueError(f"scale = {scale!r} puts a level or the energy "
+                             "per symbol out of float range")
 
     @property
     def energy_per_symbol(self) -> float:
@@ -390,14 +398,9 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
                 names.append(memo(c))
         return names
 
-    def lead_offset(i):
-        if not chunks:
-            return f"o{i}_{blk}"
-        return f"o{i}_{blk + 1} - r{i}_{blk} * x{blk}"
-
-    def slice_top(depth, lo, sym):
-        # the nearest level, the lower index at a midpoint, clamped
-        emit(depth, f"pos = (t * iv{lo} - lev0) * inv_spacing",
+    def slice_top(depth, lo, off, sym):
+        # the level nearest off / r[lo,lo], lower index at a midpoint, clamped
+        emit(depth, f"pos = ({off} * iv{lo} - lev0) * inv_spacing",
              "if pos <= half:", f"    {sym} = 0",
              "elif pos > clamp:", f"    {sym} = {m - 1}",
              "else:", f"    {sym} = ceil(pos - half)")
@@ -410,16 +413,13 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
             acc = f"tot{blk}" if lo == 0 else "tl"
             last = lo == subs[-1]
             if gam == 1:
-                emit(depth, f"t = {lead_offset(lo)}")
-                slice_top(depth, lo, f"a{lo}")
-                emit(depth, f"res = t - dl{lo}[a{lo}]",
+                slice_top(depth, lo, f"o{lo}_{blk}", f"a{lo}")
+                emit(depth, f"res = o{lo}_{blk} - dl{lo}[a{lo}]",
                      f"tl = {acc} + res * res")
                 if lead_prune and not last:
                     emit(depth, "if tl > best:", f"    nodes += {lo + 1}",
                          f"    flops += {7 * (lo + 1)}", "    continue")
                 continue
-            emit(depth, *(f"u{i} = {lead_offset(i)}"
-                           for i in range(lo, lo + gam)))
             if lead_prune:
                 emit(depth, f"budget = best - {acc}")
             # the trailing gamma - 1 symbols jointly, their rows bottom
@@ -435,7 +435,7 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
                                 for jj in range(j + 1, gam))
                 cost += 2 * (gam - 1 - j) + 4
                 emit(d, f"v{j} = lev[w{j}]",
-                     f"res = u{row}{terms} - dl{row}[w{j}]",
+                     f"res = o{row}_{blk}{terms} - dl{row}[w{j}]",
                      "met = res * res" if j == gam - 1
                      else "met = met + res * res")
                 if lead_prune:
@@ -444,8 +444,8 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
                     emit(d, "if met > budget and met > bst:",
                          f"    flops += {cost}", "    continue")
             terms = "".join(f" - r{lo}_{lo + j} * v{j}" for j in range(1, gam))
-            emit(d, f"t = u{lo}{terms}")
-            slice_top(d, lo, "a")
+            emit(d, f"t = o{lo}_{blk}{terms}")
+            slice_top(d, lo, "t", "a")
             emit(d, f"res = t - dl{lo}[a]", "met = met + res * res",
                  f"flops += {cost + 2 * gam + 5}",
                  # tails arrive in lexicographic order, so a tie is smaller
@@ -529,16 +529,15 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
         if traced:
             emit(d, f'trace_append({{"level": {c}, "partial_metric": '
                     f'tot{c}, "symbol_index": a{c}, "cache_hit": {hit}}})')
+        # cancel the symbol from the rows above its block
+        emit(d, *(f"o{i}_{c} = o{i}_{c + 1} - r{i}_{c} * x{c}"
+                  for i in range(start)))
         if c == blk:
             leading(d)
+        elif pos + 1 < len(chunks[ci]):
+            level(ci, pos + 1, d)
         else:
-            # cancel the symbol from the rows above its block
-            emit(d, *(f"o{i}_{c} = o{i}_{c + 1} - r{i}_{c} * x{c}"
-                      for i in range(start)))
-            if pos + 1 < len(chunks[ci]):
-                level(ci, pos + 1, d)
-            else:
-                emit(d, f"walk{ci + 1}()")
+            emit(d, f"walk{ci + 1}()")
         if opens:
             emit(depth, f"size = size{c}")
 

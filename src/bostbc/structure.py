@@ -162,17 +162,26 @@ def _receive_antennas(n_r, n_t=None):
     return int(n_r)
 
 
+#: Channel-count ceiling of every structural check: one holds every sampled
+#: R at once, about 16 KB a channel on ci-a2.
+_MAX_CHANNELS = 10_000
+
+
 def _sampled_r(code, n_channels: int, seed: int,
                n_r: int | None = None) -> np.ndarray:
     """The ``(n_channels, K, K)`` stack of R every structural check reads:
     the equivalent channels of ``n_channels`` seeded channel draws (``n_t``
     receive antennas unless ``n_r`` is given), factored by one
     ``gram_schmidt_qr`` call.  On Gaussian draws rank deficiency is a
-    property of the code, so its ``RankDeficient`` hits every draw."""
+    property of the code, so its ``RankDeficient`` hits every draw.  A
+    count above ``_MAX_CHANNELS`` raises ``ValueError`` before any draw."""
     if not _codes._is_integer(n_channels):
         raise ValueError(f"n_channels = {n_channels!r} must be an integer")
     if n_channels < 1:
         raise ValueError("n_channels must be >= 1")
+    if n_channels > _MAX_CHANNELS:
+        raise ValueError(f"n_channels = {n_channels} must be at most "
+                         f"{_MAX_CHANNELS}")
     if not _codes._is_integer(seed) or seed < 0:
         raise ValueError(f"seed = {seed!r} must be an integer >= 0")
     n_r = _receive_antennas(n_r, code.n_t)

@@ -1,5 +1,6 @@
 """Command-line interface tests (exit codes, formats, grid output)."""
 
+import argparse
 import importlib
 import json
 from pathlib import Path
@@ -393,6 +394,15 @@ def test_channels_above_the_ceiling_exit_2(capsys, argv, channels):
     assert out.out == ""  # rejected before the config line
     assert (f"argument --channels: must be at most 10000, got '{channels}'"
             in out.err)
+
+
+def test_channels_ceiling_is_the_structural_checks(monkeypatch):
+    # one ceiling: the flag refuses what the checks it feeds would refuse
+    monkeypatch.setattr("bostbc.structure._MAX_CHANNELS", 5)
+    assert cli._channel_count("5") == 5
+    with pytest.raises(argparse.ArgumentTypeError,
+                       match="^must be at most 5, got '6'$"):
+        cli._channel_count("6")
 
 
 @pytest.mark.parametrize("argv", [("analyze", "bhv"), ("verify", "bhv")])

@@ -99,6 +99,20 @@ class TestPamConstellation:
         with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
             PamConstellation(m, scale)
 
+    @pytest.mark.parametrize("m, scale", [
+        (8, 1e308),  # levels[0] = -inf
+        (8, 1e154),  # finite levels, an infinite energy
+        (2, 1e-170),  # the energy underflows to 0.0: every trial noise-free
+        (2, -1e-170),
+    ])
+    def test_rejects_scale_out_of_float_range(self, m, scale):
+        # each used to pass: an infinite level failed every trial as an SNR
+        # error, a zero energy made every noise variance 0.0
+        with pytest.raises(ValueError, match=f"^scale = {re.escape(repr(scale))}"
+                                             " puts a level or the energy per "
+                                             "symbol out of float range$"):
+            PamConstellation(m, scale)
+
     @pytest.mark.parametrize("scale", [[1], "1", True, 1j])
     def test_rejects_scale_that_is_not_a_real_number(self, scale):
         # each used to raise TypeError from float(), or pass as 1.0
@@ -805,6 +819,35 @@ class TestGeneratedWalk:
             assert not any(entry.search(line.partition(" = ")[0])
                            for line in walk.splitlines() if " = " in line)
             assert set(entry.findall(walk)) == set(bound), (prof, m, flags)
+
+    def test_every_conditioned_level_cancels_alike(self):
+        # the last conditioned level, like every other, cancels its symbol
+        # from all the rows above its block, as the FLOP count charges it,
+        # and the leading block reads only the offsets that level writes (a
+        # single-block walk's are the empty prefix's)
+        layouts = {(prof or BlockOrthogonalProfile(np.size(y), 1, 1), cons.m)
+                   for group in TestWalkDigest.EXPECTED
+                   for _, y, cons, prof in _digest_corpus(group)}
+        assert any(prof.gamma_blocks == 1 for prof, _ in layouts)
+        assert any(prof.gamma > 1 for prof, _ in layouts)
+        assigns = re.compile(r" *o\d+_\d+ = ")
+        offset = re.compile(r"\bo(\d+)_(\d+)\b")
+        for (prof, m), flags in itertools.product(
+                layouts, itertools.product((False, True), repeat=3)):
+            source = _walk_source(prof, m, *flags)
+            blk = prof.block_size
+            assert not re.search(r"\bu\d+\b", source), (prof, m, flags)
+            if prof.gamma_blocks > 1:
+                for i in range(blk):
+                    cancel = f"o{i}_{blk + 1} - r{i}_{blk} * x{blk}"
+                    assert [line.strip() for line in source.splitlines()
+                            if cancel in line] == [f"o{i}_{blk} = {cancel}"]
+            walk = source.partition("\n    best = inf\n")[2].splitlines()
+            last = max((n for n, line in enumerate(walk)
+                        if assigns.match(line)), default=-1)
+            reads = {(int(i), int(col)) for line in walk[last + 1:]
+                     for i, col in offset.findall(line)}
+            assert reads == {(i, blk) for i in range(blk)}, (prof, m, flags)
 
     def test_walk_starts_from_the_empty_prefix(self):
         # the prologue binds the empty prefix, so every conditioned level

@@ -373,6 +373,19 @@ def test_channel_draws_take_a_numpy_integer(check):
     check(np.int64(3))
 
 
+@CHANNEL_CHECKS
+def test_channel_draws_have_a_ceiling(monkeypatch, check):
+    # every sampled R is held at once, so memory grew with any count; the
+    # CLI's --channels ceiling now holds for every caller, before any draw
+    def no_draw(*args):
+        raise AssertionError("a channel was drawn")
+
+    monkeypatch.setattr("bostbc.structure.random_channel", no_draw)
+    with pytest.raises(ValueError,
+                       match="^n_channels = 10001 must be at most 10000$"):
+        check(10_001)
+
+
 @pytest.mark.parametrize("check", [
     lambda seed: structural_pattern(bhv_code(), seed=seed),
     lambda seed: verify_multi_block_premises(
