@@ -81,10 +81,13 @@ Counting conventions
       ``2 gamma + 5`` if the tail reaches the top symbol.
 
     Each ``r[c,c] * level`` is priced as one multiply where the walk reads
-    it, though :func:`prepare` forms it once per instance.  The walk starts
-    from the empty prefix's zero partial metric, so the top conditioned
-    level and a single-block profile's first leading sub-block do the add
-    they are charged.  Every charge is work the walk does but one, an add
+    it, though :func:`prepare` forms it once per instance.  A leading
+    sub-block's fixed charge (7, or the 1 for adding its minimum) is not
+    added as the walk goes: each solve adds a fixed node count, so the
+    walk prices the leading block from its nodes when it returns.  The
+    walk starts from the empty prefix's zero partial metric, so the top
+    conditioned level and a single-block profile's first leading sub-block
+    do the add they are charged.  Every charge is work the walk does but one, an add
     that every pinned counter keeps: a joint tail's bottom row
     (``met = res * res``), where a real add would run once per joint tail.
 ``cache_entries_peak``
@@ -418,7 +421,7 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
                      f"tl = {acc} + res * res")
                 if lead_prune and not last:
                     emit(depth, "if tl > best:", f"    nodes += {lo + 1}",
-                         f"    flops += {7 * (lo + 1)}", "    continue")
+                         "    continue")
                 continue
             if lead_prune:
                 emit(depth, f"budget = best - {acc}")
@@ -453,13 +456,13 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
                  "if met < bst or (met == bst and a < ba):",
                  "    bst = met", "    ba = a",
                  *(f"    b{w} = {w}" for w in ws))
-            emit(depth, f"nodes += {m ** (gam - 1)}", "flops += 1",
+            emit(depth, f"nodes += {m ** (gam - 1)}",
                  f"tl = {acc} + bst", f"a{lo} = ba",
                  *(f"a{lo + j} = bw{j}" for j in range(1, gam)))
             if lead_prune and not last:
                 emit(depth, "if tl > best:", "    continue")
         if gam == 1:
-            emit(depth, f"nodes += {blk}", f"flops += {7 * blk}")
+            emit(depth, f"nodes += {blk}")
         leaf = ", ".join(f"a{i}" for i in range(k_total))
         emit(depth, "if tl <= best:", f"    leaf = ({leaf},)",
              "    if tl < best or leaf < best_idx:",
@@ -593,7 +596,10 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
         leading(1)
     em = " + ".join(f"mis{c}" for c in conditioned) or "0"
     nodes = "".join(f" + n{c}" for c in conditioned)
-    flops = ""
+    # `nodes` holds the leading block's nodes alone, and each solved
+    # sub-block adds a fixed count of them: 1 for 7 FLOPs at gamma = 1, or
+    # M^(gamma - 1) for the 1 FLOP that adds its minimum
+    flops = " + 7 * nodes" if gam == 1 else f" + nodes // {m ** (gam - 1)}"
     for c in conditioned:
         start = c - c % blk
         # an increment vector and an accepted candidate's cancellation; a

@@ -14,6 +14,7 @@ what makes the real-valued equivalent channel model work.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ __all__ = [
     "cvec",
     "kron",
     "gram_schmidt_qr",
+    "triangularize",
 ]
 
 #: Relative threshold below which a residual column norm ``|r_ii|`` is
@@ -127,23 +129,50 @@ def gram_schmidt_qr(h) -> QrResult:
         norm of its matrix; the first such column of the first such matrix
         is reported.
     """
+    h = _checked_matrix(h)
+    h_max = _finite_max(h)
+    q, r = np.linalg.qr(h)
+    q *= _positive_rows(r)[..., None, :]
+    _check_rank(h, h_max, r.diagonal(0, -2, -1))
+    return QrResult(q=q, r=r)
+
+
+def _checked_matrix(h) -> np.ndarray:
+    """``h`` as a float ``(..., rows, cols)`` array with ``rows >= cols``."""
     h = _real_array(h, "h")
     if h.ndim < 2:
         raise ValueError("expected a 2-D matrix")
     rows, cols = h.shape[-2:]
     if rows < cols:
         raise RankDeficient(f"matrix is {rows}x{cols}; need rows >= cols")
-    # the max is NaN or inf iff some entry is
-    h_max = float(abs(h).max()) if h.size else 0.0
-    if not h_max < math.inf:
-        raise ValueError("matrix entries must be finite")
+    return h
 
-    q, r = np.linalg.qr(h)
-    diag = r.diagonal(0, -2, -1)  # a view: after the flip it reads >= 0
-    sign = np.copysign(1.0, diag)
-    q *= sign[..., None, :]
+
+def _finite_max(x) -> float:
+    """The largest ``|entry|`` of ``x`` (0.0 if empty); ``ValueError`` if
+    some entry is not finite."""
+    # the max is NaN or inf iff some entry is
+    x_max = float(abs(x).max()) if x.size else 0.0
+    if not x_max < math.inf:
+        raise ValueError("matrix entries must be finite")
+    return x_max
+
+
+def _positive_rows(r) -> np.ndarray:
+    """Negate in place each row of the ``(..., n, >= n)`` array ``r`` whose
+    diagonal entry is negative, so its diagonal reads >= 0; the signs."""
+    sign = np.copysign(1.0, r.diagonal(0, -2, -1))
     r *= sign[..., None]
     r += 0.0  # turns the -0.0 a flipped zero becomes back into +0.0
+    return sign
+
+
+def _check_rank(h, h_max: float, diag) -> None:
+    """Raise ``RankDeficient`` if some ``diag`` entry, a matrix of ``h``'s
+    ``|r_ii|``, falls below ``RANK_TOL`` times that matrix's largest input
+    column norm; the first such column of the first such matrix is named.
+    ``h_max`` is any bound on ``max|h|``; only the quick pass reads it."""
+    rows = h.shape[-2]
     # the test runs on h / max|h| of each matrix, so no square over- or
     # underflows at any scale; no column norm of it exceeds sqrt(rows), and
     # the stack's max|h| bounds each matrix's, so a larger smallest
@@ -159,4 +188,59 @@ def gram_schmidt_qr(h) -> QrResult:
             i = first[-1]
             raise RankDeficient(
                 f"column {i} is dependent (|r_{i}| = {diag[first]:.3e})")
-    return QrResult(q=q, r=r)
+
+
+@functools.lru_cache(maxsize=None)
+def _strictly_lower(cols: int) -> np.ndarray:
+    """Read-only mask of the entries below the diagonal of a
+    ``(cols, cols + 1)`` matrix."""
+    mask = np.tri(cols, cols + 1, -1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
+def triangularize(h, y) -> tuple[np.ndarray, np.ndarray]:
+    """``(r, y')``: the R of :func:`gram_schmidt_qr` for ``h`` and
+    ``y' = q.T @ y``, without forming ``q``.
+
+    One Householder QR (``np.linalg.qr(..., mode="raw")``) of the augmented
+    matrix ``[h | y]`` gives both: ``r`` is its leading ``cols x cols``
+    upper triangle and ``y'`` the first ``cols`` entries of its last
+    column, since the reflectors that triangularize ``h`` are applied to
+    ``y`` alike.  Each row whose diagonal entry is negative is negated,
+    ``y'`` entry included, so ``r`` has a positive diagonal and +0.0 below
+    it.  ``r`` equals ``gram_schmidt_qr(h).r`` and ``y'`` its
+    ``q.T @ y`` up to rounding, though not bit for bit: LAPACK sees one
+    more column.  A ``(..., rows, cols)`` stack with ``y`` of shape
+    ``(..., rows)`` is factored by the same one call.  ``r`` and ``y'`` are
+    views of one ``(..., cols, cols + 1)`` array.
+
+    Raises
+    ------
+    ValueError
+        If ``h`` or ``y`` is complex or not finite, ``h`` has fewer than 2
+        dimensions, or ``y`` does not have one entry per row of ``h``.
+    RankDeficient
+        Exactly as :func:`gram_schmidt_qr` raises it for ``h``.
+    """
+    h = _checked_matrix(h)
+    y = _real_array(y, "y")
+    *stack, rows, cols = h.shape
+    if y.shape != (*stack, rows):
+        raise ValueError(f"y has shape {y.shape}; need {(*stack, rows)}, "
+                         "one entry per row of h")
+    a = np.empty((*stack, rows, cols + 1))
+    a[..., :cols] = h
+    a[..., cols] = y
+    # one scan of [h | y] checks both and bounds max|h| for the rank rule
+    try:
+        a_max = _finite_max(a)
+    except ValueError:
+        _finite_max(h)  # gram_schmidt_qr's error when h is at fault
+        raise ValueError("y entries must be finite") from None
+    # raw mode returns LAPACK's factor transposed; R sits in its top rows
+    ry = np.linalg.qr(a, mode="raw")[0].swapaxes(-2, -1)[..., :cols, :]
+    _positive_rows(ry)
+    np.copyto(ry, 0.0, where=_strictly_lower(cols))
+    _check_rank(h, a_max, ry.diagonal(0, -2, -1))
+    return ry[..., :cols], ry[..., cols]

@@ -28,7 +28,7 @@ from . import codes as _codes
 from .codes import (_is_integer, _json_array, _json_integer, _json_number,
                     _json_object)
 from .decoder import DecoderStats, PamConstellation, prepare, sphere_decode
-from .linalg import gram_schmidt_qr
+from .linalg import triangularize
 from .structure import (
     BlockOrthogonalProfile,
     _receive_antennas,
@@ -152,21 +152,28 @@ def snr_to_noise_variance(snr_db: float, code, cons: PamConstellation) -> float:
     The average received signal energy per receive antenna per channel use
     is ``E[x_i^2] * ||G||_F^2 / t`` for unit-variance channel entries;
     dividing by the linear SNR gives N0.  A unit-energy code at 0 dB gives
-    N0 = 1.  An SNR whose N0 is not a finite non-negative number (NaN, or
-    so low or high that the linear SNR under- or overflows) raises
-    ``ValueError``, and so does an ``snr_db`` that is not a real number
-    (a string, ``None``, a complex or a ``bool``).
+    N0 = 1.  The arithmetic is in Python floats whatever the type of
+    ``snr_db``, so a numpy ``float32`` or ``float16`` SNR gives the N0 of
+    its float value.  An SNR whose N0 is not a finite non-negative number
+    (NaN, or so low or high that the linear SNR under- or overflows)
+    raises ``ValueError``, and so does a finite SNR whose N0 underflows to
+    0.0 (only ``+inf`` dB is noise-free) and an ``snr_db`` that is not a
+    real number (a string, ``None``, a complex or a ``bool``).
     """
     if type(snr_db) is bool or not isinstance(snr_db, numbers.Real):
         raise ValueError(f"snr_db = {snr_db!r} must be a real number")
     g = _codes.generator_matrix(code)
     e_rx = cons.energy_per_symbol * float((g * g).sum()) / code.t
     try:
-        n0 = e_rx / (10.0 ** (snr_db / 10.0))
+        snr = float(snr_db)  # an int past the float range overflows here
+        n0 = e_rx / (10.0 ** (snr / 10.0))
     except (OverflowError, ZeroDivisionError):
         n0 = math.nan
     if not 0.0 <= n0 < math.inf:
         raise ValueError(f"snr_db = {snr_db} gives no finite noise variance")
+    if n0 == 0.0 and snr < math.inf:
+        raise ValueError(
+            f"snr_db = {snr_db} gives a noise variance that underflows to 0.0")
     return n0
 
 
@@ -201,9 +208,11 @@ def run_trial(code, cons: PamConstellation, snr_db: float, seed,
 
     Draw order is fixed (channel, then symbols, then noise) so a seed pins
     the whole instance bit-for-bit; a seed that cannot (``None``, a float,
-    a ``bool``) raises ``ValueError``.  ``(R, y')`` is set up once, with
-    :func:`decoder.prepare`, and both decodes share it.  ``trace``, when
-    given, collects the memoized decoder's per-node records.
+    a ``bool``) raises ``ValueError``.  ``(R, y')`` comes from one
+    Householder QR of ``[H_eq | y]`` (:func:`linalg.triangularize`), so no
+    trial forms Q; it is set up once, with :func:`decoder.prepare`, and
+    both decodes share it.  ``trace``, when given, collects the memoized
+    decoder's per-node records.
 
     The benchmark's tracer (``perfbench/tracer.py``) reads these call
     shapes, so keep them: ``seed`` is the fourth positional argument; each
@@ -225,14 +234,12 @@ def run_trial(code, cons: PamConstellation, snr_db: float, seed,
     noise = math.sqrt(n0 / 2.0) * z.T.ravel()
 
     h_eq = equivalent_channel(code, h)
-    y = h_eq @ x + noise
-    qr = gram_schmidt_qr(h_eq)
-    y_prime = qr.q.T @ y
+    r, y_prime = triangularize(h_eq, h_eq @ x + noise)
 
-    inst = prepare(qr.r, y_prime, cons, profile)
-    _, base = sphere_decode(qr.r, y_prime, cons, profile, memoize=False,
+    inst = prepare(r, y_prime, cons, profile)
+    _, base = sphere_decode(r, y_prime, cons, profile, memoize=False,
                             prepared=inst)
-    _, memo = sphere_decode(qr.r, y_prime, cons, profile, memoize=True,
+    _, memo = sphere_decode(r, y_prime, cons, profile, memoize=True,
                             trace=trace, prepared=inst)
     return TrialResult(stats_baseline=base, stats_memoized=memo,
                        transmitted=tuple(sym_idx.tolist()))

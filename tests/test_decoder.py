@@ -878,6 +878,34 @@ class TestGeneratedWalk:
                 assert first.lstrip().startswith(f"tl = tot{k} + "), (
                     prof, m, flags)
 
+    def test_leading_block_is_priced_from_its_nodes(self):
+        # a gamma = 1 sub-block always costs 1 node and 7 FLOPs, and a gamma
+        # > 1 solve M^(gamma - 1) nodes and 1 FLOP, so the return prices the
+        # leading block from its node count and the block charges only what
+        # its joint tails evaluate
+        layouts = {(prof or BlockOrthogonalProfile(np.size(y), 1, 1), cons.m)
+                   for group in TestWalkDigest.EXPECTED
+                   for _, y, cons, prof in _digest_corpus(group)}
+        assert any(prof.gamma == 1 for prof, _ in layouts)
+        assert any(prof.gamma > 1 for prof, _ in layouts)
+        assigns = re.compile(r" *o\d+_\d+ = ")
+        for (prof, m), flags in itertools.product(
+                layouts, itertools.product((False, True), repeat=3)):
+            source = _walk_source(prof, m, *flags)
+            walk = source.partition("\n    best = inf\n")[2].splitlines()
+            last = max((n for n, line in enumerate(walk)
+                        if assigns.match(line)), default=-1)
+            charges = [line.strip() for line in walk[last + 1:]
+                       if "flops +=" in line]
+            if prof.gamma == 1:
+                assert charges == [], (prof, m, flags)
+                price = " + 7 * nodes"
+            else:
+                assert charges and "flops += 1" not in charges, (
+                    prof, m, flags)
+                price = f" + nodes // {m ** (prof.gamma - 1)}"
+            assert f"    flops=flops{price}" in source, (prof, m, flags)
+
 
 class TestCounterFingerprint:
     # (em, flops, nodes, hits, summed cache peak) over the whole corpus, per

@@ -1,4 +1,5 @@
-"""Tests for the real/complex expansion operators and Gram-Schmidt QR."""
+"""Tests for the real/complex expansion operators, Gram-Schmidt QR and
+the triangularization of ``[h | y]``."""
 
 import warnings
 
@@ -13,6 +14,7 @@ from bostbc.linalg import (
     gram_schmidt_qr,
     kron,
     tilde_vec,
+    triangularize,
 )
 from bostbc.structure import equivalent_channel, random_channel
 
@@ -283,3 +285,80 @@ class TestStackedQr:
         with pytest.raises(RankDeficient,
                            match="^matrix is 3x5; need rows >= cols$"):
             gram_schmidt_qr(rng.standard_normal((2, 3, 5)))
+
+
+class TestTriangularize:
+    # one Householder QR of [h | y] gives gram_schmidt_qr's R and q.T @ y
+    # up to rounding, and raises what gram_schmidt_qr raises for h
+
+    @pytest.mark.parametrize("name, n_r", [("bhv", None), ("golden", None),
+                                           ("golden", 3), ("ci-a2", None)])
+    def test_agrees_with_gram_schmidt(self, rng, name, n_r):
+        code = named_code(name)
+        for _ in range(20):
+            h_eq = equivalent_channel(
+                code, random_channel(n_r or code.n_t, code.n_t, rng))
+            y = h_eq @ rng.standard_normal(code.k_real) \
+                + rng.standard_normal(h_eq.shape[0])
+            r, y_prime = triangularize(h_eq, y)
+            qr = gram_schmidt_qr(h_eq)
+            gs_y = qr.q.T @ y
+            assert r.shape == qr.r.shape and y_prime.shape == gs_y.shape
+            assert np.abs(r - qr.r).max() <= 1e-13 * np.abs(qr.r).max()
+            assert np.abs(y_prime - gs_y).max() <= 1e-13 * np.abs(gs_y).max()
+            assert (np.diag(r) > 0).all()
+            lower = r[np.tril_indices(code.k_real, -1)]
+            assert (lower == 0).all() and not np.signbit(lower).any()
+
+    def test_stack_equals_each_matrix_alone(self, rng):
+        code = named_code("ci-a2")
+        h_eq = np.stack([
+            equivalent_channel(code, random_channel(code.n_t, code.n_t, rng))
+            for _ in range(6)]).reshape(2, 3, 2 * code.n_t * code.t, -1)
+        y = rng.standard_normal(h_eq.shape[:-1])
+        r, y_prime = triangularize(h_eq, y)
+        for index in np.ndindex(2, 3):
+            alone = triangularize(h_eq[index], y[index])
+            assert r[index].tobytes() == alone[0].tobytes()
+            assert y_prime[index].tobytes() == alone[1].tobytes()
+
+    @pytest.mark.parametrize("h", [
+        np.eye(4) + 0.5j * np.eye(4),  # complex
+        np.ones(4),  # not a matrix
+        np.ones((3, 5)),  # wide
+        np.where(np.eye(4, 3) > 0, np.nan, 0.0),  # not finite
+        np.array([[1e200, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]),
+        np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+    ], ids=["complex", "1-D", "wide", "nan", "relative-rank", "zero-column"])
+    def test_raises_as_gram_schmidt_does(self, h):
+        with pytest.raises(ValueError) as want:
+            gram_schmidt_qr(h)
+        with pytest.raises(ValueError) as got:
+            triangularize(h, np.ones(np.shape(h)[0]))
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_rank_deficient_on_same_column(self, rng):
+        for dependent in (1, 3, 5):
+            h = rng.standard_normal((9, 6))
+            h[:, dependent] = h[:, :dependent] @ rng.standard_normal(dependent)
+            with pytest.raises(RankDeficient,
+                               match=f"^column {dependent} is dependent"):
+                triangularize(h, rng.standard_normal(9))
+
+    @pytest.mark.parametrize("y", [np.ones(5), np.ones(7), np.ones((6, 1)),
+                                   np.ones(()), np.ones((2, 6))])
+    def test_y_of_the_wrong_shape_raises(self, rng, y):
+        with pytest.raises(ValueError, match=r"^y has shape .* one entry per "
+                                             "row of h$"):
+            triangularize(rng.standard_normal((6, 4)), y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j])
+    def test_y_not_finite_or_complex_raises(self, bad):
+        # on an upper-triangular h the reflectors are identities, so a NaN
+        # below row cols would not even reach y'
+        y = np.ones(4, dtype=complex if isinstance(bad, complex) else float)
+        y[3] = bad
+        with pytest.raises(ValueError, match="^y (entries must be finite|"
+                                             "must be real)"):
+            triangularize(np.eye(4, 2), y)

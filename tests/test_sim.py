@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from bostbc.sim import (
     snr_to_noise_variance,
     sweep_to_csv,
 )
-from bostbc.linalg import cvec, gram_schmidt_qr, tilde_vec
+from bostbc.linalg import cvec, gram_schmidt_qr, tilde_vec, triangularize
 from bostbc.structure import (
     BlockOrthogonalProfile,
     detect_structure,
@@ -61,6 +62,8 @@ class TestSnrConvention:
     @pytest.mark.parametrize("snr_db", [
         -1e308, -3300.0, -math.inf, math.nan, 3090.0, 1e308,
         np.float64(-1e308), np.float64(math.nan),
+        # numpy's power overflowed this one to inf, so it read as noise-free
+        pytest.param(np.float64(1e308), id="float64-1e+308"),
     ])
     def test_no_finite_noise_variance_raises(self, snr_db):
         cons = PamConstellation(2)
@@ -70,7 +73,7 @@ class TestSnrConvention:
 
     @pytest.mark.parametrize("snr_db", [
         -3000.0, -300.0, -20.0, 0.0, 7.5, 300.0, 3000.0, math.inf,
-        np.float64(1e308), np.float64(math.inf),
+        np.float64(math.inf),
     ])
     def test_finite_noise_variance_unchanged(self, snr_db):
         # the plain formula wherever it yields a finite N0 >= 0
@@ -83,6 +86,35 @@ class TestSnrConvention:
             got = snr_to_noise_variance(snr_db, code, cons)
         assert math.isfinite(got) and got >= 0.0
         assert got == want and math.copysign(1.0, got) == 1.0
+
+    @pytest.mark.parametrize("snr_db", [
+        np.float32(13.3), np.float16(13.3), np.float16(-7.5), np.float32(60.0),
+        np.float16(60.0),
+    ], ids=["float32-13.3", "float16-13.3", "float16--7.5", "float32-60.0",
+            "float16-60.0"])
+    def test_numpy_snr_gives_the_noise_of_its_float_value(self, snr_db):
+        # a float32 or float16 SNR was computed in its own type, so a trial
+        # drew other noise than for the same value as a float, and 10 ** 6
+        # overflowed in float16, which warned and gave N0 = 0.0
+        code = codes.named_code("bhv")
+        cons = PamConstellation(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = snr_to_noise_variance(snr_db, code, cons)
+        want = snr_to_noise_variance(float(snr_db), code, cons)
+        assert type(got) is float and 0.0 < got < math.inf
+        assert got.hex() == want.hex()
+
+    def test_noise_variance_underflowing_to_zero_raises(self):
+        # a subnormal symbol energy gave N0 = 0.0 at 50 dB, so every trial
+        # was silently noise-free; only +inf dB is
+        code = codes.named_code("bhv")
+        cons = PamConstellation(2, scale=1e-160)
+        assert snr_to_noise_variance(40.0, code, cons) > 0.0
+        assert snr_to_noise_variance(math.inf, code, cons) == 0.0
+        with pytest.raises(ValueError, match=r"^snr_db = 50\.0 gives a noise "
+                                             "variance that underflows"):
+            snr_to_noise_variance(50.0, code, cons)
 
     @pytest.mark.parametrize("snr_db", ["10", None, 1j, True, np.bool_(True)])
     def test_non_real_snr_raises_value_error(self, snr_db):
@@ -153,7 +185,8 @@ class TestRunTrial:
                                                     m, n_r):
         # the channel, codeword and noise, drawn as two calls each for the
         # real and imaginary parts and the noise built as a complex matrix,
-        # give the (R, y') the trial decodes bit for bit
+        # give the (H_eq, y) whose triangularization the trial decodes bit
+        # for bit; it is the Gram-Schmidt R and q.T @ y up to rounding
         code = codes.named_code(name)
         cons = PamConstellation(m)
         profile = resolve_profile(code)
@@ -177,11 +210,15 @@ class TestRunTrial:
                                          + 1j * rng.standard_normal((rows, code.t)))
             h_eq = equivalent_channel(code, h)
             y = h_eq @ np.asarray(cons.levels)[idx] + tilde_vec(cvec(noise))
-            qr = gram_schmidt_qr(h_eq)
             r, y_prime = seen[-1]
+            want_r, want_y = triangularize(h_eq, y)
             assert trial.transmitted == tuple(int(i) for i in idx)
-            assert r.tobytes() == qr.r.tobytes()
-            assert y_prime.tobytes() == (qr.q.T @ y).tobytes()
+            assert r.tobytes() == want_r.tobytes()
+            assert y_prime.tobytes() == want_y.tobytes()
+            qr = gram_schmidt_qr(h_eq)
+            gs_y = qr.q.T @ y
+            assert abs(r - qr.r).max() <= 1e-13 * abs(qr.r).max()
+            assert abs(y_prime - gs_y).max() <= 1e-13 * abs(gs_y).max()
 
     def test_paired_instances_share_randomness(self):
         code = codes.named_code("bhv")
