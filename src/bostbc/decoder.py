@@ -46,7 +46,15 @@ sub-block by sub-block, once per accepted candidate of the last conditioned
 level, reading the offsets that level wrote, and a single-block profile
 once, reading ``y'``.  A gamma = 1 sub-block is sliced directly; a larger
 one enumerates the M^(gamma - 1) joint values of its trailing gamma - 1
-symbols in lexicographic order and slices its top symbol given each.
+symbols in lexicographic order and slices its top symbol given each.  A
+pruned walk of more than one block drops a joint tail at the first of its
+rows where the partial metric before the sub-block plus the tail's partial
+metric passes the best leaf, or the tail's partial metric alone passes the
+sub-block's best so far.  A tail's full metric is at least its partial
+one and rounding is monotone, so either test proves the tail cannot give
+an accepted leaf.  When a solve drops every tail its minimum stays
+``inf``, so its leaf is refused without the sub-block's indices being
+read.
 
 A code without block-orthogonal structure is the trivial profile
 ``(K, 1, 1)``: every symbol is its own block, the walk is plain
@@ -77,8 +85,9 @@ Counting conventions
     - 7 per gamma = 1 leading sub-block solved before a leaf or early exit;
     - per gamma > 1 leading sub-block, 1 for adding its minimum, and per
       joint tail ``2 (gamma - 1 - j) + 4`` for each row ``lo + j``
-      evaluated (bottom row first, up to a pruning exit), plus
-      ``2 gamma + 5`` if the tail reaches the top symbol.
+      evaluated (bottom row first, up to a skip), one more on each row but
+      the bottom one where the walk tests for a skip, plus ``2 gamma + 5``
+      if the tail reaches the top symbol.
 
     Each ``r[c,c] * level`` is priced as one multiply where the walk reads
     it, though :func:`prepare` forms it once per instance.  A leading
@@ -87,9 +96,13 @@ Counting conventions
     walk prices the leading block from its nodes when it returns.  The
     walk starts from the empty prefix's zero partial metric, so the top
     conditioned level and a single-block profile's first leading sub-block
-    do the add they are charged.  Every charge is work the walk does but one, an add
-    that every pinned counter keeps: a joint tail's bottom row
-    (``met = res * res``), where a real add would run once per joint tail.
+    do the add they are charged.  A joint tail's skip test adds the partial
+    metric before its sub-block to the tail's, once per row evaluated; on
+    the bottom row that add is the row's fourth unit.  So every charge is
+    work the walk does, with one exception: a walk without the skip test
+    (``prune=False``, or a single-block profile, which knows no leaf before
+    its leading block) still charges a joint tail's bottom row
+    (``met = res * res``) 4 for its 3 operations.
 ``cache_entries_peak``
     Largest number of metric values held at any time; bounded by
     ``(Gamma - 1)(k - 1) M (M^gamma - 1) / (M - 1)``.
@@ -412,6 +425,7 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
         # each sub-block's minimum is added to the partial metric; an early
         # exit moves on to the last conditioned level's next candidate
         subs = range(0, blk, gam)
+        picks = []  # a gamma > 1 sub-block's indices, bound from its best
         for lo in subs:
             acc = f"tot{blk}" if lo == 0 else "tl"
             last = lo == subs[-1]
@@ -423,8 +437,6 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
                     emit(depth, "if tl > best:", f"    nodes += {lo + 1}",
                          "    continue")
                 continue
-            if lead_prune:
-                emit(depth, f"budget = best - {acc}")
             # the trailing gamma - 1 symbols jointly, their rows bottom
             # first, and the top symbol sliced given them
             ws = [f"w{j}" for j in range(1, gam)]
@@ -436,16 +448,20 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
                 row = lo + j
                 terms = "".join(f" - r{row}_{lo + jj} * v{jj}"
                                 for jj in range(j + 1, gam))
-                cost += 2 * (gam - 1 - j) + 4
-                emit(d, f"v{j} = lev[w{j}]",
-                     f"res = o{row}_{blk}{terms} - dl{row}[w{j}]",
+                # the skip test's add is the bottom row's fourth unit, and
+                # one more on each row above it
+                cost += 2 * (gam - 1 - j) + 4 + int(lead_prune and j < gam - 1)
+                emit(d, f"res = o{row}_{blk}{terms} - dl{row}[w{j}]",
                      "met = res * res" if j == gam - 1
                      else "met = met + res * res")
                 if lead_prune:
-                    # a partial sub-block metric past both the budget and
-                    # the best of the sub-block cannot win
-                    emit(d, "if met > budget and met > bst:",
+                    # a full tail metric is at least its partial one, and
+                    # rounding is monotone, so past the best leaf with the
+                    # add the leaf test does, or past the sub-block's best,
+                    # the tail cannot give an accepted leaf
+                    emit(d, f"if {acc} + met > best or met > bst:",
                          f"    flops += {cost}", "    continue")
+                emit(d, f"v{j} = lev[w{j}]")
             terms = "".join(f" - r{lo}_{lo + j} * v{j}" for j in range(1, gam))
             emit(d, f"t = o{lo}_{blk}{terms}")
             slice_top(d, lo, "t", "a")
@@ -456,15 +472,20 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
                  "if met < bst or (met == bst and a < ba):",
                  "    bst = met", "    ba = a",
                  *(f"    b{w} = {w}" for w in ws))
-            emit(depth, f"nodes += {m ** (gam - 1)}",
-                 f"tl = {acc} + bst", f"a{lo} = ba",
-                 *(f"a{lo + j} = bw{j}" for j in range(1, gam)))
+            emit(depth, f"nodes += {m ** (gam - 1)}", f"tl = {acc} + bst")
+            # a solve whose every tail was skipped keeps bst = inf and binds
+            # no ba, so the indices are read only once tl is known finite
+            picks = [f"a{lo} = ba",
+                     *(f"a{lo + j} = bw{j}" for j in range(1, gam))]
             if lead_prune and not last:
                 emit(depth, "if tl > best:", "    continue")
+            if not last:
+                emit(depth, *picks)
         if gam == 1:
             emit(depth, f"nodes += {blk}")
         leaf = ", ".join(f"a{i}" for i in range(k_total))
-        emit(depth, "if tl <= best:", f"    leaf = ({leaf},)",
+        emit(depth, "if tl <= best:", *(f"    {pick}" for pick in picks),
+             f"    leaf = ({leaf},)",
              "    if tl < best or leaf < best_idx:",
              "        best = tl", "        best_idx = leaf")
 

@@ -35,7 +35,7 @@ TAIL_RULES = {
 }
 
 #: The rule ``decoder._walk_source`` emits.
-WALK_RULE = "and"
+WALK_RULE = "or"
 
 
 def reference_decode(r, y_prime, cons, profile=None, *, memoize=True,

@@ -705,17 +705,17 @@ class TestWalkDigest:
         "code:bhv": (48, "ddb896832d2b243f"),
         "code:cda-2x2": (48, "1ec51fcb2ec70c52"),
         "code:ci-a1": (48, "2d6662f96567c8e3"),
-        "code:ci-a2": (36, "a21b218b8c4b6e39"),
+        "code:ci-a2": (36, "3014c90d20e09cb5"),
         "code:cii-golden": (48, "164953d27e6d3271"),
-        "code:ciii-golden": (48, "d2554669120e8bc5"),
-        "code:civ-a1": (48, "9c7b0c0fffb3e107"),
-        "code:civ-a2": (36, "d744fc04a9f64134"),
+        "code:ciii-golden": (48, "7ca6a6245c32266f"),
+        "code:civ-a1": (48, "88ba3896f8f3a9ca"),
+        "code:civ-a2": (36, "c64a06f5e9a1b734"),
         "code:golden": (48, "98c20245db9dd080"),
-        "code:golden-222": (48, "174de87ed0902e89"),
-        "code:srinath-rajan": (48, "b929c3c8916d7156"),
-        "gamma:2": (264, "54a2f4c9e3c1dbf0"),
-        "gamma:3": (192, "178df899520dca12"),
-        "gamma:4": (132, "5bde0bd3d2b98c7f"),
+        "code:golden-222": (48, "f24f8124609232be"),
+        "code:srinath-rajan": (48, "416500750cf27707"),
+        "gamma:2": (264, "39e772f3f08e860a"),
+        "gamma:3": (192, "1f0a281dbef98fe5"),
+        "gamma:4": (132, "bb47568cbe2b8a18"),
         "plain:2": (48, "2a354566f50da89e"),
         "plain:4": (36, "77a01ba12a7f952b"),
         "plain:8": (36, "60698bbc806e3065"),
@@ -906,18 +906,68 @@ class TestGeneratedWalk:
                 price = f" + nodes // {m ** (prof.gamma - 1)}"
             assert f"    flops=flops{price}" in source, (prof, m, flags)
 
+    #: sha256 of the sources of every gamma = 1 layout below (bhv's,
+    #: golden's and every plain walk among them), taken before the joint
+    #: tails' skip test became "past the leaf budget or the sub-block's best"
+    GAMMA_1_SOURCES = "1371e88c15c28254"
+
+    def test_joint_tails_skip_past_the_budget_or_the_best(self):
+        # a pruned multi-block walk skips a tail once `acc + met` passes
+        # the best leaf, the add the leaf test does, or `met` the
+        # sub-block's best, and binds a row's level only past that test; a
+        # walk that knows no leaf before its leading block has no test, and
+        # gamma = 1 walks, which have no tails, are as they were
+        layouts = sorted(
+            {(prof or BlockOrthogonalProfile(np.size(y), 1, 1), cons.m)
+             for group in TestWalkDigest.EXPECTED
+             for _, y, cons, prof in _digest_corpus(group)},
+            key=lambda layout: (layout[0].as_tuple(), layout[1]))
+        assert any(prof.gamma == 1 for prof, _ in layouts)
+        assert any(prof.gamma > 1 for prof, _ in layouts)
+        gamma_1 = hashlib.sha256()
+        for (prof, m), flags in itertools.product(
+                layouts, itertools.product((False, True), repeat=3)):
+            source = _walk_source(prof, m, *flags)
+            assert "budget" not in source, (prof, m, flags)
+            if prof.gamma == 1:
+                gamma_1.update(source.encode())
+                continue
+            lines = [line.strip() for line in source.splitlines()]
+            blk, gam = prof.block_size, prof.gamma
+            tested = flags[1] and prof.gamma_blocks > 1
+            tests = [line for line in lines if "met > bst" in line]
+            accs = ([f"tot{blk}"] * (gam - 1)
+                    + ["tl"] * ((prof.k - 1) * (gam - 1)))
+            assert tests == ([f"if {acc} + met > best or met > bst:"
+                              for acc in accs] if tested else []), (
+                prof, m, flags)
+            for j in range(1, gam):
+                binds = [n for n, line in enumerate(lines)
+                         if line == f"v{j} = lev[w{j}]"]
+                assert len(binds) == prof.k, (prof, m, flags)
+                for n in binds:
+                    row = lines[n - 5 if tested else n - 2]
+                    assert re.fullmatch(rf"res = o\d+_{blk}.* - "
+                                        rf"dl\d+\[w{j}\]", row), (
+                        prof, m, flags)
+                    if tested:
+                        assert "met > bst" in lines[n - 3], (prof, m, flags)
+                        assert lines[n - 2].startswith("flops += ")
+                        assert lines[n - 1] == "continue"
+        assert gamma_1.hexdigest()[:16] == self.GAMMA_1_SOURCES
+
 
 class TestCounterFingerprint:
     # (em, flops, nodes, hits, summed cache peak) over the whole corpus, per
     # decoder; any change to the walk order, pruning, pricing or caching
     # moves at least one of them
     EXPECTED = {
-        False: (32444, 467447, 30565, 0, 0),
-        True: (16624, 390187, 30565, 4123, 2014),
+        False: (32444, 388454, 30565, 0, 0),
+        True: (16624, 311194, 30565, 4123, 2014),
     }
     EXPECTED_WIDE = {
-        False: (51314, 1516531, 92187, 0, 0),
-        True: (1800, 1214087, 92187, 12478, 1164),
+        False: (51314, 1188213, 92187, 0, 0),
+        True: (1800, 885769, 92187, 12478, 1164),
     }
     # one block: nothing is conditioned, cached or pruned, so baseline and
     # memoized decoding count the same, pruned or not; plain decoding walks

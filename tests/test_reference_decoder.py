@@ -2,11 +2,14 @@
 ``DecoderStats`` field, ``best_metric`` by its bits, in every mode."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_decoder as walk_tests
-from bostbc.decoder import PamConstellation, exhaustive_ml, sphere_decode
+from bostbc import decoder
+from bostbc.decoder import (PamConstellation, _walk, exhaustive_ml,
+                            sphere_decode)
 from bostbc.structure import BlockOrthogonalProfile
 from reference_decoder import TAIL_RULES, reference_decode
 
@@ -82,30 +85,43 @@ def test_tail_rules_move_flops_only(data):
             assert repriced == old
 
 
-def test_every_tail_of_the_last_sub_block_skipped():
-    # under the "or" rule the last sub-block of some solves keeps no tail:
-    # its minimum stays inf and its symbol indices unset, so the leaf must
-    # be refused, after earlier solves left the walk's sub-block minimum
-    # and indices holding values of their own
-    prof = BlockOrthogonalProfile(2, 2, 2)
-    cons = PamConstellation(2)
-    rng = np.random.default_rng(7)
-    r = walk_tests.patterned_r(rng, prof)
-    x = np.asarray(cons.levels)[rng.integers(0, cons.m, prof.total)]
-    y = r @ x + rng.standard_normal(prof.total)
-    emptied = []
-    reference_decode(r, y, cons, prof, rule="or", emptied=emptied)
-    assert emptied == [2]
-    want = exhaustive_ml(r, y, cons)
-    for memoize in (False, True):
-        got, stats = sphere_decode(r, y, cons, prof, memoize=memoize)
-        assert fields(stats) == fields(reference_decode(r, y, cons, prof,
-                                                        memoize=memoize))
-        assert np.array_equal(got, want)
-        old, new = (reference_decode(r, y, cons, prof, memoize=memoize,
-                                     rule=rule) for rule in ("and", "or"))
-        assert all_but_flops(old) == all_but_flops(new)
-        assert new.flops < old.flops
+@pytest.mark.parametrize("shape, seed, per_function, lo", [
+    # a non-first sub-block, after the first one's tails bound the walk's
+    # best indices, so they hold a stale value
+    ((2, 2, 2), 7, 16, 2),
+    # chained after every level, the leading block is solved in a function
+    # called afresh per candidate of the level above, so a first solve
+    # whose tails are all skipped has bound no best indices at all
+    ((2, 1, 2), 15, 1, 0),
+])
+def test_solve_whose_every_tail_is_skipped(monkeypatch, shape, seed,
+                                            per_function, lo):
+    # under the "or" rule a sub-block solve may keep no tail: its minimum
+    # stays inf, so the leaf must be refused without its indices being read
+    monkeypatch.setattr(decoder, "_LEVELS_PER_FUNCTION", per_function)
+    _walk.cache_clear()
+    try:
+        prof = BlockOrthogonalProfile(*shape)
+        cons = PamConstellation(2)
+        rng = np.random.default_rng(seed)
+        r = walk_tests.patterned_r(rng, prof)
+        x = np.asarray(cons.levels)[rng.integers(0, cons.m, prof.total)]
+        y = r @ x + rng.standard_normal(prof.total)
+        emptied = []
+        reference_decode(r, y, cons, prof, rule="or", emptied=emptied)
+        assert emptied == [lo]
+        want = exhaustive_ml(r, y, cons)
+        for memoize in (False, True):
+            got, stats = sphere_decode(r, y, cons, prof, memoize=memoize)
+            assert fields(stats) == fields(reference_decode(r, y, cons, prof,
+                                                            memoize=memoize))
+            assert np.array_equal(got, want)
+            old, new = (reference_decode(r, y, cons, prof, memoize=memoize,
+                                         rule=rule) for rule in ("and", "or"))
+            assert all_but_flops(old) == all_but_flops(new)
+            assert new.flops < old.flops
+    finally:
+        _walk.cache_clear()
 
 
 def test_reference_reproduces_the_pinned_counter_totals():

@@ -609,8 +609,8 @@ class TestSweepFingerprint:
             (2984, 2576, 14129, 12509),
             (17648, 15128, 85633, 76145)),
         ("ci-a2", 4, (8.0, 20.0), 20): (
-            (7844, 1052, 154608, 113752),
-            (648, 648, 10236, 9264)),
+            (7844, 1052, 130803, 89947),
+            (648, 648, 9300, 8328)),
     }
 
     @pytest.mark.parametrize("campaign", sorted(EXPECTED), ids=lambda c: c[0])
