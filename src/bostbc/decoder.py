@@ -25,36 +25,37 @@ The conditioned blocks are enumerated from the last column inward, each level
 a ``for`` loop over its candidates nested in the loop of the level above, in
 increasing order of metric increment (Schnorr-Euchner), pruning once the
 partial metric passes the best leaf found.  That order is read from a per-M
-table of zig-zag orders (:func:`_zigzag_orders`), or the increments are
-sorted where float rounding or underflow could decide it, so exact ties still
-take the lower index.  Every accepted symbol, the last conditioned one
-included, is cancelled at once from all the rows above its block, one local
-per row, as the FLOP count charges it, so every row's conditioned offset is
-ready when the row is reached.  The increments inside a conditioned
-sub-block depend only on the symbols of the blocks above, so the memoized
-walk caches them with their order and replays both; a level's table lives for
-one visit of its block, from the walk entering the block's last column to
-leaving the block, and holds one entry where the level ends its sub-block,
-else one per value of the sub-block's later symbols.  A walk deeper than
+table of zig-zag orders (:func:`_zigzag_orders`), or the increments are sorted
+where float rounding or underflow could decide it, so exact ties still take
+the lower index.  Every accepted symbol, the last conditioned one included, is
+cancelled at once from all the rows above its block, one local per row, as the
+FLOP count charges it, so every row's conditioned offset is ready when the row
+is reached.  The increments inside a conditioned sub-block depend only on the
+symbols of the blocks above, so the memoized walk caches them with their order
+and replays both, in every sub-block of a block but the one it enumerates
+first, whose increments a visit never repeats; a level's table lives for one
+visit of its block, from the walk entering the block's last column to leaving
+the block, and holds one entry where the level ends its sub-block, else one per
+value of the sub-block's later symbols.  A walk deeper than
 ``_LEVELS_PER_FUNCTION`` conditioned levels chains nested functions.
 
-*Leading block* (part of the walk): once the conditioned symbols are fixed
-the leading block is fast-decodable: its sub-blocks share no columns, so
-each is minimized independently (its last undecided symbol is sliced to the
-nearest level) and the minima are summed.  The walk solves it, unrolled
-sub-block by sub-block, once per accepted candidate of the last conditioned
-level, reading the offsets that level wrote, and a single-block profile
-once, reading ``y'``.  A gamma = 1 sub-block is sliced directly; a larger
-one enumerates the M^(gamma - 1) joint values of its trailing gamma - 1
-symbols in lexicographic order and slices its top symbol given each.  A
-pruned walk of more than one block drops a joint tail at the first of its
-rows where the partial metric before the sub-block plus the tail's partial
-metric passes the best leaf, or the tail's partial metric alone passes the
-sub-block's best so far.  A tail's full metric is at least its partial
-one and rounding is monotone, so either test proves the tail cannot give
-an accepted leaf.  When a solve drops every tail its minimum stays
-``inf``, so its leaf is refused without the sub-block's indices being
-read.
+*Leading block* (part of the walk): once the conditioned symbols are fixed the
+leading block is fast-decodable: its sub-blocks share no columns, so each is
+minimized independently (its last undecided symbol is sliced to the nearest
+level) and the minima are summed, a pruned walk of more than one block moving
+on to the next candidate once the sum passes the best leaf.  The walk solves
+it, unrolled sub-block by sub-block, once per accepted candidate of the last
+conditioned level, reading the offsets that level wrote, and a single-block
+profile once, reading ``y'``.  A gamma = 1 sub-block is sliced directly; a
+larger one enumerates the M^(gamma - 1) joint values of its trailing gamma - 1
+symbols in lexicographic order and slices its top symbol given each.  A pruned
+walk of more than one block drops a joint tail at the first of its rows where
+the partial metric before the sub-block plus the tail's partial metric passes
+the best leaf, or the tail's partial metric alone passes the sub-block's best
+so far.  A tail's full metric is at least its partial one and rounding is
+monotone, so either test proves the tail cannot give an accepted leaf.  When a
+solve drops every tail its minimum stays ``inf``, so its leaf is refused
+without the sub-block's indices being read.
 
 A code without block-orthogonal structure is the trivial profile
 ``(K, 1, 1)``: every symbol is its own block, the walk is plain
@@ -448,9 +449,11 @@ def _walk_source(profile: BlockOrthogonalProfile, m: int, memoize: bool,
                 row = lo + j
                 terms = "".join(f" - r{row}_{lo + jj} * v{jj}"
                                 for jj in range(j + 1, gam))
-                # the skip test's add is the bottom row's fourth unit, and
-                # one more on each row above it
-                cost += 2 * (gam - 1 - j) + 4 + int(lead_prune and j < gam - 1)
+                cost += 2 * (gam - 1 - j) + 4
+                if lead_prune and j < gam - 1:
+                    # the skip test's add; on the bottom row it is the
+                    # fourth unit, which a walk without the test never does
+                    cost += 1
                 emit(d, f"res = o{row}_{blk}{terms} - dl{row}[w{j}]",
                      "met = res * res" if j == gam - 1
                      else "met = met + res * res")

@@ -115,7 +115,7 @@ def reference_decode(r, y_prime, cons, profile=None, *, memoize=True,
         # (least metric, symbol indices) of the gamma > 1 sub-block at lo
         bst, pick = math.inf, None
         for tail in itertools.product(range(m), repeat=gam - 1):
-            v = dict(zip(range(1, gam), (lev[w] for w in tail)))
+            v = (None, *(lev[w] for w in tail))  # v[j]: symbol lo + j's level
             finished = True
             for j in range(gam - 1, 0, -1):
                 row = lo + j
